@@ -2,9 +2,10 @@
 
 Exit codes: 0 = in core / core non-empty (result written), 1 = blocked /
 core empty (certificate written for verify), 2 = usage or format error,
-3 = method inapplicable or a resource cap was exceeded.  Result JSON goes
-to stdout (and ``--out`` when given); diagnostics go to stderr as a single
-``error: <reason>`` line.
+3 = method inapplicable or a resource cap was exceeded, 4 = internal
+fault (a broken invariant or the recursion limit; never a verdict).
+Result JSON goes to stdout (and ``--out`` when given); diagnostics go to
+stderr as a single ``error: <reason>`` line.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from typing import Optional
 
 from . import constant_players, couples, exhaustive, generators, serialize
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .games import (
     BlockCertificate,
     Instance,
@@ -255,6 +256,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"error: resource: {exc}\n")
         return 3
+    except (InvariantError, RecursionError) as exc:
+        sys.stderr.write(f"error: internal: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

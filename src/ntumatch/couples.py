@@ -21,15 +21,7 @@ from typing import Optional
 
 from .errors import InputError, InvariantError
 from .games import BlockCertificate, Instance, MembershipResult, utility
-from .graphs import (
-    Graph,
-    Matching,
-    alternating_reach,
-    gallai_edmonds,
-    matching_missing_exactly,
-    max_matching,
-    perfect_matching_exists,
-)
+from .graphs import Graph, Matching, _blossom_search, gallai_edmonds, max_matching
 from .matroids import PartitionQuota, matching_with_lower_bounds
 
 
@@ -69,6 +61,10 @@ class CouplesGame:
         return frozenset(
             i for i, pr in enumerate(self.pairs) if pr in self.inst.graph.edge_set
         )
+
+    @cached_property
+    def union(self) -> "_Union":
+        return _Union.of_game(self)
 
     @property
     def num_players(self) -> int:
@@ -114,78 +110,153 @@ def normalize(inst: Instance) -> CouplesGame:
 
 
 # ---------------------------------------------------------------------------
-# derived graphs
+# the union-graph query kernel
 
 
-@dataclass(frozen=True)
-class _View:
-    """A graph built from the union of real and player edges, with a
-    reference matching of the surviving player edges and an id mapping."""
-
-    graph: Graph
-    base: Matching
-    to_old: tuple[int, ...]
-    to_new: dict[int, int]
-
-    def old_edges(self, edges) -> list[tuple[int, int]]:
-        return [(self.to_old[u], self.to_old[v]) for u, v in edges]
+def _without(row: tuple[int, ...], x: int) -> tuple[int, ...]:
+    return tuple(w for w in row if w != x)
 
 
-def _build_view(
-    cg: CouplesGame,
-    drop_players=(),
-    drop_vertices=(),
-    restrict_vertices=None,
-    extra_edges=(),
-) -> _View:
-    dropped = set(drop_players)
-    gone = set(drop_vertices)
-    if restrict_vertices is None:
-        verts = set(range(cg.inst.graph.n))
-    else:
-        verts = set(restrict_vertices)
-    verts -= gone
-    to_old = tuple(sorted(verts))
-    to_new = {v: i for i, v in enumerate(to_old)}
-    edges: set[tuple[int, int]] = set()
-    for u, v in cg.inst.graph.edges:
-        if u in to_new and v in to_new:
-            edges.add((to_new[u], to_new[v]))
-    base_edges: list[tuple[int, int]] = []
-    for i, (u, v) in enumerate(cg.pairs):
-        if i in dropped:
-            continue
-        if u in to_new and v in to_new:
-            e = (to_new[u], to_new[v])
-            edges.add(e)
-            base_edges.append(e)
-    for u, v in extra_edges:
-        if u not in to_new or v not in to_new:
-            raise InvariantError("extra edge endpoint outside the view")
-        a, b = to_new[u], to_new[v]
-        edges.add((a, b) if a < b else (b, a))
-    return _View(
-        graph=Graph(len(to_old), edges),
-        base=Matching(base_edges),
-        to_old=to_old,
-        to_new=to_new,
-    )
+class _Union:
+    """The union of real and player edges on original vertex ids, possibly
+    restricted to a vertex set, with the player edges inside it as the
+    base matching.
+
+    Built once per game (and once per restriction).  A query masks a
+    shallow copy of the adjacency, replacing only the rows its deletions
+    touch, and augments from the base matching without the deleted player
+    edges.  Deleting k player edges or vertices leaves at most 2k exposed
+    vertices, so a query runs at most 2k blossom searches, and it stops at
+    the first root that cannot be matched.
+    """
+
+    __slots__ = ("cg", "adj", "base", "inside", "exposed")
+
+    def __init__(self, cg: "CouplesGame", adj, base, inside, exposed):
+        self.cg = cg
+        self.adj = adj
+        self.base = base
+        self.inside = inside  # None: every vertex
+        self.exposed = exposed
+
+    @classmethod
+    def of_game(cls, cg: "CouplesGame") -> "_Union":
+        g = cg.inst.graph
+        rows = [list(r) for r in g.adj]
+        base = [-1] * g.n
+        for u, v in cg.pairs:
+            base[u], base[v] = v, u
+            if (u, v) not in g.edge_set:
+                rows[u].append(v)
+                rows[v].append(u)
+        adj = tuple(tuple(sorted(r)) for r in rows)
+        return cls(cg, adj, tuple(base), None, ())
+
+    def restrict(self, verts) -> "_Union":
+        """The same union restricted to ``verts``; vertices whose partner
+        lies outside are exposed by the base matching."""
+        inside = frozenset(verts)
+        adj = [()] * len(self.adj)
+        base = [-1] * len(self.adj)
+        for v in inside:
+            adj[v] = tuple(w for w in self.adj[v] if w in inside)
+            if self.base[v] in inside:
+                base[v] = self.base[v]
+        exposed = tuple(sorted(v for v in inside if base[v] == -1))
+        return _Union(self.cg, tuple(adj), tuple(base), inside, exposed)
+
+    def has(self, v: int) -> bool:
+        return self.inside is None or v in self.inside
+
+    def _mask(self, drop_players, drop_vertices, extra_edges):
+        adj = list(self.adj)
+        match = list(self.base)
+        exposed = set(self.exposed)
+        real = self.cg.inst.graph.edge_set
+        for p in drop_players:
+            u, v = self.cg.pairs[p]
+            if match[u] != v:
+                continue  # not inside the view
+            match[u] = match[v] = -1
+            exposed.update((u, v))
+            if (u, v) not in real:
+                adj[u] = _without(adj[u], v)
+                adj[v] = _without(adj[v], u)
+        gone = set()
+        for x in drop_vertices:
+            if not self.has(x) or x in gone:
+                continue
+            gone.add(x)
+            y = match[x]
+            if y != -1:
+                match[x] = match[y] = -1
+                exposed.add(y)
+            exposed.discard(x)
+            for w in adj[x]:
+                adj[w] = _without(adj[w], x)
+            adj[x] = ()
+        for a, b in extra_edges:
+            if not (self.has(a) and self.has(b)) or a in gone or b in gone:
+                raise InvariantError("extra edge endpoint outside the view")
+            if b not in adj[a]:
+                adj[a] = tuple(sorted((*adj[a], b)))
+                adj[b] = tuple(sorted((*adj[b], a)))
+        return adj, match, sorted(exposed)
+
+    def augment(self, drop_players=(), drop_vertices=(), extra_edges=(), missing=0):
+        """Delete players' edges and vertices, add edges, and augment the
+        surviving player edges until at most ``missing`` vertices of the
+        view stay exposed.
+
+        Returns ``(match, base)`` as partner arrays (-1 for exposed) of the
+        matching found and of the masked base matching, whose symmetric
+        difference is the augmenting paths taken; None when no matching
+        of the view leaves at most ``missing`` vertices exposed.  A root
+        whose search fails stays exposed under every later augmentation,
+        so each failure is final.
+        """
+        adj, match, exposed = self._mask(drop_players, drop_vertices, extra_edges)
+        base = list(match)
+        left = len(exposed)
+        failed = 0
+        for root in exposed:
+            if left <= missing:
+                break
+            if match[root] != -1:
+                continue
+            if _blossom_search(adj, match, root, augment=True):
+                left -= 2
+            else:
+                failed += 1
+                if failed > missing:
+                    return None
+        return match, base
+
+    def reach(self, root: int, drop_players=()) -> frozenset[int]:
+        """Vertices even-reachable from the exposed ``root`` by alternating
+        paths over the base matching without the given players' edges."""
+        adj, match, _ = self._mask(drop_players, (), ())
+        if not self.has(root) or match[root] != -1:
+            raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
+        used, _ = _blossom_search(adj, match, root, augment=False)
+        return frozenset(i for i, hit in enumerate(used) if hit)
 
 
 # ---------------------------------------------------------------------------
 # symmetric-difference structures
 
 
-def _labeled_delta(found: Matching, base: Matching):
-    """Edges of the symmetric difference, labeled 'e' (found side: real
-    edges) or 'p' (base side: player edges)."""
+def _labeled_delta(found, base):
+    """Edges of the symmetric difference of two partner arrays, labeled
+    'e' (found side: real edges) or 'p' (base side: player edges)."""
     out = []
-    for e in found.edges:
-        if e not in base.edge_set:
-            out.append((e[0], e[1], "e"))
-    for e in base.edges:
-        if e not in found.edge_set:
-            out.append((e[0], e[1], "p"))
+    for x, (y, z) in enumerate(zip(found, base)):
+        if y == z:
+            continue
+        if y > x:
+            out.append((x, y, "e"))
+        if z > x:
+            out.append((x, z, "p"))
     return out
 
 
@@ -230,12 +301,12 @@ def _delta_components(labeled):
     return comps
 
 
-def _certificate(cg: CouplesGame, labeled_old, kind: str, challenged: tuple[int, ...]) -> BlockCertificate:
+def _certificate(cg: CouplesGame, labeled, kind: str, challenged: tuple[int, ...]) -> BlockCertificate:
     """Turn an alternating blocking structure into a validated certificate."""
     players = sorted(
-        {cg.player_of[u] for u, v, lab in labeled_old if lab == "p"}
+        {cg.player_of[u] for u, v, lab in labeled if lab == "p"}
     )
-    witness = Matching((u, v) for u, v, lab in labeled_old if lab == "e")
+    witness = Matching((u, v) for u, v, lab in labeled if lab == "e")
     cert = BlockCertificate(tuple(players), witness, kind)
     cert.validate(cg.inst, challenged)
     return cert
@@ -245,36 +316,29 @@ def _certificate(cg: CouplesGame, labeled_old, kind: str, challenged: tuple[int,
 # alternating cycles
 
 
-def _cycle_labeled_edges(cg: CouplesGame, p: int, restrict=None):
+def _cycle_labeled_edges(cg: CouplesGame, p: int, view: Optional[_Union] = None):
     """The labeled edges of one alternating cycle through player ``p``'s
-    edge within the given vertex restriction, or None."""
+    edge within the view (default: the whole union), or None."""
+    view = cg.union if view is None else view
     u, v = cg.pairs[p]
     if (u, v) in cg.inst.graph.edge_set:
-        if restrict is None or (u in restrict and v in restrict):
+        if view.has(u) and view.has(v):
             return [(u, v, "e"), (u, v, "p")]
         return None
-    view = _build_view(cg, drop_players={p}, restrict_vertices=restrict)
-    ok, pm = perfect_matching_exists(view.graph)
-    if not ok:
+    found = view.augment(drop_players=(p,))
+    if found is None:
         return None
-    comps = _delta_components(_labeled_delta(pm, view.base))
-    pu = view.to_new[u]
+    comps = _delta_components(_labeled_delta(*found))
     target = None
     for comp in comps:
-        verts = {x for e in comp["edges"] for x in e[:2]}
-        if pu in verts:
+        if any(u in e[:2] for e in comp["edges"]):
             target = comp
             break
     if target is None or target["cycle"]:
         raise InvariantError("cycle extraction failed")
-    ends = set(target["ends"])
-    if ends != {view.to_new[u], view.to_new[v]}:
+    if set(target["ends"]) != {u, v}:
         raise InvariantError("cycle path does not connect the player's vertices")
-    labeled_old = [
-        (view.to_old[a], view.to_old[b], lab) for a, b, lab in target["edges"]
-    ]
-    labeled_old.append((u, v, "p"))
-    return labeled_old
+    return [*target["edges"], (u, v, "p")]
 
 
 def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
@@ -287,44 +351,31 @@ def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
         if p in cg.parallel_players:
             cache[p] = True
         else:
-            view = _build_view(cg, drop_players={p})
-            cache[p] = perfect_matching_exists(view.graph)[0]
+            cache[p] = cg.union.augment(drop_players=(p,)) is not None
     return cache[p]
 
 
-def _pair_path_labeled(cg: CouplesGame, p: int, q: int, restrict=None):
+def _pair_path_labeled(cg: CouplesGame, p: int, q: int, view: Optional[_Union] = None):
     """One alternating path whose end player edges are ``p`` and ``q``
-    (full edges included), as labeled old-id edges, or None.
+    (full edges included), as labeled edges, or None.
 
     Valid only when neither player edge lies on an alternating cycle in the
-    same restriction; callers establish that first.
+    same view; callers establish that first.
     """
-    view = _build_view(cg, drop_players={p, q}, restrict_vertices=restrict)
-    found = matching_missing_exactly(view.graph, 2)
+    view = cg.union if view is None else view
+    found = view.augment(drop_players=(p, q), missing=2)
     if found is None:
         return None
-    comps = _delta_components(_labeled_delta(found, view.base))
-    special = {view.to_new[x] for pr in (cg.pairs[p], cg.pairs[q]) for x in pr}
-    paths = [c for c in comps if not c["cycle"] and set(c["ends"]) <= special]
+    comps = _delta_components(_labeled_delta(*found))
+    pset, qset = set(cg.pairs[p]), set(cg.pairs[q])
+    paths = [c for c in comps if not c["cycle"] and set(c["ends"]) <= pset | qset]
     if len(paths) != 1:
         raise InvariantError("expected exactly one augmenting path between the pair")
     comp = paths[0]
     ends = set(comp["ends"])
-    pset = {view.to_new[x] for x in cg.pairs[p]}
-    qset = {view.to_new[x] for x in cg.pairs[q]}
     if not (len(ends & pset) == 1 and len(ends & qset) == 1):
         raise InvariantError("path endpoints do not split across the two players")
-    labeled_old = [
-        (view.to_old[a], view.to_old[b], lab) for a, b, lab in comp["edges"]
-    ]
-    labeled_old.append((*cg.pairs[p], "p"))
-    labeled_old.append((*cg.pairs[q], "p"))
-    return labeled_old
-
-
-def _pair_path_exists(cg: CouplesGame, p: int, q: int) -> bool:
-    view = _build_view(cg, drop_players={p, q})
-    return matching_missing_exactly(view.graph, 2) is not None
+    return [*comp["edges"], (*cg.pairs[p], "p"), (*cg.pairs[q], "p")]
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +389,14 @@ def weak_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
     m.validate_for(cg.inst.graph)
     u = utility(cg.inst, m)
     low = [i for i, ui in enumerate(u) if ui <= 1]
-    restrict = {x for i in low for x in cg.pairs[i]}
+    view = cg.union.restrict(x for i in low for x in cg.pairs[i])
     for i in low:
-        labeled = _cycle_labeled_edges(cg, i, restrict=restrict)
+        labeled = _cycle_labeled_edges(cg, i, view)
         if labeled is not None:
             return MembershipResult(False, _certificate(cg, labeled, "strong", u))
     zero = [i for i in low if u[i] == 0]
     for i, j in combinations(zero, 2):
-        labeled = _pair_path_labeled(cg, i, j, restrict=restrict)
+        labeled = _pair_path_labeled(cg, i, j, view)
         if labeled is not None:
             return MembershipResult(False, _certificate(cg, labeled, "strong", u))
     return MembershipResult(True, None)
@@ -388,33 +439,24 @@ def _triple_path_labeled(cg: CouplesGame, p: int, q: int, r: int):
     difference with the surviving player edges consists of exactly two
     augmenting pieces that splice with the deleted edges into one path.
     """
-    view = _build_view(cg, drop_players={p, q, r})
-    found = matching_missing_exactly(view.graph, 2)
+    found = cg.union.augment(drop_players=(p, q, r), missing=2)
     if found is None:
         return None
-    comps = _delta_components(_labeled_delta(found, view.base))
-    special = {
-        view.to_new[x]
-        for pl in (p, q, r)
-        for x in cg.pairs[pl]
-    }
+    comps = _delta_components(_labeled_delta(*found))
+    special = {x for pl in (p, q, r) for x in cg.pairs[pl]}
     paths = [c for c in comps if not c["cycle"] and set(c["ends"]) <= special]
     if len(paths) != 2:
         raise InvariantError("expected exactly two augmenting pieces for a triple")
-    labeled_old = [
-        (view.to_old[a], view.to_old[b], lab)
-        for c in paths
-        for a, b, lab in c["edges"]
-    ]
+    labeled = [e for c in paths for e in c["edges"]]
     for pl in (p, q, r):
-        labeled_old.append((*cg.pairs[pl], "p"))
+        labeled.append((*cg.pairs[pl], "p"))
     degree: dict[int, int] = {}
-    for a, b, _ in labeled_old:
+    for a, b, _ in labeled:
         degree[a] = degree.get(a, 0) + 1
         degree[b] = degree.get(b, 0) + 1
     if sum(1 for d in degree.values() if d == 1) != 2:
         raise InvariantError("triple splice did not form a single path")
-    return labeled_old
+    return labeled
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +474,17 @@ def weak_construct(cg: CouplesGame) -> Matching:
     """
     alive = set(range(cg.num_players))
     chosen: list[tuple[int, int]] = []
+    view = cg.union
     for p in range(cg.num_players):
         if p not in alive:
             continue
-        restrict = {x for i in alive for x in cg.pairs[i]}
-        labeled = _cycle_labeled_edges(cg, p, restrict=restrict)
+        labeled = _cycle_labeled_edges(cg, p, view)
         if labeled is None:
             continue
         cycle_players = {cg.player_of[a] for a, b, lab in labeled if lab == "p"}
         chosen.extend((a, b) for a, b, lab in labeled if lab == "e")
         alive -= cycle_players
+        view = cg.union.restrict(x for i in alive for x in cg.pairs[i])
     return max_matching(cg.inst.graph, seed_matching=Matching(chosen))
 
 
@@ -467,10 +510,7 @@ def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     _require_cycle_free(cg, (a, b, c))
     for x in cg.pairs[a]:
         for y in cg.pairs[c]:
-            view = _build_view(
-                cg, drop_players={a, b, c}, drop_vertices={x, y}
-            )
-            if perfect_matching_exists(view.graph)[0]:
+            if cg.union.augment(drop_players=(a, b, c), drop_vertices=(x, y)) is not None:
                 return True
     return False
 
@@ -492,9 +532,10 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> dict:
     ctx_cache = cg.caches.setdefault("delta_ctx", {})
     if a_pl in ctx_cache:
         return ctx_cache[a_pl]
-    view = _build_view(cg, drop_players={a_pl})
-    g0 = view.graph
-    m0a = view.base
+    g0 = Graph(
+        cg.inst.graph.n,
+        [*cg.inst.graph.edges, *(pr for i, pr in enumerate(cg.pairs) if i != a_pl)],
+    )
     ge = gallai_edmonds(g0)
     if len(ge.odd_components) - len(ge.cut_set) != 2:
         raise InvariantError("deleting a cycle-free player edge must leave deficiency 2")
@@ -516,8 +557,7 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> dict:
     if set(entry) != set(range(len(ge.odd_components))) - {ca, cb}:
         raise InvariantError("every side component must have exactly one entry edge")
     ctx = {
-        "g0": g0,
-        "m0a": m0a,
+        "player": a_pl,
         "comp_of": comp_of,
         "comps": ge.odd_components,
         "entry": entry,
@@ -530,8 +570,7 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> dict:
 
 def _ctx_reach(cg: CouplesGame, ctx: dict, root: int) -> frozenset[int]:
     if root not in ctx["reach"]:
-        forest = alternating_reach(ctx["g0"], ctx["m0a"], root)
-        ctx["reach"][root] = forest.even_set
+        ctx["reach"][root] = cg.union.reach(root, drop_players=(ctx["player"],))
     return ctx["reach"][root]
 
 
@@ -591,48 +630,35 @@ def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
         cu, cv = cg.pairs[c]
         if not ({cu, cv} & _ctx_reach(cg, ctx, a_far)):
             return False
-        view = _build_view(
-            cg,
-            drop_players={a, b, sj_pl},
-            drop_vertices={a_far, sj_in},
+        return cg.union.augment(
+            drop_players=(a, b, sj_pl),
+            drop_vertices=(a_far, sj_in),
             extra_edges=((a_near, sj),),
-        )
-        return perfect_matching_exists(view.graph)[0]
+        ) is not None
     # both b and c sit in side components: need two disjoint alternating
     # paths from a's vertices to the two entries, a through-path across
     # b's component, and a tail inside c's component
     si, si_in = ctx["entry"][i]
     si_pl = cg.player_of[si]
-    view = _build_view(
-        cg,
-        drop_players={a, si_pl, sj_pl},
-        drop_vertices={si_in, sj_in},
+    if cg.union.augment(
+        drop_players=(a, si_pl, sj_pl),
+        drop_vertices=(si_in, sj_in),
         extra_edges=((si, sj),),
-    )
-    if not perfect_matching_exists(view.graph)[0]:
+    ) is None:
         return False
     if b == si_pl:
-        view4 = _build_view(cg, drop_players={a, sj_pl})
-        forest = alternating_reach(view4.graph, view4.base, sj)
-        if si not in forest.even_set:
+        if si not in cg.union.reach(sj, drop_players=(a, sj_pl)):
             return False
-    else:
-        view5 = _build_view(
-            cg,
-            drop_players={a, b, si_pl, sj_pl},
-            drop_vertices={au, av, si, sj_in},
-            extra_edges=((si_in, sj),),
-        )
-        if not perfect_matching_exists(view5.graph)[0]:
-            return False
+    elif cg.union.augment(
+        drop_players=(a, b, si_pl, sj_pl),
+        drop_vertices=(au, av, si, sj_in),
+        extra_edges=((si_in, sj),),
+    ) is None:
+        return False
     if c == sj_pl:
         return True
-    comp_j = ctx["comps"][j]
-    view6 = _build_view(cg, restrict_vertices=comp_j)
-    forest = alternating_reach(view6.graph, view6.base, view6.to_new[sj_in])
-    cu, cv = cg.pairs[c]
-    targets = {view6.to_new[x] for x in (cu, cv) if x in view6.to_new}
-    return bool(targets & forest.even_set)
+    tail = cg.union.restrict(ctx["comps"][j]).reach(sj_in)
+    return not tail.isdisjoint(cg.pairs[c])
 
 
 @dataclass(frozen=True)
@@ -664,7 +690,7 @@ def strong_core_structure(cg: CouplesGame) -> StrongCoreStructure:
     korder = sorted(kset)
     path_between: dict[frozenset[int], bool] = {}
     for p, q in combinations(korder, 2):
-        path_between[frozenset((p, q))] = _pair_path_exists(cg, p, q)
+        path_between[frozenset((p, q))] = _pair_path_labeled(cg, p, q) is not None
     isolated = frozenset(
         p
         for p in korder
@@ -674,6 +700,10 @@ def strong_core_structure(cg: CouplesGame) -> StrongCoreStructure:
     for b in korder:
         ok = True
         for a, c in combinations([p for p in korder if p != b], 2):
+            # an a...b...c path contains an alternating a...b path and an
+            # alternating b...c path, so pairs without one rule it out
+            if not (path_between[frozenset((a, b))] and path_between[frozenset((b, c))]):
+                continue
             if not ordered_triple_path_exists(cg, a, b, c):
                 continue
             if not (delta_path_exists(cg, a, b, c) or delta_path_exists(cg, c, b, a)):

@@ -54,18 +54,9 @@ def count_matchings(g: Graph, cap: int = DEFAULT_CAP) -> int:
     return sum(1 for _ in all_matchings(g, cap))
 
 
-def max_matching_brute(g: Graph, cap: int = DEFAULT_CAP) -> int:
-    """Maximum matching size, by enumeration."""
-    return max(m.size for m in all_matchings(g, cap))
-
-
 def coverable_sets_brute(g: Graph, cap: int = DEFAULT_CAP) -> set[frozenset[int]]:
     """All maximal covered vertex sets, one per matching (not down-closed)."""
     return {m.covered for m in all_matchings(g, cap)}
-
-
-def is_coverable_brute(g: Graph, x: frozenset[int], cap: int = DEFAULT_CAP) -> bool:
-    return any(x <= m.covered for m in all_matchings(g, cap))
 
 
 def even_reach_brute(g: Graph, m: Matching, root: int, cap: int = 2_000_000) -> frozenset[int]:

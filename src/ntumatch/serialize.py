@@ -23,6 +23,12 @@ def _edge_list(edges) -> list[list[int]]:
     return [[u, v] for u, v in sorted(edges)]
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` parse to bools, which are ints in
+    Python but never valid ids or counts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load(text: str, what: str) -> dict:
     try:
         obj = json.loads(text)
@@ -41,7 +47,7 @@ def _parse_edges(raw, what: str) -> list[tuple[int, int]]:
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(x, int) for x in e)
+            or not all(_is_int(x) for x in e)
         ):
             raise InputError(f"{what} edge {e!r} must be a pair of integers")
         out.append((e[0], e[1]))
@@ -60,7 +66,7 @@ def instance_to_json(inst: Instance) -> str:
 
 def instance_from_json(text: str) -> Instance:
     obj = _load(text, "instance")
-    if not isinstance(obj.get("n"), int):
+    if not _is_int(obj.get("n")):
         raise InputError("instance.n must be an integer")
     edges = _parse_edges(obj.get("edges", []), "instance")
     players_raw = obj.get("players")
@@ -68,7 +74,7 @@ def instance_from_json(text: str) -> Instance:
         raise InputError("instance.players must be a non-empty array")
     players = []
     for p in players_raw:
-        if not isinstance(p, list) or not all(isinstance(x, int) for x in p):
+        if not isinstance(p, list) or not all(_is_int(x) for x in p):
             raise InputError(f"player {p!r} must be an array of integers")
         players.append(frozenset(p))
     return Instance(Graph(obj["n"], edges), tuple(players))
@@ -108,9 +114,7 @@ def certificate_from_json(text: str) -> dict:
     if obj.get("kind") not in ("weak", "strong"):
         raise InputError("certificate.kind must be 'weak' or 'strong'")
     coalition = obj.get("coalition", [])
-    if not isinstance(coalition, list) or not all(
-        isinstance(x, int) for x in coalition
-    ):
+    if not isinstance(coalition, list) or not all(_is_int(x) for x in coalition):
         raise InputError("certificate.coalition must be an array of integers")
     return {
         "verdict": obj["verdict"],

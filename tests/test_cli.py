@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ntumatch import Matching, gen_random
+from ntumatch import InputError, InvariantError, Matching, couples, gen_random
 from ntumatch.cli import main
 from ntumatch.games import BlockCertificate
 from ntumatch.serialize import (
@@ -43,6 +43,26 @@ class TestRoundTrip:
             instance_from_json("[1,2]")
         with pytest.raises(InputError):
             matching_from_json('{"edges": [[0]]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": true, "edges": [], "players": [[0]]}',
+            '{"n": 2, "edges": [[0, true]], "players": [[0, 1]]}',
+            '{"n": 2, "edges": [], "players": [[false, 1]]}',
+        ],
+    )
+    def test_instance_rejects_booleans(self, text):
+        with pytest.raises(InputError):
+            instance_from_json(text)
+
+    def test_matching_and_certificate_reject_booleans(self):
+        with pytest.raises(InputError):
+            matching_from_json('{"edges": [[false, 1]]}')
+        with pytest.raises(InputError):
+            certificate_from_json(
+                '{"verdict": "blocked", "kind": "weak", "coalition": [true], "witness": []}'
+            )
 
 
 class TestCli:
@@ -262,3 +282,28 @@ class TestCli:
         assert main(["oracle", "core", "--instance", str(inst), "--core", "weak"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "in_core_vectors" in payload
+
+    def test_boolean_ids_exit_2(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"n": 2, "edges": [[0, true]], "players": [[0, 1]]}')
+        rc = main(["solve", "--core", "weak", "--instance", str(inst)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: input:")
+
+    @pytest.mark.parametrize(
+        "fault", [InvariantError("broken splice"), RecursionError("too deep")]
+    )
+    def test_internal_fault_exit_4(self, tmp_path, capsys, monkeypatch, fault):
+        inst = tmp_path / "inst.json"
+        main(["gen", "random", "--n", "6", "--seed", "1", "--out", str(inst)])
+        capsys.readouterr()
+
+        def boom(cg):
+            raise fault
+
+        monkeypatch.setattr(couples, "strong_core_solve", boom)
+        rc = main(["solve", "--core", "strong", "--method", "couples", "--instance", str(inst)])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: internal: {fault}\n"

@@ -6,12 +6,16 @@ from ntumatch import (
     Graph,
     InputError,
     Instance,
+    InvariantError,
     Matching,
+    alternating_reach,
     delta_path_exists,
     gen_random,
+    max_matching,
     normalize,
     on_alternating_cycle,
     ordered_triple_path_exists,
+    perfect_matching_exists,
     strong_core_solve,
     strong_core_structure,
     strong_membership,
@@ -376,3 +380,105 @@ class TestStrongCoreSolve:
                 for p, ui in enumerate(vec):
                     if ui < 2:
                         assert p in s.pair_transitive
+
+
+class TestUnionKernel:
+    """The masked, warm-started union query against perfect matching,
+    maximum matching and alternating reach on an explicitly built graph."""
+
+    @staticmethod
+    def explicit(cg, drop_players, drop_vertices, restrict, extra):
+        verts = set(range(cg.inst.graph.n)) if restrict is None else set(restrict)
+        verts -= set(drop_vertices)
+        edges = {e for e in cg.inst.graph.edges if verts.issuperset(e)}
+        base = [
+            pr
+            for i, pr in enumerate(cg.pairs)
+            if i not in drop_players and verts.issuperset(pr)
+        ]
+        edges |= set(base) | {tuple(sorted(e)) for e in extra}
+        to_old = sorted(verts)
+        to_new = {v: i for i, v in enumerate(to_old)}
+        g = Graph(len(to_old), [(to_new[u], to_new[v]) for u, v in edges])
+        return g, Matching((to_new[u], to_new[v]) for u, v in base), to_old
+
+    def test_random_queries_against_explicit_subgraph(self, rng):
+        checked = 0
+        for _ in range(300):
+            n = rng.choice([4, 5, 6, 8, 9, 10, 12, 13, 14])  # odd n pads a player
+            inst = gen_random(n, 2, rng.choice([0.15, 0.3, 0.5]), seed=rng.randint(0, 10**6))
+            cg = normalize(inst)
+            nv = cg.inst.graph.n
+            restrict = None
+            if rng.random() < 0.4:
+                restrict = {v for v in range(nv) if rng.random() < 0.75}
+            view = cg.union if restrict is None else cg.union.restrict(restrict)
+            drop_players = set(rng.sample(range(cg.num_players), rng.randint(0, min(3, cg.num_players))))
+            drop_vertices = set(rng.sample(range(nv), rng.randint(0, 2)))
+            alive = sorted(set(range(nv) if restrict is None else restrict) - drop_vertices)
+            extra = []
+            if len(alive) >= 2 and rng.random() < 0.5:
+                extra = [tuple(rng.sample(alive, 2)) for _ in range(rng.randint(1, 2))]
+            g, base, to_old = self.explicit(cg, drop_players, drop_vertices, restrict, extra)
+            for missing in (0, 2):
+                found = view.augment(drop_players, drop_vertices, extra, missing=missing)
+                best = max_matching(g)
+                assert (found is not None) == (g.n - 2 * best.size <= missing)
+                if missing == 0:
+                    assert (found is not None) == perfect_matching_exists(g)[0]
+                if found is not None:
+                    match, _ = found
+                    got = Matching((to_old[u], match[to_old[u]]) for u in range(g.n) if match[to_old[u]] != -1)
+                    assert got.covered <= set(to_old)
+                    assert len(to_old) - len(got.covered) <= missing
+                    for u, v in got.edges:
+                        assert g.has_edge(to_old.index(u), to_old.index(v))
+            if not extra and not drop_vertices:
+                exposed = [v for v in range(g.n) if v not in base.covered]
+                if exposed:
+                    root = rng.choice(exposed)
+                    want = alternating_reach(g, base, root).even_set
+                    got = view.reach(to_old[root], drop_players)
+                    assert got == {to_old[v] for v in want}
+            checked += 1
+        assert checked == 300
+
+    def test_extra_edge_outside_view_is_a_fault(self):
+        cg = normalize(three_couples_chain())
+        with pytest.raises(InvariantError):
+            cg.union.augment(drop_vertices=(0,), extra_edges=((0, 3),))
+
+
+class TestStructureGolden:
+    """Structures of two sparse instances beyond the oracle's reach,
+    recorded with the engine that rebuilt a graph per query."""
+
+    CASES = {
+        (40, 1): dict(
+            cycle_free={0, 1, 5, 7, 8, 9, 10, 12, 14, 15, 17, 18, 19},
+            path_isolated=set(),
+            delta_closed={0, 1, 8, 9, 14, 15, 17, 18},
+            pair_transitive={0, 1, 8, 9, 14, 15, 17, 18},
+            pair_edges=set(),
+            cliques=[{0}, {1}, {8}, {9}, {14}, {15}, {17}, {18}],
+        ),
+        (64, 20): dict(
+            cycle_free={2, 14, 16, 17, 18, 20, 26, 28, 29},
+            path_isolated={16},
+            delta_closed={2, 14, 16, 17, 18, 26, 29},
+            pair_transitive={2, 14, 16, 17, 18, 26, 29},
+            pair_edges=set(),
+            cliques=[{2}, {14}, {16}, {17}, {18}, {26}, {29}],
+        ),
+    }
+
+    @pytest.mark.parametrize("n,seed", sorted(CASES))
+    def test_structure_pinned(self, n, seed):
+        want = self.CASES[(n, seed)]
+        s = strong_core_structure(normalize(gen_random(n, 2, 1.5 / n, seed)))
+        assert s.cycle_free == want["cycle_free"]
+        assert s.path_isolated == want["path_isolated"]
+        assert s.delta_closed == want["delta_closed"]
+        assert s.pair_transitive == want["pair_transitive"]
+        assert s.pair_edges == want["pair_edges"]
+        assert list(s.cliques) == want["cliques"]
