@@ -3,11 +3,20 @@
 Everything here is deliberately brute force and independent of the
 polynomial algorithms it validates.  Hard caps raise
 :class:`~ntumatch.errors.ResourceLimitError` instead of truncating.
+
+Matchings are enumerated by one iterative include/exclude walk that yields
+covered-vertex bitmasks; ``Matching`` objects are built only where a caller
+sees them.  The core oracle makes a single pass over the whole graph's
+matchings and derives every coalition's table from it: a matching lies in
+the coalition's induced subgraph iff the players it touches are a subset
+of the coalition.  No enumerator here recurses, so none depends on
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import InputError, ResourceLimitError
@@ -16,42 +25,53 @@ from .graphs import Graph, Matching
 DEFAULT_CAP = 10_000_000
 
 
+def _matching_masks(g: Graph, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every matching of ``g`` as ``(covered-vertex bitmask, chosen edge
+    indices)``, exactly once, with no recursion.
+
+    The order is that of include/exclude over the sorted edges, exclude
+    first.  A stack frame ``(i, mask, chosen)`` stands for every matching
+    that extends ``chosen`` by edges from index ``i`` on: the first of them
+    adds nothing, and the rest include some later free edge ``j``, the
+    largest ``j`` first, which is why the frames are pushed in ascending
+    ``j``.  Raises a resource error as soon as more than ``cap`` matchings
+    would be emitted.
+    """
+    emask = [(1 << u) | (1 << v) for u, v in g.edges]
+    n_edges = len(emask)
+    stack = [(0, 0, ())]
+    pop, push = stack.pop, stack.append
+    count = 0
+    while stack:
+        i, mask, chosen = pop()
+        count += 1
+        if count > cap:
+            raise ResourceLimitError(f"matching enumeration exceeded cap of {cap}")
+        yield mask, chosen
+        for j in range(i, n_edges):
+            e = emask[j]
+            if not mask & e:
+                push((j + 1, mask | e, chosen + (j,)))
+
+
+def _matching_of(g: Graph, chosen: tuple[int, ...]) -> Matching:
+    edges = g.edges
+    return Matching([edges[j] for j in chosen])
+
+
 def all_matchings(g: Graph, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
     """Every matching of ``g`` (including the empty one), exactly once.
 
-    Recursive include/exclude over edges in ascending order; aborts with a
-    resource error as soon as more than ``cap`` matchings would be emitted.
+    Include/exclude over edges in ascending order, exclude first; aborts
+    with a resource error as soon as more than ``cap`` matchings would be
+    emitted.
     """
-    edges = g.edges
-    n_edges = len(edges)
-    count = 0
-
-    def rec(i: int, used: set[int], chosen: list[tuple[int, int]]):
-        nonlocal count
-        if i == n_edges:
-            count += 1
-            if count > cap:
-                raise ResourceLimitError(
-                    f"matching enumeration exceeded cap of {cap}"
-                )
-            yield Matching(chosen)
-            return
-        u, v = edges[i]
-        yield from rec(i + 1, used, chosen)
-        if u not in used and v not in used:
-            used.add(u)
-            used.add(v)
-            chosen.append((u, v))
-            yield from rec(i + 1, used, chosen)
-            chosen.pop()
-            used.remove(u)
-            used.remove(v)
-
-    yield from rec(0, set(), [])
+    for _, chosen in _matching_masks(g, cap):
+        yield _matching_of(g, chosen)
 
 
 def count_matchings(g: Graph, cap: int = DEFAULT_CAP) -> int:
-    return sum(1 for _ in all_matchings(g, cap))
+    return sum(1 for _ in _matching_masks(g, cap))
 
 
 def coverable_sets_brute(g: Graph, cap: int = DEFAULT_CAP) -> set[frozenset[int]]:
@@ -61,15 +81,16 @@ def coverable_sets_brute(g: Graph, cap: int = DEFAULT_CAP) -> set[frozenset[int]
 
 def even_reach_brute(g: Graph, m: Matching, root: int, cap: int = 2_000_000) -> frozenset[int]:
     """Vertices reachable from ``root`` by a simple alternating path ending
-    with a matching edge, by DFS over all alternating paths."""
+    with a matching edge, by DFS (explicit stack) over all alternating
+    paths."""
     partner = m.partner_map()
     if root in partner:
         raise InputError("root is covered")
     reached = {root}
     steps = 0
-
-    def dfs(v: int, visited: set[int]):
-        nonlocal steps
+    stack = [(root, frozenset((root,)))]
+    while stack:
+        v, visited = stack.pop()
         for w in g.adj[v]:
             steps += 1
             if steps > cap:
@@ -83,9 +104,7 @@ def even_reach_brute(g: Graph, m: Matching, root: int, cap: int = 2_000_000) -> 
             if x is None or x in visited:
                 continue
             reached.add(x)
-            dfs(x, visited | {w, x})
-
-    dfs(root, {root})
+            stack.append((x, visited | {w, x}))
     return frozenset(reached)
 
 
@@ -93,12 +112,62 @@ def even_reach_brute(g: Graph, m: Matching, root: int, cap: int = 2_000_000) -> 
 # cores by definition
 
 
-def _pareto_maximal(vectors: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    out = []
-    for v in vectors:
-        if not any(w != v and all(a >= b for a, b in zip(w, v)) for w in vectors):
-            out.append(v)
-    return sorted(out)
+def _pareto_maximal(vectors) -> list[tuple[int, ...]]:
+    """Pareto-maximal members of a set of equal-length vectors, ascending.
+
+    A vector can only be dominated by one that is lexicographically
+    larger, and then by a maximal one; so in descending order each vector
+    is checked against the maxima found so far.
+    """
+    maxima: list[tuple[int, ...]] = []
+    for v in sorted(vectors, reverse=True):
+        if not any(all(a >= b for a, b in zip(w, v)) for w in maxima):
+            maxima.append(v)
+    maxima.reverse()
+    return maxima
+
+
+def _first_by_vector(inst, cap: int) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
+    """The single pass: utility vector -> (touched-player bitmask, chosen
+    edge indices of the first matching in ``all_matchings`` order that
+    achieves it).
+
+    The vector depends on the covered set only, so repeated covered sets
+    are skipped before any vector is computed.
+    """
+    pmasks = [sum(1 << v for v in p) for p in inst.players]
+    seen: set[int] = set()
+    first: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    for mask, chosen in _matching_masks(inst.graph, cap):
+        if mask in seen:
+            continue
+        seen.add(mask)
+        vec = tuple([(mask & pm).bit_count() for pm in pmasks])
+        if vec not in first:
+            touched = sum(1 << i for i, k in enumerate(vec) if k)
+            first[vec] = (touched, chosen)
+    return first
+
+
+def _coalition_maxima(first: dict, m_players: int) -> dict:
+    """Coalition -> its Pareto-maximal vectors (projected onto the
+    coalition, ascending), each paired with the full utility vector it
+    projects from, smallest coalitions first, then lexicographically.
+
+    A matching lies in the coalition's induced subgraph iff the players it
+    touches are a subset of the coalition.  Those vectors are zero outside
+    the coalition, so projecting them keeps both dominance and order, and
+    only the maximal ones are projected.
+    """
+    out: dict[tuple[int, ...], list] = {}
+    for size in range(1, m_players + 1):
+        for coalition in combinations(range(m_players), size):
+            outside = ~sum(1 << i for i in coalition)
+            inside = [vec for vec, (touched, _) in first.items() if not touched & outside]
+            out[coalition] = [
+                (tuple(vec[i] for i in coalition), vec) for vec in _pareto_maximal(inside)
+            ]
+    return out
 
 
 @dataclass(frozen=True)
@@ -111,51 +180,58 @@ class CoalitionTable:
 
 
 def coalition_tables(inst, cap: int = DEFAULT_CAP) -> dict[tuple[int, ...], CoalitionTable]:
-    """Per-coalition Pareto-maximal achievable utility vectors."""
-    from itertools import combinations
-
-    from .graphs import induced_subgraph
-
-    g = inst.graph
-    m_players = len(inst.players)
-    tables: dict[tuple[int, ...], CoalitionTable] = {}
-    for size in range(1, m_players + 1):
-        for coalition in combinations(range(m_players), size):
-            verts = sorted(set().union(*(inst.players[i] for i in coalition)))
-            sub, to_old = induced_subgraph(g, verts)
-            vecs: dict[tuple[int, ...], Matching] = {}
-            for m in all_matchings(sub, cap):
-                covered_old = {to_old[v] for v in m.covered}
-                vec = tuple(
-                    len(inst.players[i] & covered_old) for i in coalition
-                )
-                if vec not in vecs:
-                    vecs[vec] = Matching(
-                        (to_old[u], to_old[v]) for u, v in m.edges
-                    )
-            maximal = _pareto_maximal(set(vecs))
-            tables[coalition] = CoalitionTable(
-                coalition=coalition,
-                maximal=tuple(maximal),
-                representatives={v: vecs[v] for v in maximal},
-            )
-    return tables
+    """Per-coalition Pareto-maximal achievable utility vectors, each with
+    the first matching of the coalition's induced subgraph achieving it."""
+    first = _first_by_vector(inst, cap)
+    return {
+        coalition: CoalitionTable(
+            coalition=coalition,
+            maximal=tuple(w for w, _ in maxima),
+            representatives={w: _matching_of(inst.graph, first[vec][1]) for w, vec in maxima},
+        )
+        for coalition, maxima in _coalition_maxima(first, len(inst.players)).items()
+    }
 
 
-def _blocks(table: CoalitionTable, u: tuple[int, ...], kind: str) -> Optional[tuple[int, ...]]:
-    """First maximal coalition vector that blocks utility ``u`` (projected).
+def _witness(table: list, proj: tuple[int, ...], strong: bool) -> Optional[tuple[int, ...]]:
+    """Full vector of the first maximal vector in ``table`` that blocks the
+    projected utility ``proj``; strong blocks need every member strictly
+    better, weak ones need nobody worse and somebody better.
 
     Comparing against maximal vectors only is exhaustive: any blocking
     vector is dominated by a maximal one, which then blocks too.
     """
-    proj = tuple(u[i] for i in table.coalition)
-    for w in table.maximal:
-        if kind == "strong":
-            if all(a >= b + 1 for a, b in zip(w, proj)):
-                return w
+    for w, vec in table:
+        if strong:
+            if all(a > b for a, b in zip(w, proj)):
+                return vec
         elif w != proj and all(a >= b for a, b in zip(w, proj)):
-            return w
+            return vec
     return None
+
+
+def _blocked(maxima: dict, vectors, strong: bool) -> dict:
+    """Utility vector -> (first coalition in ``maxima`` order that blocks
+    it, its witness vector), for every blocked vector.
+
+    Coalitions go in order over the vectors not blocked yet; vectors with
+    the same projection onto a coalition share its verdict.
+    """
+    hits: dict[tuple[int, ...], tuple] = {}
+    pending = list(vectors)
+    for coalition, table in maxima.items():
+        verdict: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
+        rest = []
+        for u in pending:
+            proj = tuple([u[i] for i in coalition])
+            if proj not in verdict:
+                verdict[proj] = _witness(table, proj, strong)
+            if verdict[proj] is None:
+                rest.append(u)
+            else:
+                hits[u] = (coalition, verdict[proj])
+        pending = rest
+    return hits
 
 
 @dataclass(frozen=True)
@@ -176,32 +252,26 @@ def oracle_core(inst, kind: str, cap: int = DEFAULT_CAP) -> OracleCoreResult:
 
     A matching is in the weak core when no coalition strongly blocks it and
     in the strong core when no coalition weakly blocks it; membership only
-    depends on the utility vector, so vectors are deduplicated.
+    depends on the utility vector, so vectors are deduplicated.  One pass
+    over the matchings of the whole graph yields every coalition's table;
+    ``cap`` bounds the number of matchings in that pass.
     """
     if kind not in ("weak", "strong"):
         raise InputError("kind must be 'weak' or 'strong'")
     if len(inst.players) > 20:
         raise ResourceLimitError("oracle_core guard: more than 20 players")
-    block_kind = "strong" if kind == "weak" else "weak"
-    reps: dict[tuple[int, ...], Matching] = {}
-    for m in all_matchings(inst.graph, cap):
-        vec = tuple(len(p & m.covered) for p in inst.players)
-        if vec not in reps:
-            reps[vec] = m
-    tables = coalition_tables(inst, cap)
+    first = _first_by_vector(inst, cap)
+    maxima = _coalition_maxima(first, len(inst.players))
+    hits = _blocked(maxima, first, strong=kind == "weak")
     in_core: dict[tuple[int, ...], Matching] = {}
     blocked: dict[tuple[int, ...], tuple] = {}
-    for vec in sorted(reps):
-        hit = None
-        for coalition in sorted(tables, key=lambda c: (len(c), c)):
-            w = _blocks(tables[coalition], vec, block_kind)
-            if w is not None:
-                hit = (reps[vec], coalition, tables[coalition].representatives[w])
-                break
-        if hit is None:
-            in_core[vec] = reps[vec]
+    for vec in sorted(first):
+        rep = _matching_of(inst.graph, first[vec][1])
+        if vec not in hits:
+            in_core[vec] = rep
         else:
-            blocked[vec] = hit
+            coalition, witness = hits[vec]
+            blocked[vec] = (rep, coalition, _matching_of(inst.graph, first[witness][1]))
     return OracleCoreResult(kind=kind, in_core=in_core, blocked=blocked)
 
 
@@ -212,19 +282,22 @@ def oracle_core(inst, kind: str, cap: int = DEFAULT_CAP) -> OracleCoreResult:
 def alternating_triples_brute(cg, cap: int = 2_000_000) -> set[tuple[int, int, int]]:
     """All (end player, end player, traversed player) path patterns.
 
-    Enumerates every simple alternating path that starts and ends with a
-    player edge; records ``(first, last, through)`` for each interior
-    player, both end orders.
+    Enumerates, by DFS with an explicit stack, every simple alternating
+    path that starts and ends with a player edge; records
+    ``(first, last, through)`` for each interior player, both end orders.
     """
     out: set[tuple[int, int, int]] = set()
     pairs = cg.pairs
     e_adj = [set(cg.original_edge_adj[v]) for v in range(cg.inst.graph.n)]
     player_of = cg.player_of
     steps = 0
-
-    def extend(seq_players: list[int], tip: int, visited: set[int]):
-        nonlocal steps
-        # tip: current end vertex, just finished a player edge
+    # (players along the path, tip vertex just past a player edge, visited)
+    stack = []
+    for p, (u, v) in enumerate(pairs):
+        stack.append(((p,), v, frozenset((u, v))))
+        stack.append(((p,), u, frozenset((u, v))))
+    while stack:
+        seq_players, tip, visited = stack.pop()
         if len(seq_players) >= 2:
             a, c = seq_players[0], seq_players[-1]
             for b in seq_players[1:-1]:
@@ -241,11 +314,7 @@ def alternating_triples_brute(cg, cap: int = 2_000_000) -> set[tuple[int, int, i
             other = v if w == u else u
             if other in visited:
                 continue
-            extend(seq_players + [pw], other, visited | {w, other})
-
-    for p, (u, v) in enumerate(pairs):
-        extend([p], v, {u, v})
-        extend([p], u, {u, v})
+            stack.append((seq_players + (pw,), other, visited | {w, other}))
     return out
 
 
@@ -256,7 +325,8 @@ def delta_triples_brute(cg, cap: int = 4_000_000) -> set[tuple[frozenset, int]]:
     plus an alternating path from ``v`` that starts with ``v``'s player
     edge, is vertex-disjoint from the cycle apart from ``v``, and ends with
     a player edge; recorded as every unordered pair of cycle players with
-    the path's end player.
+    the path's end player.  Cycles and paths are both walked by DFS with
+    explicit stacks.
     """
     if cg.inst.graph.n > 14:
         raise InputError("delta-structure enumeration is limited to n <= 14")
@@ -266,69 +336,61 @@ def delta_triples_brute(cg, cap: int = 4_000_000) -> set[tuple[frozenset, int]]:
     player_of = cg.player_of
     steps = 0
 
-    def paths_from(v: int, banned: set[int], cycle_players: list[int]):
+    def mate(x: int) -> int:
+        x1, x2 = pairs[player_of[x]]
+        return x2 if x == x1 else x1
+
+    def paths_from(v: int, banned: frozenset, cycle_players: tuple[int, ...]):
         """Alternating paths from v starting with v's player edge."""
         nonlocal steps
-        pv = player_of[v]
-        u1, u2 = pairs[pv]
-        other = u2 if v == u1 else u1
+        other = mate(v)
         if other in banned:
             return
-
-        def walk(tip: int, players_on_path: list[int], visited: set[int]):
-            nonlocal steps
-            end_player = players_on_path[-1]
-            for a, b in (
-                (pa, pb)
-                for i, pa in enumerate(cycle_players)
-                for pb in cycle_players[i + 1:]
-            ):
-                out.add((frozenset((a, b)), end_player))
+        cycle_pairs = [
+            frozenset((pa, pb))
+            for i, pa in enumerate(cycle_players)
+            for pb in cycle_players[i + 1:]
+        ]
+        # (tip vertex just past a player edge, that edge's player, visited)
+        stack = [(other, player_of[v], frozenset((v, other)))]
+        while stack:
+            tip, end_player, visited = stack.pop()
+            for pair in cycle_pairs:
+                out.add((pair, end_player))
             for w in e_adj[tip]:
                 steps += 1
                 if steps > cap:
                     raise ResourceLimitError("delta enumeration exceeded cap")
                 if w in visited or w in banned:
                     continue
-                pw = player_of[w]
-                x1, x2 = pairs[pw]
-                nxt = x2 if w == x1 else x1
+                nxt = mate(w)
                 if nxt in visited or nxt in banned:
                     continue
-                walk(nxt, players_on_path + [pw], visited | {w, nxt})
-
-        walk(other, [pv], {v, other})
-
-    def cycles_from(v: int):
-        """Odd cycles through v alternating except at v."""
-        nonlocal steps
-
-        def walk(tip: int, need_pair: bool, visited: set[int], players: list[int]):
-            nonlocal steps
-            if need_pair:
-                pw = player_of[tip]
-                x1, x2 = pairs[pw]
-                nxt = x2 if tip == x1 else x1
-                if nxt in visited:
-                    return
-                walk(nxt, False, visited | {nxt}, players + [pw])
-            else:
-                # close the cycle back to v with a non-player edge
-                if v in e_adj[tip] and len(players) >= 1:
-                    paths_from(v, visited - {v}, players)
-                for w in e_adj[tip]:
-                    steps += 1
-                    if steps > cap:
-                        raise ResourceLimitError("delta enumeration exceeded cap")
-                    if w in visited:
-                        continue
-                    walk(w, True, visited | {w}, players)
-
-        for w in sorted(e_adj[v]):
-            walk(w, True, {v, w}, [])
+                stack.append((nxt, player_of[w], visited | {w, nxt}))
 
     for v in range(cg.inst.graph.n):
-        cycles_from(v)
+        # odd cycles through v alternating except at v: leave v on a
+        # non-player edge to w, take w's player edge, and repeat until a
+        # non-player edge closes the cycle back at v
+        stack = []
+        for w in sorted(e_adj[v]):
+            nxt = mate(w)
+            if nxt not in (v, w):
+                stack.append((nxt, frozenset((v, w, nxt)), (player_of[w],)))
+        while stack:
+            tip, visited, players = stack.pop()
+            if v in e_adj[tip]:
+                paths_from(v, visited - {v}, players)
+            for w in e_adj[tip]:
+                steps += 1
+                if steps > cap:
+                    raise ResourceLimitError("delta enumeration exceeded cap")
+                if w in visited:
+                    continue
+                nxt = mate(w)
+                if nxt in visited or nxt == w:
+                    continue
+                stack.append((nxt, visited | {w, nxt}, players + (player_of[w],)))
     return out
 
 

@@ -283,6 +283,24 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert "in_core_vectors" in payload
 
+    def test_oracle_long_path_resource_exit_3(self, tmp_path, capsys):
+        n = 1300
+        inst = tmp_path / "path.json"
+        inst.write_text(
+            json.dumps(
+                {
+                    "n": n,
+                    "edges": [[i, i + 1] for i in range(n - 1)],
+                    "players": [[i, i + 1] for i in range(0, n, 2)],
+                }
+            )
+        )
+        rc = main(["oracle", "matchings", "--instance", str(inst), "--cap", "1000"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: resource:")
+        assert captured.out == ""
+
     def test_boolean_ids_exit_2(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         inst.write_text('{"n": 2, "edges": [[0, true]], "players": [[0, 1]]}')

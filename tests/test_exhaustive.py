@@ -1,15 +1,101 @@
-import pytest
+from itertools import combinations
 
-from ntumatch import Graph, Instance, ResourceLimitError, gen_example1
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ntumatch import (
+    Graph,
+    Instance,
+    Matching,
+    ResourceLimitError,
+    gen_example1,
+    gen_random,
+    utility,
+)
 from ntumatch.exhaustive import (
+    _pareto_maximal,
     all_matchings,
+    coalition_tables,
     count_matchings,
+    even_reach_brute,
     oracle_core,
     oracle_delta_path,
 )
 from ntumatch.couples import normalize
+from ntumatch.graphs import induced_subgraph
 
-from conftest import cycle_graph, random_graph
+from conftest import cycle_graph, path_graph, random_graph
+
+
+def recursive_matchings(g: Graph) -> list[Matching]:
+    """Include/exclude over the sorted edges, exclude first, recursively:
+    the order ``all_matchings`` promises."""
+    out = []
+
+    def rec(i, used, chosen):
+        if i == len(g.edges):
+            out.append(Matching(chosen))
+            return
+        u, v = g.edges[i]
+        rec(i + 1, used, chosen)
+        if u not in used and v not in used:
+            rec(i + 1, used | {u, v}, chosen + [(u, v)])
+
+    rec(0, frozenset(), [])
+    return out
+
+
+def definitional_tables(inst: Instance) -> list:
+    """``(coalition, sorted maximal vectors, vector -> first matching)``
+    per coalition, smallest first, each from every matching of the
+    coalition's induced subgraph, as the definition reads."""
+    m_players = len(inst.players)
+    tables = []
+    for size in range(1, m_players + 1):
+        for coalition in combinations(range(m_players), size):
+            verts = set().union(*(inst.players[i] for i in coalition))
+            sub, to_old = induced_subgraph(inst.graph, verts)
+            vecs: dict = {}
+            for m in all_matchings(sub):
+                covered = {to_old[v] for v in m.covered}
+                vec = tuple(len(inst.players[i] & covered) for i in coalition)
+                vecs.setdefault(vec, Matching((to_old[u], to_old[v]) for u, v in m.edges))
+            maximal = sorted(
+                v
+                for v in vecs
+                if not any(w != v and all(a >= b for a, b in zip(w, v)) for w in vecs)
+            )
+            tables.append((coalition, maximal, vecs))
+    return tables
+
+
+def definitional_oracle_core(inst: Instance, kind: str, tables: list):
+    """Both result dicts of ``oracle_core`` from ``definitional_tables``,
+    blocking checked coalition by coalition, smallest first."""
+    reps: dict = {}
+    for m in all_matchings(inst.graph):
+        reps.setdefault(utility(inst, m), m)
+    in_core, blocked = {}, {}
+    for u in sorted(reps):
+        hit = None
+        for coalition, maximal, vecs in tables:
+            proj = tuple(u[i] for i in coalition)
+            for w in maximal:
+                if kind == "weak":
+                    blocks = all(a > b for a, b in zip(w, proj))
+                else:
+                    blocks = w != proj and all(a >= b for a, b in zip(w, proj))
+                if blocks:
+                    hit = (reps[u], coalition, vecs[w])
+                    break
+            if hit is not None:
+                break
+        if hit is None:
+            in_core[u] = reps[u]
+        else:
+            blocked[u] = hit
+    return in_core, blocked
 
 
 class TestAllMatchings:
@@ -33,6 +119,46 @@ class TestAllMatchings:
         g = Graph(20, [(2 * i, 2 * i + 1) for i in range(10)])
         with pytest.raises(ResourceLimitError):
             count_matchings(g, cap=100)
+
+    def test_cap_is_exact(self):
+        g = cycle_graph(5)
+        assert count_matchings(g, cap=11) == 11
+        with pytest.raises(ResourceLimitError):
+            count_matchings(g, cap=10)
+
+    def test_order_is_include_exclude(self, rng):
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 8), 0.45)
+            assert list(all_matchings(g)) == recursive_matchings(g)
+
+    def test_long_path_hits_cap_not_recursion_limit(self):
+        with pytest.raises(ResourceLimitError):
+            count_matchings(path_graph(1300), cap=1000)
+
+
+class TestEvenReachBrute:
+    def test_long_alternating_path(self):
+        # 0 - 1 = 2 - 3 = 4 ... : every even vertex is reachable from 0
+        n = 1201
+        m = Matching((i, i + 1) for i in range(1, n - 1, 2))
+        reached = even_reach_brute(path_graph(n), m, 0)
+        assert reached == frozenset(range(0, n, 2))
+
+
+class TestParetoMaximal:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.sets(st.tuples(*[st.integers(0, 3)] * k), max_size=40)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_quadratic_definition(self, vectors):
+        expected = sorted(
+            v
+            for v in vectors
+            if not any(w != v and all(a >= b for a, b in zip(w, v)) for w in vectors)
+        )
+        assert _pareto_maximal(vectors) == expected
 
 
 class TestOracleCore:
@@ -60,6 +186,26 @@ class TestOracleCore:
         for vec, (rep, coalition, witness) in res.blocked.items():
             cert = BlockCertificate(coalition, witness, "weak")
             cert.validate(inst, vec)
+
+
+    @pytest.mark.parametrize("class_cap", [1, 2, 3])
+    def test_equals_definitional_tables(self, class_cap):
+        sizes = {1: (3, 5, 7, 8), 2: (5, 7, 9, 11), 3: (6, 8, 10, 11)}[class_cap]
+        for seed in range(16):
+            n = sizes[seed % 4]
+            inst = gen_random(n, class_cap, (0.2, 0.35, 0.5)[seed % 3], 300 + seed)
+            expected = definitional_tables(inst)
+            for kind in ("weak", "strong"):
+                res = oracle_core(inst, kind)
+                in_core, blocked = definitional_oracle_core(inst, kind, expected)
+                assert res.in_core == in_core, (seed, kind)
+                assert res.blocked == blocked, (seed, kind)
+            got = coalition_tables(inst)
+            assert list(got) == [coalition for coalition, _, _ in expected]
+            for coalition, maximal, vecs in expected:
+                table = got[coalition]
+                assert table.maximal == tuple(maximal), (seed, coalition)
+                assert table.representatives == {w: vecs[w] for w in maximal}
 
 
 class TestOracleDelta:
