@@ -4,6 +4,11 @@ Membership depends only on how many vertices each player has covered, so
 for few players the whole game collapses onto the component-wise maximal
 achievable utility vectors: a core is non-empty exactly when some maximal
 vector admits an unblocked realization.
+
+The frontier walks the utility lattice one player at a time, bounding each
+coordinate once by a table of prefix sums over player unions; the verdicts
+for the maximal vectors share one table of blocking answers per coalition
+and projection.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from .errors import InputError, InvariantError, ResourceLimitError
 from .games import (
     Instance,
     MembershipResult,
-    core_membership_by_enumeration,
+    _BlockSearch,
     utility,
 )
 from .graphs import Matching, coverage_rank, max_matching
@@ -66,7 +71,10 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
 
     Enumerates the capped product lattice with down-closed pruning; every
     maximal vector covers exactly twice the maximum matching size, so only
-    that shell needs the full feasibility test.
+    that shell needs the full feasibility test.  ``load[mask]`` holds the
+    prefix's summed coordinates over the players in ``mask``: fixing
+    coordinate i bounds it once by every union whose highest player is i,
+    and one slice per child extends the table to the masks below ``2^(i+1)``.
     """
     sizes = [len(p) for p in inst.players]
     lattice = 1
@@ -79,45 +87,32 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
     m = inst.num_players
     total = 2 * max_matching(inst.graph).size
     ranks = _rank_vector(inst)
-    # masks whose highest set player index is exactly i: checking them as
-    # soon as coordinate i is fixed prunes every descendant of an
-    # over-demanding prefix (feasibility is down-closed) and, summed over
-    # the path to a leaf, covers every mask
-    top_masks = [
-        [mask for mask in range(1, 1 << m) if mask >> i & 1 and mask < 1 << (i + 1)]
-        for i in range(m)
-    ]
-    bit_lists = [
-        [i for i in range(m) if mask >> i & 1] for mask in range(1 << m)
-    ]
-
-    out: list[tuple[int, ...]] = []
+    load = [0] * (1 << m)
     suffix_caps = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix_caps[i] = suffix_caps[i + 1] + sizes[i]
 
-    def rec(prefix: list[int], acc: int):
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def rec(acc: int):
         i = len(prefix)
-        if acc > total:
-            return
         if i == m:
-            if acc == total:
-                out.append(tuple(prefix))
+            out.append(tuple(prefix))
             return
-        if acc + suffix_caps[i] < total:
-            return
-        for xi in range(sizes[i] + 1):
+        lo, hi = 1 << i, 2 << i
+        below = load[:lo]
+        # feasibility is down-closed, so coordinate i is capped by the
+        # slack of every union of players whose highest index is i; the
+        # floor is what the later players can no longer make up
+        cap = min(sizes[i], total - acc, *map(int.__sub__, ranks[lo:hi], below))
+        for xi in range(max(0, total - acc - suffix_caps[i + 1]), cap + 1):
+            load[lo:hi] = [v + xi for v in below]
             prefix.append(xi)
-            ok = True
-            for mask in top_masks[i]:
-                if sum(prefix[b] for b in bit_lists[mask]) > ranks[mask]:
-                    ok = False
-                    break
-            if ok:
-                rec(prefix, acc + xi)
+            rec(acc + xi)
             prefix.pop()
 
-    rec([], 0)
+    rec(0)
     out.sort()
     return AchievableFrontier(tuple(out))
 
@@ -140,6 +135,7 @@ def core_outcomes(
     if inst.num_players > 20:
         raise ResourceLimitError("core computation guard: more than 20 players")
     fr = frontier(inst, budget)
+    search = _BlockSearch(inst, kind)
     for x in reversed(fr.maximal_vectors):
         witness = achievable(inst, x)
         if witness is None:
@@ -147,7 +143,7 @@ def core_outcomes(
         realized = utility(inst, witness)
         if realized != x:
             raise InvariantError("maximal vector realized inexactly")
-        yield CoreOutcome(x, witness, core_membership_by_enumeration(inst, witness, kind))
+        yield CoreOutcome(x, witness, search(realized))
 
 
 def core_empty(

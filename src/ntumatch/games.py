@@ -4,7 +4,8 @@ An instance is a graph plus a partition of its vertices into players; a
 player's utility under a matching is how many of its vertices are covered.
 This module holds the definitional machinery: utilities, blocking-coalition
 search through coverage quotas, and core membership by coalition
-enumeration.
+enumeration over the coalitions that are connected in the player contact
+graph.
 """
 
 from __future__ import annotations
@@ -173,6 +174,69 @@ def find_block_for_coalition(
     return None
 
 
+class _BlockSearch:
+    """Smallest-first search for a coalition blocking a utility vector.
+
+    Coalitions come by size then lexicographically, and only those that are
+    connected in the player contact graph (players adjacent when the graph
+    joins them) are tried: a block by a disconnected coalition splits into
+    blocks by its parts, one of which blocks on its own and comes earlier.
+    ``find_block_for_coalition`` reads ``u`` only on the coalition, so each
+    verdict is kept per (coalition, projection) for every vector searched.
+    """
+
+    def __init__(self, inst: Instance, kind: str, max_players: int = DEFAULT_MAX_PLAYERS):
+        if kind not in ("weak", "strong"):
+            raise InputError("kind must be 'weak' or 'strong'")
+        if inst.num_players > max_players:
+            raise ResourceLimitError(
+                f"{inst.num_players} players exceeds the enumeration guard "
+                f"({max_players}); use the couples solver or the oracle"
+            )
+        self.inst = inst
+        # the weak core forbids strong blocks, the strong core weak ones
+        self.block_kind = "strong" if kind == "weak" else "weak"
+        owner = inst.player_of
+        self.contacts = [1 << i for i in range(inst.num_players)]
+        for a, b in inst.graph.edges:
+            self.contacts[owner[a]] |= 1 << owner[b]
+            self.contacts[owner[b]] |= 1 << owner[a]
+        self.verdicts: dict[tuple, Optional[Matching]] = {}
+
+    def _connected(self, coalition: tuple[int, ...]) -> bool:
+        want = 0
+        for i in coalition:
+            want |= 1 << i
+        reached = todo = 1 << coalition[0]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = self.contacts[low.bit_length() - 1] & want & ~reached
+            reached |= new
+            todo |= new
+        return reached == want
+
+    def __call__(self, u: tuple[int, ...]) -> MembershipResult:
+        inst = self.inst
+        for size in range(1, inst.num_players + 1):
+            for coalition in combinations(range(inst.num_players), size):
+                if not self._connected(coalition):
+                    continue
+                key = (coalition, tuple(u[i] for i in coalition))
+                if key in self.verdicts:
+                    witness = self.verdicts[key]
+                else:
+                    witness = find_block_for_coalition(
+                        inst, u, coalition, self.block_kind
+                    )
+                    self.verdicts[key] = witness
+                if witness is not None:
+                    cert = BlockCertificate(coalition, witness, self.block_kind)
+                    cert.validate(inst, u)
+                    return MembershipResult(False, cert)
+        return MembershipResult(True, None)
+
+
 def core_membership_by_enumeration(
     inst: Instance,
     m: Matching,
@@ -184,22 +248,9 @@ def core_membership_by_enumeration(
     ``kind`` selects the core: the weak core forbids strongly blocking
     coalitions, the strong core forbids weakly blocking ones.  Coalitions
     are enumerated by size then lexicographically, so the returned
-    certificate is deterministic.
+    certificate is deterministic; coalitions that are disconnected in the
+    player contact graph are skipped, which leaves the first blocking
+    coalition unchanged.
     """
-    if kind not in ("weak", "strong"):
-        raise InputError("kind must be 'weak' or 'strong'")
-    if inst.num_players > max_players:
-        raise ResourceLimitError(
-            f"{inst.num_players} players exceeds the enumeration guard "
-            f"({max_players}); use the couples solver or the oracle"
-        )
-    u = utility(inst, m)
-    block_kind = "strong" if kind == "weak" else "weak"
-    for size in range(1, inst.num_players + 1):
-        for coalition in combinations(range(inst.num_players), size):
-            witness = find_block_for_coalition(inst, u, coalition, block_kind)
-            if witness is not None:
-                cert = BlockCertificate(coalition, witness, block_kind)
-                cert.validate(inst, u)
-                return MembershipResult(False, cert)
-    return MembershipResult(True, None)
+    search = _BlockSearch(inst, kind, max_players)
+    return search(utility(inst, m))

@@ -388,9 +388,16 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     )
 
 
-def _aux_cover_graph(g: Graph, ge: GallaiEdmonds) -> tuple[Graph, tuple[int, ...]]:
-    """Bipartite contact graph: cut vertices on the left, odd components on
-    the right, an edge when the graph joins the cut vertex to the component."""
+@lru_cache(maxsize=512)
+def _contact(g: Graph) -> tuple[GallaiEdmonds, tuple[int, ...], Graph, tuple[int, ...]]:
+    """Gallai–Edmonds decomposition, cut tuple, bipartite contact graph and
+    a maximum matching of it (as a match array), built once per graph.
+
+    The contact graph has the cut vertices on the left and the odd
+    components on the right, with an edge when the graph joins the cut
+    vertex to the component.
+    """
+    ge = gallai_edmonds(g)
     cut = tuple(sorted(ge.cut_set))
     comp_index = {}
     for j, comp in enumerate(ge.odd_components):
@@ -402,61 +409,60 @@ def _aux_cover_graph(g: Graph, ge: GallaiEdmonds) -> tuple[Graph, tuple[int, ...
             j = comp_index.get(b)
             if j is not None:
                 edges.add((i, len(cut) + j))
-    return Graph(len(cut) + len(ge.odd_components), edges), cut
+    aux = Graph(len(cut) + len(ge.odd_components), edges)
+    return ge, cut, aux, tuple(_match_array(aux.n, max_matching(aux)))
 
 
-def _flip_along(match_edges: set[tuple[int, int]], path: list[int]) -> None:
-    for i in range(len(path) - 1):
-        e = _norm_edge((path[i], path[i + 1]))
-        if e in match_edges:
-            match_edges.remove(e)
-        else:
-            match_edges.add(e)
+def _cover_targets(g: Graph, y: frozenset[int]) -> tuple[list[int], set[int]]:
+    """Maximize coverage in the contact graph of every cut vertex, then of
+    every odd component lying inside ``y``, in that order.
 
-
-def _cover_targets(aux: Graph, targets: list[int], optional_from: int) -> tuple[set[tuple[int, int]], set[int]]:
-    """Maximize coverage of ``targets`` (in order) in the contact graph.
-
-    Targets before index ``optional_from`` must be coverable (invariant
-    violation otherwise); later ones may fail.  Returns the matching edge
-    set and the set of targets left uncovered.  Coverable subsets of a
-    fixed vertex set form a matroid, so fixing earlier targets and greedily
-    exchanging exposure onto non-target vertices is exact.
+    Cut vertices must be coverable (invariant violation otherwise);
+    components may fail.  Returns the contact match array and the set of
+    components left uncovered.  Coverable subsets of a fixed vertex set
+    form a matroid, so fixing earlier targets and greedily exchanging
+    exposure onto non-target vertices is exact.
     """
+    ge, cut, aux, base = _contact(g)
+    targets = list(range(len(cut))) + [
+        len(cut) + j for j, comp in enumerate(ge.odd_components) if comp <= y
+    ]
     target_set = set(targets)
-    match_edges = set(max_matching(aux).edges)
+    match = list(base)
     failed: set[int] = set()
     for idx, t in enumerate(targets):
-        m = Matching(match_edges)
-        if t in m.covered:
+        if match[t] != -1:
             continue
-        forest = alternating_reach(aux, m, t)
+        used, parent = _blossom_search(aux.adj, match, t, augment=False)
         swap = None
-        for y in sorted(forest.even_set):
-            if y != t and y not in target_set:
-                swap = y
+        for v in range(aux.n):
+            if used[v] and v != t and v not in target_set:
+                swap = v
                 break
         if swap is None:
-            if idx < optional_from:
+            if idx < len(cut):
                 raise InvariantError("cut vertex not coverable in contact graph")
             failed.add(t)
             continue
-        _flip_along(match_edges, forest.path_to(swap))
-    return match_edges, failed
+        even = frozenset(v for v in range(aux.n) if used[v])
+        path = AlternatingForest(t, even, match, parent).path_to(swap)
+        # flipping the path matches its odd edges and exposes ``swap``
+        match[swap] = -1
+        for a, b in zip(path[::2], path[1::2]):
+            match[a] = b
+            match[b] = a
+    return match, failed
 
 
 def _assemble_witness(
-    g: Graph,
-    ge: GallaiEdmonds,
-    cut: tuple[int, ...],
-    aux_edges: set[tuple[int, int]],
-    avoid: frozenset[int],
+    g: Graph, aux_match: list[int], avoid: frozenset[int]
 ) -> Matching:
     """Expand a contact-graph matching into a real maximum matching.
 
     Components matched to a cut vertex are fully covered; every other
     component exposes one vertex, chosen outside ``avoid`` when possible.
     """
+    ge, cut, _, _ = _contact(g)
     edges: list[tuple[int, int]] = []
     if ge.even_part:
         sub, to_old = induced_subgraph(g, ge.even_part)
@@ -465,9 +471,9 @@ def _assemble_witness(
             raise InvariantError("even part is not perfectly matchable")
         edges.extend((to_old[u], to_old[v]) for u, v in pm.edges)
     matched_comp: dict[int, int] = {}
-    for u, v in aux_edges:
-        i, j = (u, v) if u < v else (v, u)
-        matched_comp[j - len(cut)] = cut[i]
+    for i, a in enumerate(cut):
+        if aux_match[i] != -1:
+            matched_comp[aux_match[i] - len(cut)] = a
     for j, comp in enumerate(ge.odd_components):
         if j in matched_comp:
             a = matched_comp[j]
@@ -501,18 +507,10 @@ def coverable(g: Graph, x: Iterable[int]) -> Optional[Matching]:
     for v in xset:
         if not (0 <= v < g.n):
             raise InputError(f"vertex {v} out of range")
-    ge = gallai_edmonds(g)
-    aux, cut = _aux_cover_graph(g, ge)
-    required = [
-        len(cut) + j
-        for j, comp in enumerate(ge.odd_components)
-        if comp <= xset
-    ]
-    targets = list(range(len(cut))) + required
-    aux_edges, failed = _cover_targets(aux, targets, len(cut))
+    aux_match, failed = _cover_targets(g, xset)
     if failed:
         return None
-    witness = _assemble_witness(g, ge, cut, aux_edges, xset)
+    witness = _assemble_witness(g, aux_match, xset)
     if not xset <= witness.covered:
         raise InvariantError("assembled witness does not cover the requested set")
     return witness
@@ -528,15 +526,7 @@ def coverage_rank(g: Graph, y: frozenset[int]) -> int:
     for v in y:
         if not (0 <= v < g.n):
             raise InputError(f"vertex {v} out of range")
-    ge = gallai_edmonds(g)
-    aux, cut = _aux_cover_graph(g, ge)
-    required = [
-        len(cut) + j
-        for j, comp in enumerate(ge.odd_components)
-        if comp <= y
-    ]
-    targets = list(range(len(cut))) + required
-    _, failed = _cover_targets(aux, targets, len(cut))
+    _, failed = _cover_targets(g, y)
     return len(y) - len(failed)
 
 

@@ -77,6 +77,13 @@ def instance_from_json(text: str) -> Instance:
         if not isinstance(p, list) or not all(_is_int(x) for x in p):
             raise InputError(f"player {p!r} must be an array of integers")
         players.append(frozenset(p))
+    # the players partition 0..n-1, so n is their vertex count; checked
+    # before Graph allocates n adjacency lists
+    listed = len(frozenset().union(*players))
+    if obj["n"] != listed:
+        raise InputError(
+            f"instance.n is {obj['n']}, but the players list {listed} vertices"
+        )
     return Instance(Graph(obj["n"], edges), tuple(players))
 
 

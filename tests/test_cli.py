@@ -56,6 +56,11 @@ class TestRoundTrip:
         with pytest.raises(InputError):
             instance_from_json(text)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_instance_rejects_n_other_than_player_vertices(self, n):
+        with pytest.raises(InputError, match="players list 2 vertices"):
+            instance_from_json(f'{{"n": {n}, "edges": [], "players": [[0], [1]]}}')
+
     def test_matching_and_certificate_reject_booleans(self):
         with pytest.raises(InputError):
             matching_from_json('{"edges": [[false, 1]]}')
@@ -307,6 +312,22 @@ class TestCli:
         rc = main(["solve", "--core", "weak", "--instance", str(inst)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: input:")
+
+    def test_huge_n_exit_2_before_allocation(self, tmp_path, capsys, monkeypatch):
+        import ntumatch.serialize
+
+        real_graph = ntumatch.serialize.Graph
+
+        def sized_graph(n, edges=()):
+            assert n < 10**6, "Graph allocated before n was checked"
+            return real_graph(n, edges)
+
+        monkeypatch.setattr(ntumatch.serialize, "Graph", sized_graph)
+        inst = tmp_path / "inst.json"
+        inst.write_text('{"n": 1000000000000, "edges": [], "players": [[0], [1]]}')
+        rc = main(["core-empty", "--core", "weak", "--method", "const", "--instance", str(inst)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "fault", [InvariantError("broken splice"), RecursionError("too deep")]

@@ -1,21 +1,61 @@
+import hashlib
+import json
+from itertools import product
+
 import pytest
 
 from ntumatch import (
     Graph,
     InputError,
     Instance,
+    PartitionQuota,
     ResourceLimitError,
     achievable,
     core_empty,
     core_membership_by_enumeration,
     frontier,
+    gen_3sat_weak_emptiness,
     gen_example1,
     gen_random,
     max_matching,
+    quota_feasible,
     utility,
 )
 from ntumatch.constant_players import core_outcomes
 from ntumatch.exhaustive import all_matchings, oracle_core
+
+# recorded with the per-mask prefix-sum frontier that preceded the
+# incremental load table
+EXAMPLE1_FRONTIER = (
+    (2, 7, 7), (3, 6, 7), (3, 7, 6), (4, 5, 7), (4, 6, 6), (4, 7, 5),
+    (5, 4, 7), (5, 5, 6), (5, 6, 5), (5, 7, 4), (6, 3, 7), (6, 4, 6),
+    (6, 5, 5), (6, 6, 4), (6, 7, 3), (7, 2, 7), (7, 3, 6), (7, 4, 5),
+    (7, 5, 4), (7, 6, 3), (7, 7, 2),
+)
+# (clause, vector count, first, last, sha256 of the JSON vector list)
+SAT_FRONTIERS = (
+    ((1, 2, 3), 102, (1, 0, 1, 0, 1, 0, 5, 7, 7), (1, 1, 1, 1, 1, 1, 7, 7, 2),
+     "3f233d646ef673d80dcc9ab3697c8f6fe11ca93906f5ffe64b4cffd8803fe8dc"),
+    ((1, 1, 2), 102, (2, 0, 0, 1, 0, 5, 7, 7), (2, 1, 1, 1, 1, 7, 7, 2),
+     "6b2239062442ddd311132c910531afc0526febb70816d047d60c39d8b2281a0b"),
+)
+
+
+def brute_frontier(inst):
+    """Vectors with sum 2*nu that pass the quota-feasibility duality, kept
+    when no other such vector dominates them."""
+    total = 2 * max_matching(inst.graph).size
+    feasible = [
+        x
+        for x in product(*(range(len(p) + 1) for p in inst.players))
+        if sum(x) == total
+        and quota_feasible(inst.graph, PartitionQuota(inst.players, x))
+    ]
+    return tuple(
+        x
+        for x in feasible
+        if not any(y != x and all(a >= b for a, b in zip(y, x)) for y in feasible)
+    )
 
 
 class TestAchievable:
@@ -78,6 +118,27 @@ class TestFrontier:
             nu2 = 2 * max_matching(inst.graph).size
             assert all(sum(v) == nu2 for v in fr.maximal_vectors)
 
+    def test_five_to_nine_players_against_brute_lattice(self, rng):
+        player_counts = []
+        while len(player_counts) < 60:
+            n = rng.randint(5, 16)
+            inst = gen_random(n, rng.randint(1, 3), rng.choice([0.1, 0.2, 0.35]), seed=rng.randint(0, 10**6))
+            lattice = 1
+            for p in inst.players:
+                lattice *= len(p) + 1
+            if not 5 <= inst.num_players <= 9 or lattice > 20000:
+                continue
+            player_counts.append(inst.num_players)
+            assert frontier(inst).maximal_vectors == brute_frontier(inst)
+        assert set(player_counts) == set(range(5, 10))
+
+    def test_golden_gadget_frontiers(self):
+        assert frontier(gen_example1().instance).maximal_vectors == EXAMPLE1_FRONTIER
+        for clause, count, first, last, digest in SAT_FRONTIERS:
+            vectors = frontier(gen_3sat_weak_emptiness([clause]).instance).maximal_vectors
+            assert (len(vectors), vectors[0], vectors[-1]) == (count, first, last)
+            assert hashlib.sha256(json.dumps(vectors).encode()).hexdigest() == digest
+
 
 class TestCoreEmpty:
     def test_perfect_matching_instance(self):
@@ -106,6 +167,18 @@ class TestCoreEmpty:
                 assert (got is not None) == (not oracle.empty)
                 if got is not None:
                     assert core_membership_by_enumeration(inst, got, kind).in_core
+
+    def test_outcomes_match_fresh_membership_on_gadgets(self):
+        for inst in (
+            gen_example1().instance,
+            gen_3sat_weak_emptiness([(1, 1, 2)]).instance,
+            gen_3sat_weak_emptiness([(1, 2, 3)]).instance,
+        ):
+            for kind in ("weak", "strong"):
+                for outcome in core_outcomes(inst, kind):
+                    assert outcome.membership == core_membership_by_enumeration(
+                        inst, outcome.witness, kind
+                    )
 
     def test_outcomes_realize_vectors_exactly(self, rng):
         inst = gen_random(8, 3, 0.5, seed=99)

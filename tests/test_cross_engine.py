@@ -1,0 +1,44 @@
+"""The couples and const engines where their scopes overlap: at most six
+players, each of at most two vertices."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ntumatch import (
+    Graph,
+    Instance,
+    core_empty,
+    normalize,
+    strong_core_solve,
+    strong_membership,
+    weak_membership,
+)
+from ntumatch.constant_players import core_outcomes
+
+
+@st.composite
+def couples_instances(draw):
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=6))
+    players, n = [], 0
+    for s in sizes:
+        players.append(frozenset(range(n, n + s)))
+        n += s
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Instance(Graph(n, edges), tuple(players))
+
+
+@given(couples_instances())
+@settings(max_examples=120, deadline=None)
+def test_const_agrees_with_couples(inst):
+    # the couples weak core is never empty
+    assert core_empty(inst, "weak") is not None
+    cg = normalize(inst)
+    assert (core_empty(inst, "strong") is None) == (strong_core_solve(cg) is None)
+    for kind, couples_test in (("weak", weak_membership), ("strong", strong_membership)):
+        for outcome in core_outcomes(inst, kind):
+            theirs = couples_test(cg, outcome.witness)
+            assert theirs.in_core == outcome.membership.in_core
+            for res in (outcome.membership, theirs):
+                if res.certificate is not None:
+                    res.certificate.validate(inst, outcome.vector)

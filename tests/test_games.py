@@ -1,10 +1,14 @@
+from itertools import combinations
+
 import pytest
 
 from ntumatch import (
+    BlockCertificate,
     Graph,
     InputError,
     Instance,
     Matching,
+    MembershipResult,
     ResourceLimitError,
     core_membership_by_enumeration,
     find_block_for_coalition,
@@ -15,7 +19,7 @@ from ntumatch import (
 )
 from ntumatch.exhaustive import all_matchings, oracle_core
 
-from conftest import random_graph
+from conftest import random_graph, random_matching
 
 
 def small_instance(rng, n_max=9, m_max=4):
@@ -27,6 +31,31 @@ def small_instance(rng, n_max=9, m_max=4):
     if inst.num_players > m_max:
         return None
     return inst
+
+
+def unpruned_membership(inst, m, kind):
+    """Every coalition, by size then lexicographically, with no contact
+    pruning and no verdict reuse."""
+    u = utility(inst, m)
+    block_kind = "strong" if kind == "weak" else "weak"
+    for size in range(1, inst.num_players + 1):
+        for coalition in combinations(range(inst.num_players), size):
+            witness = find_block_for_coalition(inst, u, coalition, block_kind)
+            if witness is not None:
+                return MembershipResult(
+                    False, BlockCertificate(coalition, witness, block_kind)
+                )
+    return MembershipResult(True, None)
+
+
+def disjoint_union(a, b):
+    shift = a.graph.n
+    graph = Graph(
+        shift + b.graph.n,
+        list(a.graph.edges) + [(u + shift, v + shift) for u, v in b.graph.edges],
+    )
+    players = a.players + tuple(frozenset(v + shift for v in p) for p in b.players)
+    return Instance(graph, players)
 
 
 class TestInstance:
@@ -116,6 +145,39 @@ class TestFindBlock:
 
 
 class TestMembership:
+    def test_connected_coalitions_give_unpruned_results(self, rng):
+        cases = []
+        while len(cases) < 60:
+            # sparse graphs leave isolated players; unions of two
+            # instances make disjoint gadgets
+            inst = small_instance(rng, n_max=9, m_max=7)
+            if inst is None:
+                continue
+            if rng.random() < 0.4:
+                other = small_instance(rng, n_max=6, m_max=7 - inst.num_players)
+                if other is None:
+                    continue
+                inst = disjoint_union(inst, other)
+            ms = [Matching(), max_matching(inst.graph), random_matching(rng, inst.graph)]
+            cases.append((inst, ms))
+        # example1 next to a separate pair of singletons
+        ex = gen_example1()
+        lone = Instance(Graph(2, [(0, 1)]), (frozenset({0}), frozenset({1})))
+        both = disjoint_union(ex.instance, lone)
+        cases.append((both, [ex.matching, Matching(ex.matching.edges + ((21, 22),))]))
+        blocked = disconnected = 0
+        for inst, ms in cases:
+            for m in ms:
+                for kind in ("weak", "strong"):
+                    got = core_membership_by_enumeration(inst, m, kind)
+                    assert got == unpruned_membership(inst, m, kind)
+                    blocked += not got.in_core
+            disconnected += any(
+                not any(inst.graph.has_edge(a, b) for a in p for b in q)
+                for p, q in combinations(inst.players, 2)
+            )
+        assert blocked and disconnected
+
     def test_full_cover_in_both_cores(self):
         inst = Instance(
             Graph(4, [(0, 1), (2, 3)]),

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from ntumatch.exhaustive import (
     coverable_sets_brute,
     even_reach_brute,
 )
+from ntumatch import graphs
 from ntumatch.graphs import bipartition, induced_subgraph
 
 from conftest import cycle_graph, path_graph, random_graph, random_matching
@@ -239,6 +244,34 @@ class TestCoverable:
                     assert x <= got.covered
                 rank_want = max((len(x & s) for s in covsets), default=0)
                 assert coverage_rank(g, x) == rank_want
+
+
+def coverage_sweep():
+    rng = random.Random(4242)
+    out = []
+    for _ in range(40):
+        n = rng.randint(4, 14)
+        g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.5]))
+        for _ in range(6):
+            x = sorted(v for v in range(n) if rng.random() < 0.5)
+            w = coverable(g, x)
+            out.append([x, coverage_rank(g, frozenset(x)), w and [list(e) for e in w.edges]])
+    return out
+
+
+class TestCoverageGolden:
+    # sha256 of the sweep's JSON, recorded when the contact graph was
+    # rebuilt and matched afresh for every query
+    DIGEST = "1fa3b0ecbc9bd73db050080a4843a269ea05790b24914a2943892fa43e2afe70"
+
+    def test_witnesses_and_ranks_unchanged(self):
+        first = coverage_sweep()
+        assert sum(w is not None for _, _, w in first) == 156
+        assert hashlib.sha256(json.dumps(first).encode()).hexdigest() == self.DIGEST
+        for cached in vars(graphs).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        assert coverage_sweep() == first
 
 
 class TestBipartition:
