@@ -23,8 +23,8 @@ from .games import (
     _BlockSearch,
     utility,
 )
-from .graphs import Matching, coverage_rank, max_matching
-from .matroids import PartitionQuota, matching_with_lower_bounds
+from .graphs import Matching, max_matching
+from .matroids import PartitionQuota, _union_ranks, matching_with_lower_bounds
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -49,23 +49,6 @@ def achievable(inst: Instance, x: tuple[int, ...]) -> Optional[Matching]:
     )
 
 
-def _rank_vector(inst: Instance) -> list[int]:
-    """Coverage rank of every union of players, indexed by bitmask."""
-    m = inst.num_players
-    ranks = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        union: set[int] = set()
-        mm = mask
-        i = 0
-        while mm:
-            if mm & 1:
-                union |= inst.players[i]
-            mm >>= 1
-            i += 1
-        ranks[mask] = coverage_rank(inst.graph, frozenset(union))
-    return ranks
-
-
 def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier:
     """All component-wise maximal achievable utility vectors.
 
@@ -86,7 +69,7 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
             )
     m = inst.num_players
     total = 2 * max_matching(inst.graph).size
-    ranks = _rank_vector(inst)
+    ranks = _union_ranks(inst.graph, inst.players)
     load = [0] * (1 << m)
     suffix_caps = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -132,10 +115,8 @@ def core_outcomes(
     Vectors are realized exactly (any realization of a maximal vector is a
     maximum matching), processed in lexicographically decreasing order.
     """
-    if inst.num_players > 20:
-        raise ResourceLimitError("core computation guard: more than 20 players")
-    fr = frontier(inst, budget)
     search = _BlockSearch(inst, kind)
+    fr = frontier(inst, budget)
     for x in reversed(fr.maximal_vectors):
         witness = achievable(inst, x)
         if witness is None:

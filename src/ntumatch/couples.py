@@ -53,10 +53,6 @@ class CouplesGame:
         return d
 
     @cached_property
-    def original_edge_adj(self):
-        return self.inst.graph.adj
-
-    @cached_property
     def parallel_players(self) -> frozenset[int]:
         return frozenset(
             i for i, pr in enumerate(self.pairs) if pr in self.inst.graph.edge_set

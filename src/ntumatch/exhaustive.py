@@ -288,7 +288,7 @@ def alternating_triples_brute(cg, cap: int = 2_000_000) -> set[tuple[int, int, i
     """
     out: set[tuple[int, int, int]] = set()
     pairs = cg.pairs
-    e_adj = [set(cg.original_edge_adj[v]) for v in range(cg.inst.graph.n)]
+    e_adj = [set(cg.inst.graph.adj[v]) for v in range(cg.inst.graph.n)]
     player_of = cg.player_of
     steps = 0
     # (players along the path, tip vertex just past a player edge, visited)
@@ -332,7 +332,7 @@ def delta_triples_brute(cg, cap: int = 4_000_000) -> set[tuple[frozenset, int]]:
         raise InputError("delta-structure enumeration is limited to n <= 14")
     out: set[tuple[frozenset, int]] = set()
     pairs = cg.pairs
-    e_adj = [set(cg.original_edge_adj[v]) for v in range(cg.inst.graph.n)]
+    e_adj = [set(cg.inst.graph.adj[v]) for v in range(cg.inst.graph.n)]
     player_of = cg.player_of
     steps = 0
 

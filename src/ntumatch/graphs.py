@@ -342,7 +342,6 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, .
     return Graph(len(to_old), edges), to_old
 
 
-@lru_cache(maxsize=512)
 def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     """Decomposition into cut set, even part, and hypomatchable components.
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .errors import InputError, InvariantError
@@ -45,19 +44,13 @@ class PartitionQuota:
 
 class MatchingMatroid:
     """Independence oracle: a vertex set is independent when some matching
-    covers it.  Memoised per instance; the underlying decomposition is
-    cached per graph."""
+    covers it.  Answers come from :func:`~ntumatch.graphs.coverage_rank`."""
 
     def __init__(self, g: Graph):
         self.g = g
-        self._memo: dict[frozenset[int], bool] = {}
 
     def indep(self, x: frozenset[int]) -> bool:
-        hit = self._memo.get(x)
-        if hit is None:
-            hit = coverage_rank(self.g, x) == len(x)
-            self._memo[x] = hit
-        return hit
+        return coverage_rank(self.g, x) == len(x)
 
 
 def matroid_intersection_max(
@@ -150,16 +143,15 @@ def matroid_intersection_max(
     return frozenset(current)
 
 
-@lru_cache(maxsize=1 << 15)
-def _group_union_rank(g: Graph, groups: tuple[frozenset[int], ...], mask: int) -> int:
-    union: set[int] = set()
-    i = 0
-    while mask:
-        if mask & 1:
-            union |= groups[i]
-        mask >>= 1
-        i += 1
-    return coverage_rank(g, frozenset(union))
+def _union_ranks(g: Graph, groups: tuple[frozenset[int], ...]) -> list[int]:
+    """Coverage rank of every union of groups, indexed by bitmask."""
+    ranks = [0] * (1 << len(groups))
+    for mask in range(1, len(ranks)):
+        union = frozenset().union(
+            *(grp for i, grp in enumerate(groups) if mask >> i & 1)
+        )
+        ranks[mask] = coverage_rank(g, union)
+    return ranks
 
 
 def quota_feasible(g: Graph, pq: PartitionQuota) -> bool:
@@ -167,34 +159,28 @@ def quota_feasible(g: Graph, pq: PartitionQuota) -> bool:
 
     By matroid-intersection duality specialised to a partition matroid, a
     matching with ``|V(M) ∩ V_i| >= q_i`` exists iff every union of groups
-    can be covered to the extent of its summed quotas.
+    can be covered to the extent of its summed quotas.  It reads all 2^k
+    union ranks, so it serves as the independent reference for
+    :func:`matching_with_lower_bounds`, which decides by the intersection.
     """
-    groups = pq.groups
-    k = len(groups)
-    if k > 20:
+    if len(pq.groups) > 20:
         raise InputError("quota_feasible supports at most 20 groups")
-    for mask in range(1, 1 << k):
-        need = 0
-        i = 0
-        mm = mask
-        while mm:
-            if mm & 1:
-                need += pq.quotas[i]
-            mm >>= 1
-            i += 1
-        if need > _group_union_rank(g, groups, mask):
-            return False
-    return True
+    return all(
+        sum(q for i, q in enumerate(pq.quotas) if mask >> i & 1) <= rank
+        for mask, rank in enumerate(_union_ranks(g, pq.groups))
+    )
 
 
 def matching_with_lower_bounds(g: Graph, pq: PartitionQuota) -> Optional[Matching]:
     """A matching meeting every per-group coverage quota, or None.
 
-    Vertices outside all groups are unconstrained.  The search first
-    screens feasibility via :func:`quota_feasible` (when the group count
-    permits), then builds a witness: a maximum common independent set of
-    the matching matroid and the partition matroid, extended to a matching
-    with :func:`~ntumatch.graphs.coverable`.
+    Vertices outside all groups are unconstrained.  A maximum common
+    independent set of the matching matroid and the partition matroid of
+    the groups with positive quotas decides: the quotas can be met exactly
+    when it reaches their sum, and then
+    :func:`~ntumatch.graphs.coverable` extends it to a matching.  The
+    intersection starts from a maximum matching's coverage trimmed to the
+    quotas.
     """
     active = [
         (grp, q) for grp, q in zip(pq.groups, pq.quotas) if q > 0
@@ -204,34 +190,19 @@ def matching_with_lower_bounds(g: Graph, pq: PartitionQuota) -> Optional[Matchin
     groups = tuple(grp for grp, _ in active)
     quotas = tuple(q for _, q in active)
     pq_active = PartitionQuota(groups, quotas)
-    want = pq_active.rank
 
-    screened = None
-    if len(groups) <= 16:
-        screened = quota_feasible(g, pq_active)
-        if not screened:
-            return None
-
-    ground = sorted(set().union(*groups))
-    mm = MatchingMatroid(g)
-
-    # warm start: trim a maximum matching's coverage to the quotas
     base = max_matching(g)
     seed: set[int] = set()
     for grp, q in zip(groups, quotas):
         seed.update(sorted(grp & base.covered)[:q])
 
-    def indep_partition(x: frozenset) -> bool:
-        return pq_active.indep(x)
-
     common = matroid_intersection_max(
-        indep_partition, mm.indep, ground, seed=frozenset(seed)
+        pq_active.indep,
+        MatchingMatroid(g).indep,
+        set().union(*groups),
+        seed=frozenset(seed),
     )
-    if len(common) < want:
-        if screened:
-            raise InvariantError(
-                "feasibility screen and intersection disagree"
-            )
+    if len(common) < pq_active.rank:
         return None
     witness = coverable(g, common)
     if witness is None:

@@ -21,6 +21,7 @@ from ntumatch import (
     quota_feasible,
     utility,
 )
+from ntumatch import constant_players, games
 from ntumatch.constant_players import core_outcomes
 from ntumatch.exhaustive import all_matchings, oracle_core
 
@@ -140,6 +141,13 @@ class TestFrontier:
             assert hashlib.sha256(json.dumps(vectors).encode()).hexdigest() == digest
 
 
+GADGETS = (
+    gen_example1().instance,
+    gen_3sat_weak_emptiness([(1, 1, 2)]).instance,
+    gen_3sat_weak_emptiness([(1, 2, 3)]).instance,
+)
+
+
 class TestCoreEmpty:
     def test_perfect_matching_instance(self):
         inst = Instance(
@@ -169,11 +177,7 @@ class TestCoreEmpty:
                     assert core_membership_by_enumeration(inst, got, kind).in_core
 
     def test_outcomes_match_fresh_membership_on_gadgets(self):
-        for inst in (
-            gen_example1().instance,
-            gen_3sat_weak_emptiness([(1, 1, 2)]).instance,
-            gen_3sat_weak_emptiness([(1, 2, 3)]).instance,
-        ):
+        for inst in GADGETS:
             for kind in ("weak", "strong"):
                 for outcome in core_outcomes(inst, kind):
                     assert outcome.membership == core_membership_by_enumeration(
@@ -196,3 +200,35 @@ class TestCoreEmpty:
                 if x[i] > 0:
                     y = x[:i] + (x[i] - 1,) + x[i + 1:]
                     assert achievable(inst, y) is not None
+
+    def test_lower_bound_verdicts_match_duality_on_gadgets(self, monkeypatch):
+        # every quota system the engine decides, checked against the 2^k
+        # union-rank duality
+        real = constant_players.matching_with_lower_bounds
+        seen = {}
+
+        def recording(g, pq):
+            found = real(g, pq)
+            seen[g, pq] = found
+            return found
+
+        monkeypatch.setattr(constant_players, "matching_with_lower_bounds", recording)
+        monkeypatch.setattr(games, "matching_with_lower_bounds", recording)
+        for inst in GADGETS:
+            for kind in ("weak", "strong"):
+                core_empty(inst, kind)
+        assert any(found is None for found in seen.values())
+        assert any(found is not None for found in seen.values())
+        for (g, pq), found in seen.items():
+            assert (found is None) == (not quota_feasible(g, pq))
+
+    def test_player_guard_and_kind_checked_before_frontier(self, monkeypatch):
+        def no_frontier(inst, budget):
+            raise AssertionError("frontier ran before the block search guards")
+
+        monkeypatch.setattr(constant_players, "frontier", no_frontier)
+        many = Instance(Graph(21), tuple(frozenset({v}) for v in range(21)))
+        with pytest.raises(ResourceLimitError):
+            core_empty(many, "weak")
+        with pytest.raises(InputError):
+            core_empty(gen_example1().instance, "x")

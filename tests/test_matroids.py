@@ -11,6 +11,7 @@ from ntumatch import (
     quota_feasible,
 )
 from ntumatch.exhaustive import all_matchings, coverable_sets_brute
+from ntumatch.matroids import _union_ranks
 
 from conftest import path_graph, random_graph
 
@@ -148,3 +149,23 @@ class TestLowerBounds:
                         )
                         is not None
                     )
+
+    def test_union_ranks_against_brute_force(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            g = random_graph(rng, n, rng.choice([0.25, 0.5]))
+            verts = list(range(n))
+            rng.shuffle(verts)
+            k = rng.randint(1, min(6, n))
+            cuts = sorted(rng.sample(range(1, n), k - 1))
+            groups = tuple(
+                frozenset(verts[a:b]) for a, b in zip([0, *cuts], [*cuts, n])
+            )
+            coverable = coverable_sets_brute(g)
+            ranks = _union_ranks(g, groups)
+            assert len(ranks) == 1 << k
+            for mask, rank in enumerate(ranks):
+                union = frozenset().union(
+                    *(grp for i, grp in enumerate(groups) if mask >> i & 1)
+                )
+                assert rank == max(len(x & union) for x in coverable)
