@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import InvariantError, ResourceLimitError
 from .games import (
     Instance,
     MembershipResult,
@@ -38,12 +38,9 @@ class AchievableFrontier:
 
 def achievable(inst: Instance, x: tuple[int, ...]) -> Optional[Matching]:
     """A matching covering at least ``x_i`` vertices of every player, or
-    None; delegates to the coverage-quota solver."""
-    if len(x) != inst.num_players:
-        raise InputError("vector length must match the player count")
-    for xi, p in zip(x, inst.players):
-        if not (0 <= xi <= len(p)):
-            raise InputError(f"target {xi} out of range for a player of size {len(p)}")
+    None; delegates to the coverage-quota solver, whose
+    :class:`~ntumatch.matroids.PartitionQuota` rejects a vector of the wrong
+    length or with a coordinate out of range."""
     return matching_with_lower_bounds(
         inst.graph, PartitionQuota(inst.players, tuple(x))
     )
@@ -114,17 +111,23 @@ def core_outcomes(
 
     Vectors are realized exactly (any realization of a maximal vector is a
     maximum matching), processed in lexicographically decreasing order.
+    ``kind``, the player guard and the lattice budget are checked, and the
+    frontier computed, before this returns; the verdicts come lazily.
     """
     search = _BlockSearch(inst, kind)
     fr = frontier(inst, budget)
-    for x in reversed(fr.maximal_vectors):
-        witness = achievable(inst, x)
-        if witness is None:
-            raise InvariantError("frontier vector is not achievable")
-        realized = utility(inst, witness)
-        if realized != x:
-            raise InvariantError("maximal vector realized inexactly")
-        yield CoreOutcome(x, witness, search(realized))
+
+    def outcomes() -> Iterator[CoreOutcome]:
+        for x in reversed(fr.maximal_vectors):
+            witness = achievable(inst, x)
+            if witness is None:
+                raise InvariantError("frontier vector is not achievable")
+            realized = utility(inst, witness)
+            if realized != x:
+                raise InvariantError("maximal vector realized inexactly")
+            yield CoreOutcome(x, witness, search(realized))
+
+    return outcomes()
 
 
 def core_empty(

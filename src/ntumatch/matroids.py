@@ -1,19 +1,22 @@
-"""Generalized partition matroid, matching matroid, and their intersection.
+"""Matchings with per-group coverage lower bounds.
 
-The intersection drives every "matching with per-group coverage lower
-bounds" query in the library: a matching with ``|V(M) ∩ V_i| >= q_i`` for
-all groups exists exactly when the two matroids share an independent set
-of size ``sum(q_i)``.
+Every "matching with ``|V(M) ∩ V_i| >= q_i`` for all groups" query in the
+library is one :func:`~ntumatch.graphs.coverable` call on a padded graph:
+each group with a positive quota gains ``|V_i| - q_i`` fresh vertices joined
+to all of ``V_i``, and the quotas can be met exactly when some matching of
+the padded graph covers every grouped vertex (the deficiency gadget behind
+the Tutte–Berge formula; Lovász & Plummer, *Matching Theory*, ch. 3).
+:func:`quota_feasible` decides the same question by partition-matroid
+duality and serves as the independent reference.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
-from .errors import InputError, InvariantError
-from .graphs import Graph, Matching, coverable, coverage_rank, max_matching
+from .errors import InputError
+from .graphs import Graph, Matching, coverable, coverage_rank
 
 
 @dataclass(frozen=True)
@@ -34,114 +37,6 @@ class PartitionQuota:
             if not (0 <= q <= len(grp)):
                 raise InputError(f"quota {q} out of range for group of size {len(grp)}")
 
-    @property
-    def rank(self) -> int:
-        return sum(self.quotas)
-
-    def indep(self, x: frozenset[int]) -> bool:
-        return all(len(x & grp) <= q for grp, q in zip(self.groups, self.quotas))
-
-
-class MatchingMatroid:
-    """Independence oracle: a vertex set is independent when some matching
-    covers it.  Answers come from :func:`~ntumatch.graphs.coverage_rank`."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-
-    def indep(self, x: frozenset[int]) -> bool:
-        return coverage_rank(self.g, x) == len(x)
-
-
-def matroid_intersection_max(
-    indep_a: Callable[[frozenset], bool],
-    indep_b: Callable[[frozenset], bool],
-    ground: Iterable[int],
-    seed: frozenset = frozenset(),
-) -> frozenset:
-    """Maximum-cardinality common independent set, by exchange-graph
-    augmentation with BFS shortest paths and lowest-id tie-breaking."""
-    ground_t = tuple(sorted(set(ground)))
-    current: set = set(seed)
-    if not current <= set(ground_t):
-        raise InputError("seed is not a subset of the ground set")
-    if current:
-        cur_f = frozenset(current)
-        if not indep_a(cur_f) or not indep_b(cur_f):
-            raise InputError("seed is not independent in both matroids")
-
-    memo_a: dict[frozenset, bool] = {}
-    memo_b: dict[frozenset, bool] = {}
-
-    def a(s: frozenset) -> bool:
-        r = memo_a.get(s)
-        if r is None:
-            r = indep_a(s)
-            memo_a[s] = r
-        return r
-
-    def b(s: frozenset) -> bool:
-        r = memo_b.get(s)
-        if r is None:
-            r = indep_b(s)
-            memo_b[s] = r
-        return r
-
-    while True:
-        cur = frozenset(current)
-        outside = [y for y in ground_t if y not in current]
-        sources = [y for y in outside if a(cur | {y})]
-        sinks = {y for y in outside if b(cur | {y})}
-        if not sources or not sinks:
-            break
-        direct = sorted(set(sources) & sinks)
-        if direct:
-            current.add(direct[0])
-            continue
-        # BFS over the exchange digraph:
-        #   y in I  -> z not in I   when I - y + z independent in A
-        #   z not in I -> y in I    when I - y + z independent in B
-        parent: dict[int, Optional[int]] = {s: None for s in sources}
-        queue = deque(sources)
-        found = None
-        inside = sorted(current)
-        while queue and found is None:
-            x = queue.popleft()
-            if x in current:
-                nxts = [
-                    z
-                    for z in outside
-                    if z not in parent and a(cur - {x} | {z})
-                ]
-            else:
-                nxts = [
-                    y
-                    for y in inside
-                    if y not in parent and b(cur - {y} | {x})
-                ]
-            for z in nxts:
-                parent[z] = x
-                if z not in current and z in sinks:
-                    found = z
-                    break
-                queue.append(z)
-        if found is None:
-            break
-        path = []
-        node: Optional[int] = found
-        while node is not None:
-            path.append(node)
-            node = parent[node]
-        for v in path:
-            if v in current:
-                current.remove(v)
-            else:
-                current.add(v)
-        nxt_f = frozenset(current)
-        if not (a(nxt_f) and b(nxt_f)):
-            raise InvariantError("augmentation produced a dependent set")
-    return frozenset(current)
-
 
 def _union_ranks(g: Graph, groups: tuple[frozenset[int], ...]) -> list[int]:
     """Coverage rank of every union of groups, indexed by bitmask."""
@@ -161,7 +56,7 @@ def quota_feasible(g: Graph, pq: PartitionQuota) -> bool:
     matching with ``|V(M) ∩ V_i| >= q_i`` exists iff every union of groups
     can be covered to the extent of its summed quotas.  It reads all 2^k
     union ranks, so it serves as the independent reference for
-    :func:`matching_with_lower_bounds`, which decides by the intersection.
+    :func:`matching_with_lower_bounds`, which decides by a padded graph.
     """
     if len(pq.groups) > 20:
         raise InputError("quota_feasible supports at most 20 groups")
@@ -174,37 +69,34 @@ def quota_feasible(g: Graph, pq: PartitionQuota) -> bool:
 def matching_with_lower_bounds(g: Graph, pq: PartitionQuota) -> Optional[Matching]:
     """A matching meeting every per-group coverage quota, or None.
 
-    Vertices outside all groups are unconstrained.  A maximum common
-    independent set of the matching matroid and the partition matroid of
-    the groups with positive quotas decides: the quotas can be met exactly
-    when it reaches their sum, and then
-    :func:`~ntumatch.graphs.coverable` extends it to a matching.  The
-    intersection starts from a maximum matching's coverage trimmed to the
-    quotas.
+    Vertices outside all groups are unconstrained.  Each group with a
+    positive quota gets ``|V_i| - q_i`` fresh padding vertices joined to all
+    of ``V_i``, and one :func:`~ntumatch.graphs.coverable` call on that
+    padded graph asks for a matching covering every such group.  Forward,
+    a matching meeting the quotas leaves at most ``|V_i| - q_i`` vertices of
+    ``V_i`` exposed, and the padding vertices take them; backward, dropping
+    the padding edges from a covering matching leaves at most
+    ``|V_i| - q_i`` vertices of each ``V_i`` exposed.
     """
-    active = [
-        (grp, q) for grp, q in zip(pq.groups, pq.quotas) if q > 0
-    ]
-    if not active:
+    for grp in pq.groups:
+        for v in grp:
+            # an out-of-range id would alias a padding vertex
+            if not (0 <= v < g.n):
+                raise InputError(f"vertex {v} out of range")
+    edges = list(g.edges)
+    targets: set[int] = set()
+    n = g.n
+    for grp, q in zip(pq.groups, pq.quotas):
+        if q == 0:
+            continue
+        targets |= grp
+        for pad in range(n, n + len(grp) - q):
+            edges.extend((v, pad) for v in grp)
+        n += len(grp) - q
+    if not targets:
         return Matching(())
-    groups = tuple(grp for grp, _ in active)
-    quotas = tuple(q for _, q in active)
-    pq_active = PartitionQuota(groups, quotas)
-
-    base = max_matching(g)
-    seed: set[int] = set()
-    for grp, q in zip(groups, quotas):
-        seed.update(sorted(grp & base.covered)[:q])
-
-    common = matroid_intersection_max(
-        pq_active.indep,
-        MatchingMatroid(g).indep,
-        set().union(*groups),
-        seed=frozenset(seed),
-    )
-    if len(common) < pq_active.rank:
-        return None
-    witness = coverable(g, common)
+    witness = coverable(Graph(n, edges), targets)
     if witness is None:
-        raise InvariantError("common independent set is not coverable")
-    return witness
+        return None
+    # edges are stored as (low, high), so a padding vertex is always second
+    return Matching((u, v) for u, v in witness.edges if v < g.n)

@@ -1,0 +1,118 @@
+"""Reference matroid intersection for the coverage-quota tests.
+
+A generic maximum common independent set of two matroids given by
+independence oracles, and the matching matroid (a vertex set is independent
+when some matching covers it).  The library decides coverage quotas with
+one padded-graph ``coverable`` call instead; these stay here as an
+independent algorithm that tests compare it against.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Callable, Iterable, Optional
+
+from ntumatch.errors import InputError, InvariantError
+from ntumatch.graphs import Graph, coverage_rank
+
+
+class MatchingMatroid:
+    """Independence oracle: a vertex set is independent when some matching
+    covers it.  Answers come from :func:`~ntumatch.graphs.coverage_rank`."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    def indep(self, x: frozenset[int]) -> bool:
+        return coverage_rank(self.g, x) == len(x)
+
+
+def matroid_intersection_max(
+    indep_a: Callable[[frozenset], bool],
+    indep_b: Callable[[frozenset], bool],
+    ground: Iterable[int],
+    seed: frozenset = frozenset(),
+) -> frozenset:
+    """Maximum-cardinality common independent set, by exchange-graph
+    augmentation with BFS shortest paths and lowest-id tie-breaking."""
+    ground_t = tuple(sorted(set(ground)))
+    current: set = set(seed)
+    if not current <= set(ground_t):
+        raise InputError("seed is not a subset of the ground set")
+    if current:
+        cur_f = frozenset(current)
+        if not indep_a(cur_f) or not indep_b(cur_f):
+            raise InputError("seed is not independent in both matroids")
+
+    memo_a: dict[frozenset, bool] = {}
+    memo_b: dict[frozenset, bool] = {}
+
+    def a(s: frozenset) -> bool:
+        r = memo_a.get(s)
+        if r is None:
+            r = indep_a(s)
+            memo_a[s] = r
+        return r
+
+    def b(s: frozenset) -> bool:
+        r = memo_b.get(s)
+        if r is None:
+            r = indep_b(s)
+            memo_b[s] = r
+        return r
+
+    while True:
+        cur = frozenset(current)
+        outside = [y for y in ground_t if y not in current]
+        sources = [y for y in outside if a(cur | {y})]
+        sinks = {y for y in outside if b(cur | {y})}
+        if not sources or not sinks:
+            break
+        direct = sorted(set(sources) & sinks)
+        if direct:
+            current.add(direct[0])
+            continue
+        # BFS over the exchange digraph:
+        #   y in I  -> z not in I   when I - y + z independent in A
+        #   z not in I -> y in I    when I - y + z independent in B
+        parent: dict[int, Optional[int]] = {s: None for s in sources}
+        queue = deque(sources)
+        found = None
+        inside = sorted(current)
+        while queue and found is None:
+            x = queue.popleft()
+            if x in current:
+                nxts = [
+                    z
+                    for z in outside
+                    if z not in parent and a(cur - {x} | {z})
+                ]
+            else:
+                nxts = [
+                    y
+                    for y in inside
+                    if y not in parent and b(cur - {y} | {x})
+                ]
+            for z in nxts:
+                parent[z] = x
+                if z not in current and z in sinks:
+                    found = z
+                    break
+                queue.append(z)
+        if found is None:
+            break
+        path = []
+        node: Optional[int] = found
+        while node is not None:
+            path.append(node)
+            node = parent[node]
+        for v in path:
+            if v in current:
+                current.remove(v)
+            else:
+                current.add(v)
+        nxt_f = frozenset(current)
+        if not (a(nxt_f) and b(nxt_f)):
+            raise InvariantError("augmentation produced a dependent set")
+    return frozenset(current)
+

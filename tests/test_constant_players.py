@@ -73,6 +73,11 @@ class TestAchievable:
         with pytest.raises(InputError):
             achievable(inst, (2, 0))
 
+    def test_wrong_length_rejected(self):
+        inst = Instance(Graph(2, [(0, 1)]), (frozenset({0}), frozenset({1})))
+        with pytest.raises(InputError):
+            achievable(inst, (1,))
+
     def test_random_against_enumeration(self, rng):
         for _ in range(30):
             n = rng.randint(2, 8)
@@ -232,3 +237,11 @@ class TestCoreEmpty:
             core_empty(many, "weak")
         with pytest.raises(InputError):
             core_empty(gen_example1().instance, "x")
+
+    def test_outcomes_check_input_at_call_time(self):
+        # the calls below never iterate, so only eager checks can raise
+        with pytest.raises(InputError):
+            core_outcomes(gen_example1().instance, "x")
+        many = Instance(Graph(21), tuple(frozenset({v}) for v in range(21)))
+        with pytest.raises(ResourceLimitError):
+            core_outcomes(many, "weak")

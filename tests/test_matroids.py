@@ -3,17 +3,17 @@ from itertools import combinations
 import pytest
 
 from ntumatch import (
+    Graph,
     InputError,
-    MatchingMatroid,
     PartitionQuota,
     matching_with_lower_bounds,
-    matroid_intersection_max,
     quota_feasible,
 )
 from ntumatch.exhaustive import all_matchings, coverable_sets_brute
 from ntumatch.matroids import _union_ranks
 
 from conftest import path_graph, random_graph
+from matroid_reference import MatchingMatroid, matroid_intersection_max
 
 
 def partition_indep(groups, quotas):
@@ -149,6 +149,54 @@ class TestLowerBounds:
                         )
                         is not None
                     )
+
+    def test_padded_solver_agrees_with_duality_and_intersection(self, rng):
+        cases = {"infeasible": 0, "zero quota": 0, "singleton": 0, "outside": 0}
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.choice([0.2, 0.35, 0.5]))
+            k = rng.randint(1, min(5, n))
+            # label -1 leaves a vertex outside every group
+            labels = [rng.randint(-1, k - 1) for _ in range(n)]
+            groups = tuple(
+                grp
+                for grp in (
+                    frozenset(v for v in range(n) if labels[v] == i)
+                    for i in range(k)
+                )
+                if grp
+            )
+            quotas = tuple(
+                rng.choice([0, rng.randint(0, len(grp)), len(grp)]) for grp in groups
+            )
+            pq = PartitionQuota(groups, quotas)
+            got = matching_with_lower_bounds(g, pq)
+            common = matroid_intersection_max(
+                partition_indep(groups, quotas),
+                MatchingMatroid(g).indep,
+                frozenset().union(*groups),
+            )
+            assert (got is not None) == quota_feasible(g, pq)
+            assert (got is not None) == (len(common) == sum(quotas))
+            cases["infeasible"] += got is None
+            cases["zero quota"] += 0 in quotas
+            cases["singleton"] += any(len(grp) == 1 for grp in groups)
+            cases["outside"] += -1 in labels
+            if got is not None:
+                got.validate_for(g)
+                assert max(got.covered, default=-1) < g.n
+                assert all(
+                    len(got.covered & grp) >= q for grp, q in zip(groups, quotas)
+                )
+        assert all(count >= 25 for count in cases.values()), cases
+
+    def test_out_of_range_group_vertex_rejected(self):
+        # unchecked, vertex 2 would alias the first group's padding vertex
+        # and the system would read as infeasible
+        g = Graph(2, [(0, 1)])
+        pq = PartitionQuota((frozenset({0, 1}), frozenset({2})), (1, 1))
+        with pytest.raises(InputError, match="vertex 2 out of range"):
+            matching_with_lower_bounds(g, pq)
 
     def test_union_ranks_against_brute_force(self, rng):
         for _ in range(40):
