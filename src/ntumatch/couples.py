@@ -121,9 +121,12 @@ class _Union:
     Built once per game (and once per restriction).  A query masks a
     shallow copy of the adjacency, replacing only the rows its deletions
     touch, and augments from the base matching without the deleted player
-    edges.  Deleting k player edges or vertices leaves at most 2k exposed
-    vertices, so a query runs at most 2k blossom searches, and it stops at
-    the first root that cannot be matched.
+    edges.  It may also add ``fresh`` new vertices, with ids ``len(adj)``,
+    ``len(adj) + 1``, ..., which start exposed and may be endpoints of
+    extra edges.  Deleting k player edges or vertices and adding f fresh
+    vertices leaves at most 2k + f exposed vertices, so a query runs at
+    most 2k + f blossom searches, and it stops at the first root that
+    cannot be matched.
     """
 
     __slots__ = ("cg", "adj", "base", "inside", "exposed")
@@ -164,10 +167,11 @@ class _Union:
     def has(self, v: int) -> bool:
         return self.inside is None or v in self.inside
 
-    def _mask(self, drop_players, drop_vertices, extra_edges):
-        adj = list(self.adj)
-        match = list(self.base)
-        exposed = set(self.exposed)
+    def _mask(self, drop_players, drop_vertices, extra_edges, fresh):
+        n = len(self.adj)
+        adj = [*self.adj, *[()] * fresh]
+        match = [*self.base, *[-1] * fresh]
+        exposed = {*self.exposed, *range(n, n + fresh)}
         real = self.cg.inst.graph.edge_set
         for p in drop_players:
             u, v = self.cg.pairs[p]
@@ -192,17 +196,18 @@ class _Union:
                 adj[w] = _without(adj[w], x)
             adj[x] = ()
         for a, b in extra_edges:
-            if not (self.has(a) and self.has(b)) or a in gone or b in gone:
-                raise InvariantError("extra edge endpoint outside the view")
+            for v in (a, b):
+                if not (0 <= v < n + fresh and (v >= n or self.has(v))) or v in gone:
+                    raise InvariantError("extra edge endpoint outside the view")
             if b not in adj[a]:
                 adj[a] = tuple(sorted((*adj[a], b)))
                 adj[b] = tuple(sorted((*adj[b], a)))
         return adj, match, sorted(exposed)
 
-    def augment(self, drop_players=(), drop_vertices=(), extra_edges=(), missing=0):
-        """Delete players' edges and vertices, add edges, and augment the
-        surviving player edges until at most ``missing`` vertices of the
-        view stay exposed.
+    def augment(self, drop_players=(), drop_vertices=(), extra_edges=(), missing=0, fresh=0):
+        """Delete players' edges and vertices, add ``fresh`` vertices and
+        the extra edges, and augment the surviving player edges until at
+        most ``missing`` vertices of the view stay exposed.
 
         Returns ``(match, base)`` as partner arrays (-1 for exposed) of the
         matching found and of the masked base matching, whose symmetric
@@ -211,7 +216,7 @@ class _Union:
         whose search fails stays exposed under every later augmentation,
         so each failure is final.
         """
-        adj, match, exposed = self._mask(drop_players, drop_vertices, extra_edges)
+        adj, match, exposed = self._mask(drop_players, drop_vertices, extra_edges, fresh)
         base = list(match)
         left = len(exposed)
         failed = 0
@@ -231,7 +236,7 @@ class _Union:
     def reach(self, root: int, drop_players=()) -> frozenset[int]:
         """Vertices even-reachable from the exposed ``root`` by alternating
         paths over the base matching without the given players' edges."""
-        adj, match, _ = self._mask(drop_players, (), ())
+        adj, match, _ = self._mask(drop_players, (), (), 0)
         if not self.has(root) or match[root] != -1:
             raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
         used, _ = _blossom_search(adj, match, root, augment=False)
@@ -342,13 +347,9 @@ def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
     after deleting that edge, the union graph keeps a perfect matching."""
     if not (0 <= p < cg.num_players):
         raise InputError(f"player {p} out of range")
-    cache = cg.caches.setdefault("cycle_free", {})
-    if p not in cache:
-        if p in cg.parallel_players:
-            cache[p] = True
-        else:
-            cache[p] = cg.union.augment(drop_players=(p,)) is not None
-    return cache[p]
+    if p in cg.parallel_players:
+        return True
+    return cg.union.augment(drop_players=(p,)) is not None
 
 
 def _pair_path_labeled(cg: CouplesGame, p: int, q: int, view: Optional[_Union] = None):
@@ -489,35 +490,42 @@ def weak_construct(cg: CouplesGame) -> Matching:
 
 
 def _cycle_free_set(cg: CouplesGame) -> frozenset[int]:
-    return frozenset(
-        p for p in range(cg.num_players) if not on_alternating_cycle(cg, p)
-    )
+    if "kset" not in cg.caches:
+        cg.caches["kset"] = frozenset(
+            p for p in range(cg.num_players) if not on_alternating_cycle(cg, p)
+        )
+    return cg.caches["kset"]
 
 
 def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     """Whether an alternating path ends at players ``a`` and ``c`` and
     traverses ``b``.
 
-    Tested by deleting the three player edges plus one tip vertex on each
-    side and asking for a perfect matching: because ``b`` is on no
-    alternating cycle, the exposed pieces can only splice into one path
-    through ``b``.
+    One kernel query: delete the three player edges, add a fresh vertex s
+    joined to both of ``a``'s vertices and a fresh t joined to both of
+    ``c``'s, and ask for a perfect matching.  s and t each take one tip,
+    and the rest is a perfect matching of the union without the three
+    player edges and those two tips; because ``b`` is on no alternating
+    cycle, the augmenting pieces can only splice into one path through
+    ``b``.
     """
     _require_cycle_free(cg, (a, b, c))
-    for x in cg.pairs[a]:
-        for y in cg.pairs[c]:
-            if cg.union.augment(drop_players=(a, b, c), drop_vertices=(x, y)) is not None:
-                return True
-    return False
+    s = len(cg.union.adj)
+    t = s + 1
+    tips = [(s, x) for x in cg.pairs[a]] + [(t, y) for y in cg.pairs[c]]
+    return cg.union.augment(drop_players=(a, b, c), extra_edges=tips, fresh=2) is not None
 
 
 def _require_cycle_free(cg: CouplesGame, players) -> None:
     if len(set(players)) != len(players):
         raise InputError("players must be distinct")
+    kset = _cycle_free_set(cg)
+    if kset.issuperset(players):
+        return
     for p in players:
         if not (0 <= p < cg.num_players):
             raise InputError(f"player {p} out of range")
-        if on_alternating_cycle(cg, p):
+        if p not in kset:
             raise InputError(f"player {p} lies on an alternating cycle")
 
 

@@ -31,6 +31,8 @@ from ntumatch.exhaustive import (
     oracle_delta_path,
 )
 
+from couples_reference import ordered_triple_by_tips
+
 
 def couples_instance(n, edges):
     players = tuple(frozenset({2 * i, 2 * i + 1}) for i in range(n // 2))
@@ -215,6 +217,45 @@ class TestOrderedTriplePath:
                     (a, c, b) in pathtrip
                 )
 
+    def test_one_query_agrees_with_tip_pairs_and_paths(self):
+        # every ordered triple of cycle-free players on 300 seeded sparse
+        # instances with at least three of them: the one-query test, the
+        # four-tip-pair reference and the path enumeration must agree
+        instances = triples = hits = 0
+        seed = 0
+        while instances < 300:
+            n = (6, 8, 10, 12, 14)[seed % 5]
+            inst = gen_random(n, 2, (1.0, 1.5, 2.0)[seed % 3] / n, seed=seed)
+            seed += 1
+            cg = normalize(inst)
+            kset = sorted(_cycle_free_set(cg))
+            if len(kset) < 3:
+                continue
+            pathtrip = alternating_triples_brute(cg)
+            for a, b, c in permutations(kset, 3):
+                got = ordered_triple_path_exists(cg, a, b, c)
+                assert got == ordered_triple_by_tips(cg, a, b, c), (seed, a, b, c)
+                assert got == ((a, c, b) in pathtrip), (seed, a, b, c)
+                triples += 1
+                hits += got
+            instances += 1
+        assert triples > 10000 and hits > 1000
+
+    def test_rejects_like_the_per_player_checks(self):
+        square = normalize(two_couples_square())  # both players on a cycle
+        chain = normalize(three_couples_chain())  # no player on a cycle
+        cases = [
+            (chain, (0, 1, 0), "players must be distinct"),
+            (chain, (0, 1, 3), "player 3 out of range"),
+            (chain, (-1, 1, 2), "player -1 out of range"),
+            (square, (0, 1, 2), "player 0 lies on an alternating cycle"),
+            (square, (3, 0, 1), "player 3 out of range"),
+        ]
+        for fn in (ordered_triple_path_exists, delta_path_exists):
+            for cg, players, message in cases:
+                with pytest.raises(InputError, match=message):
+                    fn(cg, *players)
+
 
 class TestDeltaPath:
     def test_explicit_instance(self):
@@ -387,9 +428,11 @@ class TestUnionKernel:
     maximum matching and alternating reach on an explicitly built graph."""
 
     @staticmethod
-    def explicit(cg, drop_players, drop_vertices, restrict, extra):
-        verts = set(range(cg.inst.graph.n)) if restrict is None else set(restrict)
+    def explicit(cg, drop_players, drop_vertices, restrict, extra, fresh=0):
+        nv = cg.inst.graph.n
+        verts = set(range(nv)) if restrict is None else set(restrict)
         verts -= set(drop_vertices)
+        verts |= set(range(nv, nv + fresh))
         edges = {e for e in cg.inst.graph.edges if verts.issuperset(e)}
         base = [
             pr
@@ -402,7 +445,10 @@ class TestUnionKernel:
         g = Graph(len(to_old), [(to_new[u], to_new[v]) for u, v in edges])
         return g, Matching((to_new[u], to_new[v]) for u, v in base), to_old
 
-    def test_random_queries_against_explicit_subgraph(self, rng):
+    def check_random_queries(self, rng, max_fresh):
+        """300 random queries with drops, restrictions, extra edges and up
+        to ``max_fresh`` fresh vertices; ``max_fresh`` 0 draws nothing for
+        fresh vertices."""
         checked = 0
         for _ in range(300):
             n = rng.choice([4, 5, 6, 8, 9, 10, 12, 13, 14])  # odd n pads a player
@@ -419,21 +465,28 @@ class TestUnionKernel:
             extra = []
             if len(alive) >= 2 and rng.random() < 0.5:
                 extra = [tuple(rng.sample(alive, 2)) for _ in range(rng.randint(1, 2))]
-            g, base, to_old = self.explicit(cg, drop_players, drop_vertices, restrict, extra)
+            fresh = rng.randint(1, max_fresh) if max_fresh else 0
+            for s in range(nv, nv + fresh):
+                extra += [(s, v) for v in rng.sample(alive, min(len(alive), rng.randint(0, 3)))]
+            if fresh == 2 and rng.random() < 0.3:
+                extra.append((nv + 1, nv))
+            g, base, to_old = self.explicit(cg, drop_players, drop_vertices, restrict, extra, fresh)
             for missing in (0, 2):
-                found = view.augment(drop_players, drop_vertices, extra, missing=missing)
+                found = view.augment(drop_players, drop_vertices, extra, missing=missing, fresh=fresh)
                 best = max_matching(g)
                 assert (found is not None) == (g.n - 2 * best.size <= missing)
                 if missing == 0:
                     assert (found is not None) == perfect_matching_exists(g)[0]
                 if found is not None:
-                    match, _ = found
+                    match, masked = found
+                    assert len(match) == len(masked) == nv + fresh
+                    assert all(masked[s] == -1 for s in range(nv, nv + fresh))
                     got = Matching((to_old[u], match[to_old[u]]) for u in range(g.n) if match[to_old[u]] != -1)
                     assert got.covered <= set(to_old)
                     assert len(to_old) - len(got.covered) <= missing
                     for u, v in got.edges:
                         assert g.has_edge(to_old.index(u), to_old.index(v))
-            if not extra and not drop_vertices:
+            if not extra and not drop_vertices and not fresh:
                 exposed = [v for v in range(g.n) if v not in base.covered]
                 if exposed:
                     root = rng.choice(exposed)
@@ -443,6 +496,22 @@ class TestUnionKernel:
             checked += 1
         assert checked == 300
 
+    def test_random_queries_against_explicit_subgraph(self, rng):
+        self.check_random_queries(rng, 0)
+
+    def test_fresh_vertices_against_explicit_subgraph(self, rng):
+        self.check_random_queries(rng, 2)
+
+    def test_fresh_vertex_past_the_count_is_a_fault(self):
+        cg = normalize(three_couples_chain())
+        for v in (6, 7, -1):
+            with pytest.raises(InvariantError):
+                cg.union.augment(extra_edges=((v, 0),), fresh=1 if v == 7 else 0)
+        restricted = cg.union.restrict({0, 1, 2, 3})
+        with pytest.raises(InvariantError):
+            restricted.augment(extra_edges=((6, 4),), fresh=1)
+        assert restricted.augment(drop_players=(0,), extra_edges=((6, 0), (6, 1)), fresh=1, missing=1)
+
     def test_extra_edge_outside_view_is_a_fault(self):
         cg = normalize(three_couples_chain())
         with pytest.raises(InvariantError):
@@ -450,8 +519,9 @@ class TestUnionKernel:
 
 
 class TestStructureGolden:
-    """Structures of two sparse instances beyond the oracle's reach,
-    recorded with the engine that rebuilt a graph per query."""
+    """Structures of sparse instances beyond the oracle's reach: n=40 and
+    n=64 recorded with the engine that rebuilt a graph per query, n=120
+    with the engine that tried each ordered triple's four tip pairs."""
 
     CASES = {
         (40, 1): dict(
@@ -469,6 +539,27 @@ class TestStructureGolden:
             pair_transitive={2, 14, 16, 17, 18, 26, 29},
             pair_edges=set(),
             cliques=[{2}, {14}, {16}, {17}, {18}, {26}, {29}],
+        ),
+        (120, 3): dict(
+            cycle_free={
+                0, 1, 7, 8, 9, 11, 12, 13, 17, 18, 19, 21, 23, 24, 26, 27, 28,
+                30, 34, 36, 38, 39, 40, 42, 43, 44, 45, 46, 47, 52, 54, 55, 56,
+            },
+            path_isolated={34},
+            delta_closed={
+                0, 7, 8, 9, 11, 17, 18, 19, 21, 24, 26, 27, 28, 30, 34, 36, 39,
+                40, 42, 43, 44, 47, 55, 56,
+            },
+            pair_transitive={
+                0, 7, 8, 9, 11, 17, 18, 19, 21, 24, 26, 27, 28, 30, 34, 36, 39,
+                40, 42, 43, 44, 47, 55, 56,
+            },
+            pair_edges=set(),
+            cliques=[
+                {0}, {7}, {8}, {9}, {11}, {17}, {18}, {19}, {21}, {24}, {26},
+                {27}, {28}, {30}, {34}, {36}, {39}, {40}, {42}, {43}, {44},
+                {47}, {55}, {56},
+            ],
         ),
     }
 
