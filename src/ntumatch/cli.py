@@ -243,6 +243,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("cap", "budget"):  # work caps: a usage error, not a verdict
+            value = getattr(args, flag, 1)
+            if value < 1:
+                parser.error(f"argument --{flag}: must be at least 1, got {value}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -4,7 +4,11 @@ Each player's vertex pair acts as an artificial *player edge*; the player
 edges together form a perfect matching that real edges alternate with.
 Membership tests, the always-successful weak-core construction, and the
 strong-core existence machinery all reduce to perfect-matching and
-alternating-reachability queries on graphs derived from that union.
+alternating-reachability queries on the union of real and player edges,
+and one kernel, :class:`_Union`, answers every one of them.  One
+extractor, :func:`_structure`, turns a kernel answer into the blocking
+cycle or path a certificate needs, and the Gallai–Edmonds contexts of the
+composite-structure test come from the kernel's reach sets.
 
 A real edge parallel to a player edge forms a two-edge alternating cycle
 through that player; it is the only place the parallelism matters, and it
@@ -16,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 from .errors import InputError, InvariantError
 from .games import BlockCertificate, Instance, MembershipResult, utility
-from .graphs import Graph, Matching, _blossom_search, gallai_edmonds, max_matching
+from .graphs import Graph, Matching, _blossom_search, _cut_and_components, max_matching
 from .matroids import PartitionQuota, matching_with_lower_bounds
 
 
@@ -31,14 +35,21 @@ class CouplesGame:
 
     ``inst`` is the (possibly padded) instance; ``original`` the input it
     came from.  Padding adds one isolated vertex to each size-1 player, so
-    matchings and verdicts transfer back unchanged.
+    matchings and verdicts transfer back unchanged.  ``delta_contexts``
+    and ``delta_memo`` keep the composite-structure test's per-player
+    contexts and per-triple answers.
     """
 
     inst: Instance
     original: Instance
     pairs: tuple[tuple[int, int], ...]
     padded_vertices: frozenset[int]
-    caches: dict = field(default_factory=dict)
+    delta_contexts: dict[int, _DeltaContext] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    delta_memo: dict[tuple[int, int, int], bool] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @cached_property
     def player_of(self) -> dict[int, int]:
@@ -61,6 +72,17 @@ class CouplesGame:
     @cached_property
     def union(self) -> "_Union":
         return _Union.of_game(self)
+
+    @cached_property
+    def cycle_free(self) -> frozenset[int]:
+        """Players whose edge lies on no alternating cycle."""
+        return frozenset(
+            p for p in range(self.num_players) if not on_alternating_cycle(self, p)
+        )
+
+    @cached_property
+    def structure(self) -> "StrongCoreStructure":
+        return _build_structure(self)
 
     @property
     def num_players(self) -> int:
@@ -244,102 +266,89 @@ class _Union:
 
 
 # ---------------------------------------------------------------------------
-# symmetric-difference structures
+# blocking structures
 
 
-def _labeled_delta(found, base):
-    """Edges of the symmetric difference of two partner arrays, labeled
-    'e' (found side: real edges) or 'p' (base side: player edges)."""
-    out = []
-    for x, (y, z) in enumerate(zip(found, base)):
-        if y == z:
+def _structure(cg: CouplesGame, players: tuple[int, ...], view: _Union, missing: int):
+    """The blocking structure a kernel answer carries, as labeled edges
+    ('e' for real edges, 'p' for player edges), or None.
+
+    Deletes the players' edges and augments until at most ``missing``
+    vertices of the view stay exposed.  The augmenting paths start at the
+    vertices the masked base matching leaves exposed (the view's own and
+    the deleted player edges' ends), so walking from each of them finds
+    every piece; cycles of the difference never touch such a vertex.  With the deleted player edges added back, one player
+    must give one alternating cycle and two or three players one
+    alternating path; anything else is a fault.  For two or three players
+    this holds only when none of their edges lies on an alternating cycle
+    in the view; callers establish that first.
+    """
+    found = view.augment(drop_players=players, missing=missing)
+    if found is None:
+        return None
+    match, base = found
+    labeled = [(*cg.pairs[p], "p") for p in players]
+    walked: set[int] = set()
+    for start in sorted({*view.exposed, *(x for p in players for x in cg.pairs[p])}):
+        if match[start] == -1 or start in walked:
             continue
-        if y > x:
-            out.append((x, y, "e"))
-        if z > x:
-            out.append((x, z, "p"))
-    return out
-
-
-def _delta_components(labeled):
-    """Split labeled difference edges into path/cycle components."""
-    adj: dict[int, list[tuple[int, str]]] = {}
-    for u, v, lab in labeled:
-        adj.setdefault(u, []).append((v, lab))
-        adj.setdefault(v, []).append((u, lab))
-    used: set[tuple[int, int]] = set()
-
-    def key(x: int, y: int) -> tuple[int, int]:
-        return (x, y) if x < y else (y, x)
-
-    def walk(start: int):
-        seq_edges = []
-        cur = start
+        x = start
         while True:
-            nxt = None
-            for w, lab in sorted(adj[cur]):
-                if key(cur, w) not in used:
-                    nxt = (w, lab)
-                    break
-            if nxt is None:
-                return seq_edges, cur
-            w, lab = nxt
-            used.add(key(cur, w))
-            seq_edges.append((cur, w, lab))
-            cur = w
+            y = match[x]
+            labeled.append((x, y, "e"))
+            x = base[y]
+            if x == -1:
+                break
+            labeled.append((y, x, "p"))
+        walked.add(y)
+    nbrs: dict[int, list[int]] = {}
+    for x, y, _ in labeled:
+        nbrs.setdefault(x, []).append(y)
+        nbrs.setdefault(y, []).append(x)
+    reached = {labeled[0][0]}
+    stack = [labeled[0][0]]
+    while stack:
+        for y in nbrs[stack.pop()]:
+            if y not in reached:
+                reached.add(y)
+                stack.append(y)
+    ends = 0 if len(players) == 1 else 2
+    degrees = sorted(len(ys) for ys in nbrs.values())
+    if len(reached) != len(nbrs) or degrees != [1] * ends + [2] * (len(nbrs) - ends):
+        raise InvariantError("blocking structure is not one alternating cycle or path")
+    return labeled
 
-    comps = []
-    for s in sorted(v for v in adj if len(adj[v]) == 1):
-        if all(key(s, w) in used for w, _ in adj[s]):
-            continue
-        edges_seq, end = walk(s)
-        comps.append({"edges": edges_seq, "cycle": False, "ends": (s, end)})
-    for s in sorted(adj):
-        if all(key(s, w) in used for w, _ in adj[s]):
-            continue
-        edges_seq, end = walk(s)
-        comps.append({"edges": edges_seq, "cycle": end == s, "ends": (s, end)})
-    return comps
 
-
-def _certificate(cg: CouplesGame, labeled, kind: str, challenged: tuple[int, ...]) -> BlockCertificate:
-    """Turn an alternating blocking structure into a validated certificate."""
+def _verdict(
+    cg: CouplesGame, structures, kind: str, challenged: tuple[int, ...]
+) -> MembershipResult:
+    """In the core unless one of the lazily found structures blocks; the
+    first blocking one becomes a validated certificate."""
+    labeled = next((found for found in structures if found is not None), None)
+    if labeled is None:
+        return MembershipResult(True, None)
     players = sorted(
         {cg.player_of[u] for u, v, lab in labeled if lab == "p"}
     )
     witness = Matching((u, v) for u, v, lab in labeled if lab == "e")
     cert = BlockCertificate(tuple(players), witness, kind)
     cert.validate(cg.inst, challenged)
-    return cert
+    return MembershipResult(False, cert)
 
 
 # ---------------------------------------------------------------------------
 # alternating cycles
 
 
-def _cycle_labeled_edges(cg: CouplesGame, p: int, view: Optional[_Union] = None):
+def _cycle_labeled_edges(cg: CouplesGame, p: int, view: _Union):
     """The labeled edges of one alternating cycle through player ``p``'s
-    edge within the view (default: the whole union), or None."""
-    view = cg.union if view is None else view
+    edge within the view, or None."""
     u, v = cg.pairs[p]
     if (u, v) in cg.inst.graph.edge_set:
         if view.has(u) and view.has(v):
             return [(u, v, "e"), (u, v, "p")]
         return None
-    found = view.augment(drop_players=(p,))
-    if found is None:
-        return None
-    comps = _delta_components(_labeled_delta(*found))
-    target = None
-    for comp in comps:
-        if any(u in e[:2] for e in comp["edges"]):
-            target = comp
-            break
-    if target is None or target["cycle"]:
-        raise InvariantError("cycle extraction failed")
-    if set(target["ends"]) != {u, v}:
-        raise InvariantError("cycle path does not connect the player's vertices")
-    return [*target["edges"], (u, v, "p")]
+    return _structure(cg, (p,), view, 0)
 
 
 def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
@@ -350,29 +359,6 @@ def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
     if p in cg.parallel_players:
         return True
     return cg.union.augment(drop_players=(p,)) is not None
-
-
-def _pair_path_labeled(cg: CouplesGame, p: int, q: int, view: Optional[_Union] = None):
-    """One alternating path whose end player edges are ``p`` and ``q``
-    (full edges included), as labeled edges, or None.
-
-    Valid only when neither player edge lies on an alternating cycle in the
-    same view; callers establish that first.
-    """
-    view = cg.union if view is None else view
-    found = view.augment(drop_players=(p, q), missing=2)
-    if found is None:
-        return None
-    comps = _delta_components(_labeled_delta(*found))
-    pset, qset = set(cg.pairs[p]), set(cg.pairs[q])
-    paths = [c for c in comps if not c["cycle"] and set(c["ends"]) <= pset | qset]
-    if len(paths) != 1:
-        raise InvariantError("expected exactly one augmenting path between the pair")
-    comp = paths[0]
-    ends = set(comp["ends"])
-    if not (len(ends & pset) == 1 and len(ends & qset) == 1):
-        raise InvariantError("path endpoints do not split across the two players")
-    return [*comp["edges"], (*cg.pairs[p], "p"), (*cg.pairs[q], "p")]
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +373,12 @@ def weak_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
     u = utility(cg.inst, m)
     low = [i for i, ui in enumerate(u) if ui <= 1]
     view = cg.union.restrict(x for i in low for x in cg.pairs[i])
-    for i in low:
-        labeled = _cycle_labeled_edges(cg, i, view)
-        if labeled is not None:
-            return MembershipResult(False, _certificate(cg, labeled, "strong", u))
     zero = [i for i in low if u[i] == 0]
-    for i, j in combinations(zero, 2):
-        labeled = _pair_path_labeled(cg, i, j, view)
-        if labeled is not None:
-            return MembershipResult(False, _certificate(cg, labeled, "strong", u))
-    return MembershipResult(True, None)
+    structures = chain(
+        (_cycle_labeled_edges(cg, i, view) for i in low),
+        (_structure(cg, pair, view, 2) for pair in combinations(zero, 2)),
+    )
+    return _verdict(cg, structures, "strong", u)
 
 
 def strong_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
@@ -410,50 +392,17 @@ def strong_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
     m.validate_for(cg.inst.graph)
     u = utility(cg.inst, m)
     low = [i for i, ui in enumerate(u) if ui <= 1]
-    for i in low:
-        labeled = _cycle_labeled_edges(cg, i)
-        if labeled is not None:
-            return MembershipResult(False, _certificate(cg, labeled, "weak", u))
-    for i, j in combinations(low, 2):
-        if min(u[i], u[j]) != 0:
-            continue
-        labeled = _pair_path_labeled(cg, i, j)
-        if labeled is not None:
-            return MembershipResult(False, _certificate(cg, labeled, "weak", u))
     ones = [i for i in low if u[i] == 1]
-    for i, j, k in combinations(ones, 3):
-        labeled = _triple_path_labeled(cg, i, j, k)
-        if labeled is not None:
-            return MembershipResult(False, _certificate(cg, labeled, "weak", u))
-    return MembershipResult(True, None)
-
-
-def _triple_path_labeled(cg: CouplesGame, p: int, q: int, r: int):
-    """One alternating path through all three player edges, or None.
-
-    Deleting the three edges must leave a matching exposing exactly two
-    vertices; with no alternating cycles through the three players, the
-    difference with the surviving player edges consists of exactly two
-    augmenting pieces that splice with the deleted edges into one path.
-    """
-    found = cg.union.augment(drop_players=(p, q, r), missing=2)
-    if found is None:
-        return None
-    comps = _delta_components(_labeled_delta(*found))
-    special = {x for pl in (p, q, r) for x in cg.pairs[pl]}
-    paths = [c for c in comps if not c["cycle"] and set(c["ends"]) <= special]
-    if len(paths) != 2:
-        raise InvariantError("expected exactly two augmenting pieces for a triple")
-    labeled = [e for c in paths for e in c["edges"]]
-    for pl in (p, q, r):
-        labeled.append((*cg.pairs[pl], "p"))
-    degree: dict[int, int] = {}
-    for a, b, _ in labeled:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    if sum(1 for d in degree.values() if d == 1) != 2:
-        raise InvariantError("triple splice did not form a single path")
-    return labeled
+    structures = chain(
+        (_cycle_labeled_edges(cg, i, cg.union) for i in low),
+        (
+            _structure(cg, (i, j), cg.union, 2)
+            for i, j in combinations(low, 2)
+            if min(u[i], u[j]) == 0
+        ),
+        (_structure(cg, triple, cg.union, 2) for triple in combinations(ones, 3)),
+    )
+    return _verdict(cg, structures, "weak", u)
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +438,6 @@ def weak_construct(cg: CouplesGame) -> Matching:
 # strong-core existence machinery
 
 
-def _cycle_free_set(cg: CouplesGame) -> frozenset[int]:
-    if "kset" not in cg.caches:
-        cg.caches["kset"] = frozenset(
-            p for p in range(cg.num_players) if not on_alternating_cycle(cg, p)
-        )
-    return cg.caches["kset"]
-
-
 def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     """Whether an alternating path ends at players ``a`` and ``c`` and
     traverses ``b``.
@@ -519,7 +460,7 @@ def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
 def _require_cycle_free(cg: CouplesGame, players) -> None:
     if len(set(players)) != len(players):
         raise InputError("players must be distinct")
-    kset = _cycle_free_set(cg)
+    kset = cg.cycle_free
     if kset.issuperset(players):
         return
     for p in players:
@@ -529,65 +470,64 @@ def _require_cycle_free(cg: CouplesGame, players) -> None:
             raise InputError(f"player {p} lies on an alternating cycle")
 
 
-def _delta_context(cg: CouplesGame, a_pl: int) -> dict:
-    """Per-player context for the composite-structure tests: the union
-    graph without ``a_pl``'s edge, its decomposition, the entry edge of
-    each odd component, and lazy reach sets from the freed vertices."""
-    ctx_cache = cg.caches.setdefault("delta_ctx", {})
-    if a_pl in ctx_cache:
-        return ctx_cache[a_pl]
-    g0 = Graph(
-        cg.inst.graph.n,
-        [*cg.inst.graph.edges, *(pr for i, pr in enumerate(cg.pairs) if i != a_pl)],
-    )
-    ge = gallai_edmonds(g0)
-    if len(ge.odd_components) - len(ge.cut_set) != 2:
+@dataclass(frozen=True)
+class _DeltaContext:
+    """The union without one cycle-free player's edge, by its
+    Gallai–Edmonds structure: the odd components and the one each of
+    their vertices lies in, the entry edge (cut vertex, its partner) of
+    every side component, and the reach sets of the player's two freed
+    vertices, whose union is the deficient part."""
+
+    comps: tuple[frozenset[int], ...]
+    comp_of: dict[int, int]
+    entry: dict[int, tuple[int, int]]
+    reach: dict[int, frozenset[int]]
+
+
+def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
+    """Per-player context for the composite-structure tests.
+
+    ``a_pl`` is on no alternating cycle, so the other player edges are a
+    maximum matching of the union without its edge that exposes only its
+    two vertices, and the deficient part is what those two reach.
+    """
+    ctx = cg.delta_contexts.get(a_pl)
+    if ctx is not None:
+        return ctx
+    au, av = cg.pairs[a_pl]
+    reach = {x: cg.union.reach(x, drop_players=(a_pl,)) for x in (au, av)}
+    adj, _, _ = cg.union._mask((a_pl,), (), (), 0)
+    cut, comps = _cut_and_components(adj, reach[au] | reach[av])
+    if len(comps) - len(cut) != 2:
         raise InvariantError("deleting a cycle-free player edge must leave deficiency 2")
     comp_of: dict[int, int] = {}
-    for j, comp in enumerate(ge.odd_components):
+    for j, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = j
-    au, av = cg.pairs[a_pl]
-    ca, cb = comp_of.get(au), comp_of.get(av)
-    if ca is None or cb is None or ca == cb:
+    ca, cb = comp_of[au], comp_of[av]
+    if ca == cb:
         raise InvariantError("freed vertices must land in distinct odd components")
     entry: dict[int, tuple[int, int]] = {}
-    for s in sorted(ge.cut_set):
+    for s in sorted(cut):
         t = cg.partner[s]
         j = comp_of.get(t)
         if j is None or j in (ca, cb) or j in entry:
             raise InvariantError("entry edges must pair cut vertices with distinct components")
         entry[j] = (s, t)
-    if set(entry) != set(range(len(ge.odd_components))) - {ca, cb}:
+    if set(entry) != set(range(len(comps))) - {ca, cb}:
         raise InvariantError("every side component must have exactly one entry edge")
-    ctx = {
-        "player": a_pl,
-        "comp_of": comp_of,
-        "comps": ge.odd_components,
-        "entry": entry,
-        "free_comp": {au: ca, av: cb},
-        "reach": {},
-    }
-    ctx_cache[a_pl] = ctx
+    ctx = cg.delta_contexts[a_pl] = _DeltaContext(comps, comp_of, entry, reach)
     return ctx
 
 
-def _ctx_reach(cg: CouplesGame, ctx: dict, root: int) -> frozenset[int]:
-    if root not in ctx["reach"]:
-        ctx["reach"][root] = cg.union.reach(root, drop_players=(ctx["player"],))
-    return ctx["reach"][root]
-
-
-def _position(cg: CouplesGame, ctx: dict, pl: int):
+def _component(cg: CouplesGame, ctx: _DeltaContext, pl: int) -> Optional[int]:
+    """The odd component that holds player ``pl``'s edge or is entered by
+    it, or None."""
     u, v = cg.pairs[pl]
-    cu = ctx["comp_of"].get(u)
-    cv = ctx["comp_of"].get(v)
-    if cu is not None and cu == cv:
-        return ("inside", cu)
     for s, t in ((u, v), (v, u)):
-        j = ctx["comp_of"].get(t)
-        if j is not None and ctx["entry"].get(j) == (s, t):
-            return ("entry", j)
+        j = ctx.comp_of.get(t)
+        if j is not None and (ctx.comp_of.get(s) == j or ctx.entry.get(j) == (s, t)):
+            return j
     return None
 
 
@@ -601,38 +541,30 @@ def delta_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     ``b`` are exchangeable.
     """
     _require_cycle_free(cg, (a, b, c))
-    memo = cg.caches.setdefault("delta_memo", {})
     key = (a, b, c)
-    if key in memo:
-        return memo[key]
-    result = _delta_path_decide(cg, a, b, c)
-    memo[key] = result
-    return result
+    if key not in cg.delta_memo:
+        cg.delta_memo[key] = _delta_path_decide(cg, a, b, c)
+    return cg.delta_memo[key]
 
 
 def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     ctx = _delta_context(cg, a)
-    pos_b = _position(cg, ctx, b)
-    pos_c = _position(cg, ctx, c)
-    if pos_b is None or pos_c is None:
-        return False
-    i = pos_b[1]
-    j = pos_c[1]
-    if i == j:
+    i = _component(cg, ctx, b)
+    j = _component(cg, ctx, c)
+    if i is None or j is None or i == j:
         return False
     au, av = cg.pairs[a]
-    free_comps = {ctx["free_comp"][au], ctx["free_comp"][av]}
+    free_comps = {ctx.comp_of[au], ctx.comp_of[av]}
     if j in free_comps:
         return False
-    sj, sj_in = ctx["entry"][j]
+    sj, sj_in = ctx.entry[j]
     sj_pl = cg.player_of[sj]
     if i in free_comps:
         # the cycle closes inside the component freed by one of a's
         # vertices; the path to c leaves from the other vertex
-        a_near = au if ctx["free_comp"][au] == i else av
+        a_near = au if ctx.comp_of[au] == i else av
         a_far = av if a_near == au else au
-        cu, cv = cg.pairs[c]
-        if not ({cu, cv} & _ctx_reach(cg, ctx, a_far)):
+        if ctx.reach[a_far].isdisjoint(cg.pairs[c]):
             return False
         return cg.union.augment(
             drop_players=(a, b, sj_pl),
@@ -642,7 +574,7 @@ def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     # both b and c sit in side components: need two disjoint alternating
     # paths from a's vertices to the two entries, a through-path across
     # b's component, and a tail inside c's component
-    si, si_in = ctx["entry"][i]
+    si, si_in = ctx.entry[i]
     si_pl = cg.player_of[si]
     if cg.union.augment(
         drop_players=(a, si_pl, sj_pl),
@@ -661,7 +593,7 @@ def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
         return False
     if c == sj_pl:
         return True
-    tail = cg.union.restrict(ctx["comps"][j]).reach(sj_in)
+    tail = cg.union.restrict(ctx.comps[j]).reach(sj_in)
     return not tail.isdisjoint(cg.pairs[c])
 
 
@@ -686,15 +618,21 @@ class StrongCoreStructure:
 
 
 def strong_core_structure(cg: CouplesGame) -> StrongCoreStructure:
-    """Compute the player sets the strong-core characterization needs."""
-    cache = cg.caches.get("structure")
-    if cache is not None:
-        return cache
-    kset = _cycle_free_set(cg)
+    """The player sets the strong-core characterization needs, computed
+    once per game."""
+    return cg.structure
+
+
+def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
+    kset = cg.cycle_free
     korder = sorted(kset)
+    # two cycle-free players are joined by an alternating path iff the
+    # union without their edges leaves at most two vertices exposed
     path_between: dict[frozenset[int], bool] = {}
     for p, q in combinations(korder, 2):
-        path_between[frozenset((p, q))] = _pair_path_labeled(cg, p, q) is not None
+        path_between[frozenset((p, q))] = (
+            cg.union.augment(drop_players=(p, q), missing=2) is not None
+        )
     isolated = frozenset(
         p
         for p in korder
@@ -763,7 +701,7 @@ def strong_core_structure(cg: CouplesGame) -> StrongCoreStructure:
                 )
         cliques.append(frozenset(comp))
     cliques.sort(key=min)
-    structure = StrongCoreStructure(
+    return StrongCoreStructure(
         cycle_free=kset,
         path_isolated=isolated,
         delta_closed=frozenset(closed),
@@ -771,8 +709,6 @@ def strong_core_structure(cg: CouplesGame) -> StrongCoreStructure:
         pair_edges=star_edges,
         cliques=tuple(cliques),
     )
-    cg.caches["structure"] = structure
-    return structure
 
 
 def strong_core_quotas(cg: CouplesGame) -> PartitionQuota:

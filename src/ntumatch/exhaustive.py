@@ -395,8 +395,6 @@ def delta_triples_brute(cg, cap: int = 4_000_000) -> set[tuple[frozenset, int]]:
 
 
 def oracle_delta_path(cg, a: int, b: int, c: int) -> bool:
-    """Definitional test used only in validation; cached per game."""
-    cache = cg.caches.setdefault("delta_brute", {})
-    if "triples" not in cache:
-        cache["triples"] = delta_triples_brute(cg)
-    return (frozenset((a, b)), c) in cache["triples"]
+    """Definitional test used only in validation; enumerates the game's
+    structures afresh on every call."""
+    return (frozenset((a, b)), c) in delta_triples_brute(cg)

@@ -142,6 +142,10 @@ def find_block_for_coalition(
     """
     if kind not in ("strong", "weak"):
         raise InputError("kind must be 'strong' or 'weak'")
+    if len(u) != inst.num_players or not all(
+        0 <= ui <= len(p) for ui, p in zip(u, inst.players)
+    ):
+        raise InputError("u must give every player a utility between 0 and its size")
     coalition = tuple(sorted(set(coalition)))
     if not coalition:
         raise InputError("coalition must be non-empty")

@@ -355,9 +355,22 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
         if match[root] == -1:
             used, _ = _blossom_search(g.adj, match, root, augment=False)
             exposable.update(i for i in range(g.n) if used[i])
-    cut = {u for v in exposable for u in g.adj[v]} - exposable
-    even = frozenset(range(g.n)) - exposable - cut
-    # connected components of the subgraph induced by the exposable part
+    cut, comps = _cut_and_components(g.adj, exposable)
+    if len(comps) - len(cut) != g.n - 2 * m.size:
+        raise InvariantError("deficiency identity violated")
+    return GallaiEdmonds(
+        cut_set=cut,
+        even_part=frozenset(range(g.n)) - exposable - cut,
+        odd_components=comps,
+        witness=m,
+    )
+
+
+def _cut_and_components(adj, exposable) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
+    """The cut set (outside neighbourhood) of the deficient part
+    ``exposable`` of a graph given by adjacency rows, and the odd
+    components the part induces, ordered by least vertex."""
+    cut = frozenset(u for v in exposable for u in adj[v] if u not in exposable)
     comps: list[frozenset[int]] = []
     seen: set[int] = set()
     for v in sorted(exposable):
@@ -367,24 +380,15 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
         stack = [v]
         while stack:
             x = stack.pop()
-            for y in g.adj[x]:
+            for y in adj[x]:
                 if y in exposable and y not in comp:
                     comp.add(y)
                     stack.append(y)
         seen |= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    for comp in comps:
         if len(comp) % 2 == 0:
             raise InvariantError("even-sized component in the deficient part")
-    if len(comps) - len(cut) != g.n - 2 * m.size:
-        raise InvariantError("deficiency identity violated")
-    return GallaiEdmonds(
-        cut_set=frozenset(cut),
-        even_part=even,
-        odd_components=tuple(comps),
-        witness=m,
-    )
+        comps.append(frozenset(comp))
+    return cut, tuple(comps)
 
 
 @lru_cache(maxsize=512)

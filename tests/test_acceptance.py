@@ -30,7 +30,7 @@ from ntumatch import (
 )
 from ntumatch.cli import main
 from ntumatch.constant_players import core_empty, core_outcomes
-from ntumatch.couples import _cycle_free_set, strong_core_quotas
+from ntumatch.couples import strong_core_quotas
 from ntumatch.exhaustive import (
     all_matchings,
     coverable_sets_brute,
@@ -175,7 +175,7 @@ def test_criterion_4_delta_path_correctness(capsys):
         p = probs[seed % len(probs)]
         inst = gen_random(n, 2, p, seed=20_000 + seed)
         cg = normalize(inst)
-        kset = sorted(_cycle_free_set(cg))
+        kset = sorted(cg.cycle_free)
         if len(kset) < 3:
             continue
         brute = delta_triples_brute(cg)

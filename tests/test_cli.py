@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ntumatch.cli
 from ntumatch import InputError, InvariantError, Matching, couples, gen_random
 from ntumatch.cli import main
 from ntumatch.games import BlockCertificate
@@ -225,6 +226,29 @@ class TestCli:
     def test_usage_error(self, capsys):
         assert main(["verify", "--core", "weak"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("flag,method", [("--cap", "oracle"), ("--budget", "const")])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_work_cap_below_one_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, flag, method, value
+    ):
+        inst = tmp_path / "inst.json"
+        mat = tmp_path / "m.json"
+        main(["gen", "example1", "--out", str(inst), "--matching-out", str(mat)])
+        capsys.readouterr()
+
+        def unread(text):
+            raise AssertionError("instance read before the arguments were checked")
+
+        monkeypatch.setattr(ntumatch.cli.serialize, "instance_from_json", unread)
+        argv = [command, "--core", "weak", "--instance", str(inst), "--method", method, flag, value]
+        if command == "verify":
+            argv += ["--matching", str(mat)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least 1, got {int(value)}" in captured.err
 
     def test_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

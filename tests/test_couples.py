@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import permutations
 
 import pytest
@@ -23,15 +25,16 @@ from ntumatch import (
     weak_construct,
     weak_membership,
 )
-from ntumatch.couples import _cycle_free_set, strong_core_quotas
+from ntumatch.couples import _delta_context, strong_core_quotas
 from ntumatch.exhaustive import (
     alternating_triples_brute,
     all_matchings,
     oracle_core,
     oracle_delta_path,
 )
+from ntumatch.serialize import certificate_to_json, matching_to_json
 
-from couples_reference import ordered_triple_by_tips
+from couples_reference import delta_context_by_graph, ordered_triple_by_tips
 
 
 def couples_instance(n, edges):
@@ -208,7 +211,7 @@ class TestOrderedTriplePath:
             n = rng.choice([6, 8, 10, 12])
             inst = gen_random(n, 2, rng.choice([0.12, 0.25]), seed=rng.randint(0, 10**6))
             cg = normalize(inst)
-            kset = sorted(_cycle_free_set(cg))
+            kset = sorted(cg.cycle_free)
             if len(kset) < 3:
                 continue
             pathtrip = alternating_triples_brute(cg)
@@ -228,7 +231,7 @@ class TestOrderedTriplePath:
             inst = gen_random(n, 2, (1.0, 1.5, 2.0)[seed % 3] / n, seed=seed)
             seed += 1
             cg = normalize(inst)
-            kset = sorted(_cycle_free_set(cg))
+            kset = sorted(cg.cycle_free)
             if len(kset) < 3:
                 continue
             pathtrip = alternating_triples_brute(cg)
@@ -275,13 +278,35 @@ class TestDeltaPath:
             n = rng.choice([6, 8, 10, 12])
             inst = gen_random(n, 2, rng.choice([0.1, 0.2, 0.35]), seed=rng.randint(0, 10**6))
             cg = normalize(inst)
-            kset = sorted(_cycle_free_set(cg))
+            kset = sorted(cg.cycle_free)
             if len(kset) < 3:
                 continue
             for a, b, c in permutations(kset, 3):
                 got = delta_path_exists(cg, a, b, c)
                 assert got == oracle_delta_path(cg, a, b, c)
                 assert got == delta_path_exists(cg, b, a, c)
+
+
+class TestDeltaContext:
+    def test_kernel_context_matches_explicit_decomposition(self):
+        # every cycle-free player of 600 seeded sparse instances, n 6-30:
+        # the context read off the kernel's reach sets has the odd
+        # components and cut set of the explicitly built graph
+        contexts = 0
+        for seed in range(600):
+            n = 6 + seed % 25
+            cg = normalize(gen_random(n, 2, (1.0, 1.5, 2.0)[seed % 3] / n, seed=seed))
+            for a in sorted(cg.cycle_free):
+                ctx = _delta_context(cg, a)
+                comps, cut = delta_context_by_graph(cg, a)
+                assert ctx.comps == comps, (seed, a)
+                assert {s for s, _ in ctx.entry.values()} == cut, (seed, a)
+                au, av = cg.pairs[a]
+                assert ctx.reach[au] | ctx.reach[av] == frozenset().union(*comps), (seed, a)
+                for x in (au, av):
+                    assert ctx.reach[x] == cg.union.reach(x, drop_players=(a,)), (seed, a)
+                contexts += 1
+        assert contexts > 2500
 
 
 class TestStrongCoreStructure:
@@ -352,7 +377,7 @@ class TestParallelPlayerEdges:
                 Graph(n, set(base.graph.edges) | {extra}), base.players
             )
             cg = normalize(inst)
-            kset = sorted(_cycle_free_set(cg))
+            kset = sorted(cg.cycle_free)
             if len(kset) < 3:
                 continue
             from ntumatch.exhaustive import delta_triples_brute
@@ -573,3 +598,30 @@ class TestStructureGolden:
         assert s.pair_transitive == want["pair_transitive"]
         assert s.pair_edges == want["pair_edges"]
         assert list(s.cliques) == want["cliques"]
+
+
+class TestCertificateGolden:
+    """Weak-core constructions and membership certificates of sparse
+    instances, recorded with the engine that split every kernel answer
+    into path and cycle components before picking the blocking one."""
+
+    DIGEST = "1667175899d0703e4a1ee882a95bf1edcbfd0b923b319d97dbd632aebf49f30d"
+
+    def test_certificates_pinned(self):
+        records = []
+        blocked = 0
+        for n in (20, 40, 80):
+            for seed in range(10):
+                cg = normalize(gen_random(n, 2, 2.0 / n, seed))
+                built = weak_construct(cg)
+                short = Matching(max_matching(cg.inst.graph).edges[1:])
+                record = [json.loads(matching_to_json(built))]
+                for m in (built, short):
+                    for core, test in (("weak", weak_membership), ("strong", strong_membership)):
+                        res = test(cg, m)
+                        blocked += not res.in_core
+                        record.append(json.loads(certificate_to_json(core, res.certificate)))
+                records.append(record)
+        assert blocked >= 64
+        text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

@@ -107,6 +107,22 @@ class TestFindBlock:
         ]
         assert hits, "some coalition must strongly block a maximum matching"
 
+    def test_rejects_malformed_utility_vector(self):
+        gen = gen_example1()
+        inst = gen.instance
+        u = utility(inst, gen.matching)
+        bad = [
+            (0,),  # too short
+            u + (0,),  # too long
+            (-3,) + u[1:],  # negative
+            (len(inst.players[0]) + 1,) + u[1:],  # above the player's size
+        ]
+        for v in bad:
+            for kind in ("strong", "weak"):
+                with pytest.raises(InputError, match="utility between 0 and its size"):
+                    find_block_for_coalition(inst, v, (0,), kind)
+        assert find_block_for_coalition(inst, u, (0,), "strong") is None
+
     def test_random_agreement_with_enumeration(self, rng):
         for _ in range(40):
             inst = small_instance(rng, n_max=8, m_max=3)
