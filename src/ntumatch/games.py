@@ -11,7 +11,7 @@ graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -114,19 +114,6 @@ def utility(inst: Instance, m: Matching) -> tuple[int, ...]:
     return tuple(len(p & m.covered) for p in inst.players)
 
 
-@lru_cache(maxsize=1 << 13)
-def _coalition_subgraph(
-    graph: Graph, players: tuple[frozenset[int], ...], coalition: tuple[int, ...]
-):
-    verts = sorted(set().union(*(players[i] for i in coalition)))
-    sub, to_old = induced_subgraph(graph, verts)
-    to_new = {v: i for i, v in enumerate(to_old)}
-    groups = tuple(
-        frozenset(to_new[v] for v in players[i]) for i in coalition
-    )
-    return sub, to_old, groups
-
-
 def find_block_for_coalition(
     inst: Instance,
     u: tuple[int, ...],
@@ -139,6 +126,8 @@ def find_block_for_coalition(
     A strong block needs every member above its current utility, realised
     as coverage quotas ``u_i + 1``.  A weak block is sought pivot by pivot:
     one member must improve strictly while the others keep their level.
+    The subgraph is built only when some quota vector fits the members'
+    sizes.
     """
     if kind not in ("strong", "weak"):
         raise InputError("kind must be 'strong' or 'weak'")
@@ -152,29 +141,26 @@ def find_block_for_coalition(
     for i in coalition:
         if not (0 <= i < inst.num_players):
             raise InputError(f"player {i} out of range")
-    sub, to_old, groups = _coalition_subgraph(inst.graph, inst.players, coalition)
-    sizes = [len(g) for g in groups]
-
-    def attempt(quotas: tuple[int, ...]) -> Optional[Matching]:
-        found = matching_with_lower_bounds(sub, PartitionQuota(groups, quotas))
-        if found is None:
-            return None
-        return Matching((to_old[a], to_old[b]) for a, b in found.edges)
-
+    sizes = [len(inst.players[i]) for i in coalition]
     if kind == "strong":
-        quotas = tuple(u[i] + 1 for i in coalition)
-        if any(q > s for q, s in zip(quotas, sizes)):
-            return None
-        return attempt(quotas)
-    for pivot_pos, pivot in enumerate(coalition):
-        if u[pivot] + 1 > sizes[pivot_pos]:
-            continue
-        quotas = tuple(
-            u[i] + 1 if i == pivot else u[i] for i in coalition
-        )
-        hit = attempt(quotas)
-        if hit is not None:
-            return hit
+        tries = [tuple(u[i] + 1 for i in coalition)]
+    else:
+        tries = [
+            tuple(u[i] + 1 if i == pivot else u[i] for i in coalition)
+            for pivot in coalition
+        ]
+    tries = [q for q in tries if all(qi <= s for qi, s in zip(q, sizes))]
+    if not tries:
+        return None
+    sub, to_old = induced_subgraph(
+        inst.graph, set().union(*(inst.players[i] for i in coalition))
+    )
+    to_new = {v: i for i, v in enumerate(to_old)}
+    groups = tuple(frozenset(to_new[v] for v in inst.players[i]) for i in coalition)
+    for quotas in tries:
+        found = matching_with_lower_bounds(sub, PartitionQuota(groups, quotas))
+        if found is not None:
+            return Matching((to_old[a], to_old[b]) for a, b in found.edges)
     return None
 
 

@@ -6,15 +6,16 @@ ascending id order and adjacency lists are sorted, so every result is
 deterministic and reproducible.
 
 All values are immutable after construction and safe to share across
-threads; the module keeps no mutable global state apart from bounded
-memoisation caches keyed by graph value.
+threads.  The module keeps no global state: structure derived from a graph
+(its Gallai–Edmonds contact data and coverage ranks) is memoised on the
+``Graph`` it belongs to, so it lives and dies with that graph.  Concurrent
+first use may compute the same deterministic value twice, which is safe.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import InputError, InvariantError
@@ -30,11 +31,13 @@ def _norm_edge(e) -> tuple[int, int]:
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    No self-loops, no parallel edges.  Hashable and comparable by value so
-    graphs can key memoisation caches.
+    No self-loops, no parallel edges.  Hashable and comparable by value.
+    Two private slots memoise derived structure on first use and take no
+    part in equality: ``_contact`` (see :func:`_contact`) and ``_ranks``,
+    the :func:`coverage_rank` answers keyed by vertex frozenset.
     """
 
-    __slots__ = ("n", "edges", "edge_set", "adj", "_hash")
+    __slots__ = ("n", "edges", "edge_set", "adj", "_hash", "_contact", "_ranks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -51,6 +54,8 @@ class Graph:
         self.edge_set = frozenset(es)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self._hash = hash((n, self.edges))
+        self._contact = None
+        self._ranks: dict[frozenset[int], int] = {}
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge((u, v)) in self.edge_set
@@ -391,15 +396,17 @@ def _cut_and_components(adj, exposable) -> tuple[frozenset[int], tuple[frozenset
     return cut, tuple(comps)
 
 
-@lru_cache(maxsize=512)
 def _contact(g: Graph) -> tuple[GallaiEdmonds, tuple[int, ...], Graph, tuple[int, ...]]:
     """Gallai–Edmonds decomposition, cut tuple, bipartite contact graph and
-    a maximum matching of it (as a match array), built once per graph.
+    a maximum matching of it (as a match array), built once per graph and
+    kept on it.
 
     The contact graph has the cut vertices on the left and the odd
     components on the right, with an edge when the graph joins the cut
     vertex to the component.
     """
+    if g._contact is not None:
+        return g._contact
     ge = gallai_edmonds(g)
     cut = tuple(sorted(ge.cut_set))
     comp_index = {}
@@ -413,7 +420,8 @@ def _contact(g: Graph) -> tuple[GallaiEdmonds, tuple[int, ...], Graph, tuple[int
             if j is not None:
                 edges.add((i, len(cut) + j))
     aux = Graph(len(cut) + len(ge.odd_components), edges)
-    return ge, cut, aux, tuple(_match_array(aux.n, max_matching(aux)))
+    g._contact = ge, cut, aux, tuple(_match_array(aux.n, max_matching(aux)))
+    return g._contact
 
 
 def _cover_targets(g: Graph, y: frozenset[int]) -> tuple[list[int], set[int]]:
@@ -464,15 +472,14 @@ def _assemble_witness(
 
     Components matched to a cut vertex are fully covered; every other
     component exposes one vertex, chosen outside ``avoid`` when possible.
+    What is left (the even part and each component minus its cut-matched
+    or exposed vertex) is matched perfectly by one search over adjacency
+    masked to it: no edge joins the even part to a component, so each
+    search stays inside its own piece.
     """
     ge, cut, _, _ = _contact(g)
     edges: list[tuple[int, int]] = []
-    if ge.even_part:
-        sub, to_old = induced_subgraph(g, ge.even_part)
-        ok, pm = perfect_matching_exists(sub)
-        if not ok:
-            raise InvariantError("even part is not perfectly matchable")
-        edges.extend((to_old[u], to_old[v]) for u, v in pm.edges)
+    rest = set(ge.even_part)
     matched_comp: dict[int, int] = {}
     for i, a in enumerate(cut):
         if aux_match[i] != -1:
@@ -480,19 +487,18 @@ def _assemble_witness(
     for j, comp in enumerate(ge.odd_components):
         if j in matched_comp:
             a = matched_comp[j]
-            q = min(v for v in comp if v in set(g.adj[a]))
+            q = next(v for v in g.adj[a] if v in comp)
             edges.append((a, q))
-            rest = comp - {q}
         else:
             outside = sorted(comp - avoid)
-            expose = outside[0] if outside else min(comp)
-            rest = comp - {expose}
-        if rest:
-            sub, to_old = induced_subgraph(g, rest)
-            ok, pm = perfect_matching_exists(sub)
-            if not ok:
-                raise InvariantError("odd component is not hypomatchable")
-            edges.extend((to_old[u], to_old[v]) for u, v in pm.edges)
+            q = outside[0] if outside else min(comp)
+        rest |= comp - {q}
+    adj = [[w for w in row if w in rest] for row in g.adj]
+    match = [-1] * g.n
+    for root in sorted(rest):
+        if match[root] == -1 and not _blossom_search(adj, match, root, augment=True):
+            raise InvariantError("even part or odd component is not matchable as required")
+    edges.extend((v, match[v]) for v in rest if match[v] > v)
     return Matching(edges)
 
 
@@ -519,18 +525,20 @@ def coverable(g: Graph, x: Iterable[int]) -> Optional[Matching]:
     return witness
 
 
-@lru_cache(maxsize=1 << 17)
-def coverage_rank(g: Graph, y: frozenset[int]) -> int:
+def coverage_rank(g: Graph, y: Iterable[int]) -> int:
     """Largest number of vertices of ``y`` a single matching can cover.
 
     Equals the rank of ``y`` in the matroid whose independent sets are the
-    coverable vertex sets.
+    coverable vertex sets.  Answers are memoised on ``g``.
     """
-    for v in y:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range")
-    _, failed = _cover_targets(g, y)
-    return len(y) - len(failed)
+    y = frozenset(y)
+    if y not in g._ranks:
+        for v in y:
+            if not (0 <= v < g.n):
+                raise InputError(f"vertex {v} out of range")
+        _, failed = _cover_targets(g, y)
+        g._ranks[y] = len(y) - len(failed)
+    return g._ranks[y]
 
 
 def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import ntumatch.games
 from ntumatch import (
     BlockCertificate,
     Graph,
@@ -122,6 +123,20 @@ class TestFindBlock:
                 with pytest.raises(InputError, match="utility between 0 and its size"):
                     find_block_for_coalition(inst, v, (0,), kind)
         assert find_block_for_coalition(inst, u, (0,), "strong") is None
+
+    def test_early_exit_builds_no_subgraph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("coalition subgraph built without a quota to try")
+
+        monkeypatch.setattr(ntumatch.games, "induced_subgraph", refuse)
+        inst = Instance(
+            Graph(4, [(0, 1), (1, 2), (2, 3)]),
+            (frozenset({0, 1}), frozenset({2, 3})),
+        )
+        # player 0 already has both its vertices: no strong quota fits
+        assert find_block_for_coalition(inst, (2, 0), (0, 1), "strong") is None
+        # both players are saturated: no weak pivot is left
+        assert find_block_for_coalition(inst, (2, 2), (0, 1), "weak") is None
 
     def test_random_agreement_with_enumeration(self, rng):
         for _ in range(40):

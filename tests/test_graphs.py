@@ -1,11 +1,14 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ntumatch
 from ntumatch import (
     Graph,
     InputError,
@@ -244,6 +247,29 @@ class TestCoverable:
                     assert x <= got.covered
                 rank_want = max((len(x & s) for s in covsets), default=0)
                 assert coverage_rank(g, x) == rank_want
+
+    def test_rank_accepts_any_iterable(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        ranks = {coverage_rank(g, x) for x in ([0, 2], {0, 2}, frozenset({0, 2}))}
+        assert ranks == {1}
+
+
+class TestDerivedStructure:
+    def test_no_module_level_cache(self):
+        # __main__ runs the CLI on import
+        names = [m.name for m in pkgutil.iter_modules(ntumatch.__path__)]
+        for name in sorted(set(names) - {"__main__"}):
+            mod = importlib.import_module(f"ntumatch.{name}")
+            for attr, obj in vars(mod).items():
+                assert not hasattr(obj, "cache_clear"), f"ntumatch.{name}.{attr}"
+
+    def test_memo_stays_on_its_graph(self):
+        g = cycle_graph(5)
+        assert coverable(g, [0, 1]) is not None and coverage_rank(g, [0, 2]) == 2
+        assert g._contact is not None and g._ranks == {frozenset({0, 2}): 2}
+        fresh = cycle_graph(5)
+        assert fresh == g and hash(fresh) == hash(g)
+        assert fresh._contact is None and fresh._ranks == {}
 
 
 def coverage_sweep():
