@@ -148,7 +148,7 @@ def _gen(args) -> int:
 
         clauses = _json.loads(_read(args.input))
         gen = generators.gen_3sat_weak_emptiness(clauses)
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - argparse limits the choices
         raise InputError(f"unknown generator {args.kind}")
     _emit(serialize.instance_to_json(gen.instance), args.out)
     if args.matching_out:

@@ -11,9 +11,10 @@ cycle or path a certificate needs, and the Gallai–Edmonds contexts of the
 composite-structure test come from the kernel's reach sets.
 
 A real edge parallel to a player edge forms a two-edge alternating cycle
-through that player; it is the only place the parallelism matters, and it
-is special-cased.  Everywhere else a parallel copy can only ever be used
-in the real-edge role, so the simple-graph union is faithful.
+through that player.  The kernel keeps the real edge when a query deletes
+the player edge, so it matches the two vertices directly and yields that
+cycle like any other; everywhere else a parallel copy can only ever be
+used in the real-edge role, so the simple-graph union is faithful.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class CouplesGame:
     ``inst`` is the (possibly padded) instance; ``original`` the input it
     came from.  Padding adds one isolated vertex to each size-1 player, so
     matchings and verdicts transfer back unchanged.  ``delta_contexts``
-    and ``delta_memo`` keep the composite-structure test's per-player
-    contexts and per-triple answers.
+    keeps the composite-structure test's per-player contexts.
     """
 
     inst: Instance
@@ -45,9 +45,6 @@ class CouplesGame:
     pairs: tuple[tuple[int, int], ...]
     padded_vertices: frozenset[int]
     delta_contexts: dict[int, _DeltaContext] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    delta_memo: dict[tuple[int, int, int], bool] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -62,12 +59,6 @@ class CouplesGame:
             d[u] = v
             d[v] = u
         return d
-
-    @cached_property
-    def parallel_players(self) -> frozenset[int]:
-        return frozenset(
-            i for i, pr in enumerate(self.pairs) if pr in self.inst.graph.edge_set
-        )
 
     @cached_property
     def union(self) -> "_Union":
@@ -136,14 +127,14 @@ def _without(row: tuple[int, ...], x: int) -> tuple[int, ...]:
 
 
 class _Union:
-    """The union of real and player edges on original vertex ids, possibly
-    restricted to a vertex set, with the player edges inside it as the
-    base matching.
+    """The union of real and player edges on original vertex ids, with the
+    player edges as the base matching, minus the vertices of ``gone``.
 
-    Built once per game (and once per restriction).  A query masks a
-    shallow copy of the adjacency, replacing only the rows its deletions
-    touch, and augments from the base matching without the deleted player
-    edges.  It may also add ``fresh`` new vertices, with ids ``len(adj)``,
+    Built once per game.  A query masks a shallow copy of the adjacency,
+    replacing only the rows its deletions touch, and augments from the
+    base matching without the deleted player edges.  A kept view
+    (:meth:`without`) is such a mask with its vertex deletions kept.  A
+    query may also add ``fresh`` new vertices, with ids ``len(adj)``,
     ``len(adj) + 1``, ..., which start exposed and may be endpoints of
     extra edges.  Deleting k player edges or vertices and adding f fresh
     vertices leaves at most 2k + f exposed vertices, so a query runs at
@@ -151,13 +142,13 @@ class _Union:
     cannot be matched.
     """
 
-    __slots__ = ("cg", "adj", "base", "inside", "exposed")
+    __slots__ = ("cg", "adj", "base", "gone", "exposed")
 
-    def __init__(self, cg: "CouplesGame", adj, base, inside, exposed):
+    def __init__(self, cg: "CouplesGame", adj, base, gone, exposed):
         self.cg = cg
         self.adj = adj
         self.base = base
-        self.inside = inside  # None: every vertex
+        self.gone = gone
         self.exposed = exposed
 
     @classmethod
@@ -171,23 +162,17 @@ class _Union:
                 rows[u].append(v)
                 rows[v].append(u)
         adj = tuple(tuple(sorted(r)) for r in rows)
-        return cls(cg, adj, tuple(base), None, ())
+        return cls(cg, adj, tuple(base), frozenset(), ())
 
-    def restrict(self, verts) -> "_Union":
-        """The same union restricted to ``verts``; vertices whose partner
-        lies outside are exposed by the base matching."""
-        inside = frozenset(verts)
-        adj = [()] * len(self.adj)
-        base = [-1] * len(self.adj)
-        for v in inside:
-            adj[v] = tuple(w for w in self.adj[v] if w in inside)
-            if self.base[v] in inside:
-                base[v] = self.base[v]
-        exposed = tuple(sorted(v for v in inside if base[v] == -1))
-        return _Union(self.cg, tuple(adj), tuple(base), inside, exposed)
+    def without(self, verts) -> "_Union":
+        """The same union with ``verts`` deleted too, as a query deletes
+        them: their partners become exposed."""
+        verts = frozenset(verts)
+        adj, base, exposed = self._mask((), verts, (), 0)
+        return _Union(self.cg, tuple(adj), tuple(base), self.gone | verts, tuple(exposed))
 
     def has(self, v: int) -> bool:
-        return self.inside is None or v in self.inside
+        return v not in self.gone
 
     def _mask(self, drop_players, drop_vertices, extra_edges, fresh):
         n = len(self.adj)
@@ -204,19 +189,18 @@ class _Union:
             if (u, v) not in real:
                 adj[u] = _without(adj[u], v)
                 adj[v] = _without(adj[v], u)
-        gone = set()
-        for x in drop_vertices:
-            if not self.has(x) or x in gone:
-                continue
-            gone.add(x)
+        gone = {x for x in drop_vertices if self.has(x)}
+        touched = set()
+        for x in gone:
             y = match[x]
             if y != -1:
                 match[x] = match[y] = -1
                 exposed.add(y)
             exposed.discard(x)
-            for w in adj[x]:
-                adj[w] = _without(adj[w], x)
+            touched.update(adj[x])
             adj[x] = ()
+        for w in touched - gone:
+            adj[w] = tuple(z for z in adj[w] if z not in gone)
         for a, b in extra_edges:
             for v in (a, b):
                 if not (0 <= v < n + fresh and (v >= n or self.has(v))) or v in gone:
@@ -340,24 +324,11 @@ def _verdict(
 # alternating cycles
 
 
-def _cycle_labeled_edges(cg: CouplesGame, p: int, view: _Union):
-    """The labeled edges of one alternating cycle through player ``p``'s
-    edge within the view, or None."""
-    u, v = cg.pairs[p]
-    if (u, v) in cg.inst.graph.edge_set:
-        if view.has(u) and view.has(v):
-            return [(u, v, "e"), (u, v, "p")]
-        return None
-    return _structure(cg, (p,), view, 0)
-
-
 def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
     """Whether some alternating cycle passes through player ``p``'s edge:
     after deleting that edge, the union graph keeps a perfect matching."""
     if not (0 <= p < cg.num_players):
         raise InputError(f"player {p} out of range")
-    if p in cg.parallel_players:
-        return True
     return cg.union.augment(drop_players=(p,)) is not None
 
 
@@ -366,16 +337,16 @@ def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
 
 
 def weak_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
-    """Weak-core test: restricted to players with at most one covered
-    vertex, no player edge may lie on an alternating cycle, and no two
-    uncovered players may be joined by an alternating path."""
+    """Weak-core test: with the fully covered players deleted, no player
+    edge may lie on an alternating cycle, and no two uncovered players may
+    be joined by an alternating path."""
     m.validate_for(cg.inst.graph)
     u = utility(cg.inst, m)
     low = [i for i, ui in enumerate(u) if ui <= 1]
-    view = cg.union.restrict(x for i in low for x in cg.pairs[i])
+    view = cg.union.without(x for i, ui in enumerate(u) if ui == 2 for x in cg.pairs[i])
     zero = [i for i in low if u[i] == 0]
     structures = chain(
-        (_cycle_labeled_edges(cg, i, view) for i in low),
+        (_structure(cg, (i,), view, 0) for i in low),
         (_structure(cg, pair, view, 2) for pair in combinations(zero, 2)),
     )
     return _verdict(cg, structures, "strong", u)
@@ -394,7 +365,7 @@ def strong_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
     low = [i for i, ui in enumerate(u) if ui <= 1]
     ones = [i for i in low if u[i] == 1]
     structures = chain(
-        (_cycle_labeled_edges(cg, i, cg.union) for i in low),
+        (_structure(cg, (i,), cg.union, 0) for i in low),
         (
             _structure(cg, (i, j), cg.union, 2)
             for i, j in combinations(low, 2)
@@ -418,19 +389,16 @@ def weak_construct(cg: CouplesGame) -> Matching:
     everything kept.  Deleting vertices never creates new alternating
     cycles, so a single ascending scan suffices.
     """
-    alive = set(range(cg.num_players))
     chosen: list[tuple[int, int]] = []
     view = cg.union
     for p in range(cg.num_players):
-        if p not in alive:
+        if not view.has(cg.pairs[p][0]):
             continue
-        labeled = _cycle_labeled_edges(cg, p, view)
+        labeled = _structure(cg, (p,), view, 0)
         if labeled is None:
             continue
-        cycle_players = {cg.player_of[a] for a, b, lab in labeled if lab == "p"}
         chosen.extend((a, b) for a, b, lab in labeled if lab == "e")
-        alive -= cycle_players
-        view = cg.union.restrict(x for i in alive for x in cg.pairs[i])
+        view = view.without(x for a, b, lab in labeled if lab == "p" for x in (a, b))
     return max_matching(cg.inst.graph, seed_matching=Matching(chosen))
 
 
@@ -541,10 +509,7 @@ def delta_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     ``b`` are exchangeable.
     """
     _require_cycle_free(cg, (a, b, c))
-    key = (a, b, c)
-    if key not in cg.delta_memo:
-        cg.delta_memo[key] = _delta_path_decide(cg, a, b, c)
-    return cg.delta_memo[key]
+    return _delta_path_decide(cg, a, b, c)
 
 
 def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
@@ -572,8 +537,10 @@ def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
             extra_edges=((a_near, sj),),
         ) is not None
     # both b and c sit in side components: need two disjoint alternating
-    # paths from a's vertices to the two entries, a through-path across
-    # b's component, and a tail inside c's component
+    # paths from a's vertices to the two entries and a through-path across
+    # b's component; the tail to c inside c's component always exists,
+    # because an odd Gallai–Edmonds component is factor-critical, so its
+    # entry vertex reaches all of it, c's edge included
     si, si_in = ctx.entry[i]
     si_pl = cg.player_of[si]
     if cg.union.augment(
@@ -583,18 +550,12 @@ def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     ) is None:
         return False
     if b == si_pl:
-        if si not in cg.union.reach(sj, drop_players=(a, sj_pl)):
-            return False
-    elif cg.union.augment(
+        return si in cg.union.reach(sj, drop_players=(a, sj_pl))
+    return cg.union.augment(
         drop_players=(a, b, si_pl, sj_pl),
         drop_vertices=(au, av, si, sj_in),
         extra_edges=((si_in, sj),),
-    ) is None:
-        return False
-    if c == sj_pl:
-        return True
-    tail = cg.union.restrict(ctx.comps[j]).reach(sj_in)
-    return not tail.isdisjoint(cg.pairs[c])
+    ) is not None
 
 
 @dataclass(frozen=True)
@@ -661,51 +622,30 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
             if z not in (x, y)
         ):
             pair_edges.add((x, y))
-    transitive: set[int] = set()
-    for a in sorted(closed):
-        mates = [
-            b
-            for b in sorted(closed)
-            if b != a and tuple(sorted((a, b))) in pair_edges
-        ]
-        if all(
-            tuple(sorted((b, c))) in pair_edges
-            for b, c in combinations(mates, 2)
-        ):
-            transitive.add(a)
-    star_edges = frozenset(
-        e for e in pair_edges if e[0] in transitive and e[1] in transitive
+    mates: dict[int, set[int]] = {p: set() for p in closed}
+    for x, y in pair_edges:
+        mates[x].add(y)
+        mates[y].add(x)
+    transitive = frozenset(
+        a
+        for a in closed
+        if all((b, c) in pair_edges for b, c in combinations(sorted(mates[a]), 2))
     )
-    cliques: list[frozenset[int]] = []
-    left = set(transitive)
-    adj: dict[int, set[int]] = {p: set() for p in transitive}
-    for x, y in star_edges:
-        adj[x].add(y)
-        adj[y].add(x)
-    while left:
-        s = min(left)
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        left -= comp
-        for x, y in combinations(sorted(comp), 2):
-            if (x, y) not in star_edges:
-                raise InvariantError(
-                    "pair-graph component is not a clique; components are "
-                    "always cliques, so this signals a bug"
-                )
-        cliques.append(frozenset(comp))
-    cliques.sort(key=min)
+    star_edges = frozenset(e for e in pair_edges if transitive.issuperset(e))
+    # each player's clique is itself plus its transitive mates; the
+    # distinct such sets sum to the transitive set's size exactly when
+    # every component of its pair graph is a clique
+    cliques = sorted({frozenset({p, *(mates[p] & transitive)}) for p in transitive}, key=min)
+    if sum(map(len, cliques)) != len(transitive):
+        raise InvariantError(
+            "pair-graph component is not a clique; components are "
+            "always cliques, so this signals a bug"
+        )
     return StrongCoreStructure(
         cycle_free=kset,
         path_isolated=isolated,
         delta_closed=frozenset(closed),
-        pair_transitive=frozenset(transitive),
+        pair_transitive=transitive,
         pair_edges=star_edges,
         cliques=tuple(cliques),
     )

@@ -19,7 +19,8 @@ from .errors import InputError, InvariantError, ResourceLimitError
 from .graphs import Graph, Matching, induced_subgraph
 from .matroids import PartitionQuota, matching_with_lower_bounds
 
-DEFAULT_MAX_PLAYERS = 20
+# coalition enumeration is exponential in the player count
+ENUMERATION_PLAYER_GUARD = 20
 
 
 @dataclass(frozen=True)
@@ -175,13 +176,13 @@ class _BlockSearch:
     verdict is kept per (coalition, projection) for every vector searched.
     """
 
-    def __init__(self, inst: Instance, kind: str, max_players: int = DEFAULT_MAX_PLAYERS):
+    def __init__(self, inst: Instance, kind: str):
         if kind not in ("weak", "strong"):
             raise InputError("kind must be 'weak' or 'strong'")
-        if inst.num_players > max_players:
+        if inst.num_players > ENUMERATION_PLAYER_GUARD:
             raise ResourceLimitError(
                 f"{inst.num_players} players exceeds the enumeration guard "
-                f"({max_players}); use the couples solver or the oracle"
+                f"({ENUMERATION_PLAYER_GUARD}); use the couples solver or the oracle"
             )
         self.inst = inst
         # the weak core forbids strong blocks, the strong core weak ones
@@ -227,12 +228,7 @@ class _BlockSearch:
         return MembershipResult(True, None)
 
 
-def core_membership_by_enumeration(
-    inst: Instance,
-    m: Matching,
-    kind: str,
-    max_players: int = DEFAULT_MAX_PLAYERS,
-) -> MembershipResult:
+def core_membership_by_enumeration(inst: Instance, m: Matching, kind: str) -> MembershipResult:
     """Definitional core test: try every coalition, smallest first.
 
     ``kind`` selects the core: the weak core forbids strongly blocking
@@ -242,5 +238,5 @@ def core_membership_by_enumeration(
     player contact graph are skipped, which leaves the first blocking
     coalition unchanged.
     """
-    search = _BlockSearch(inst, kind, max_players)
+    search = _BlockSearch(inst, kind)
     return search(utility(inst, m))

@@ -286,6 +286,17 @@ class TestDeltaPath:
                 assert got == oracle_delta_path(cg, a, b, c)
                 assert got == delta_path_exists(cg, b, a, c)
 
+    @pytest.mark.parametrize(
+        "n,p,seed",
+        [(8, 0.15, 775954), (8, 0.25, 966285), (10, 0.15, 239197), (10, 0.2, 965830), (10, 0.25, 482750)],
+    )
+    def test_side_component_tails_against_oracle(self, n, p, seed):
+        # instances whose decisions end with c's edge inside a side
+        # component other than its entry, where the tail to c is implied
+        cg = normalize(gen_random(n, 2, p, seed))
+        for a, b, c in permutations(sorted(cg.cycle_free), 3):
+            assert delta_path_exists(cg, a, b, c) == oracle_delta_path(cg, a, b, c), (a, b, c)
+
 
 class TestDeltaContext:
     def test_kernel_context_matches_explicit_decomposition(self):
@@ -307,6 +318,23 @@ class TestDeltaContext:
                     assert ctx.reach[x] == cg.union.reach(x, drop_players=(a,)), (seed, a)
                 contexts += 1
         assert contexts > 2500
+
+    def test_side_components_are_reached_from_their_entry(self):
+        # an odd component is factor-critical, so alone it is even-reached
+        # from its entry vertex, the one its base matching leaves exposed
+        sides = 0
+        for seed in range(600):
+            n = 6 + seed % 25
+            cg = normalize(gen_random(n, 2, (1.0, 1.5, 2.0)[seed % 3] / n, seed=seed))
+            everything = range(cg.inst.graph.n)
+            for a in sorted(cg.cycle_free):
+                ctx = _delta_context(cg, a)
+                for j, (_, t) in ctx.entry.items():
+                    comp = ctx.comps[j]
+                    view = cg.union.without(v for v in everything if v not in comp)
+                    assert view.reach(t) == comp, (seed, a, j)
+                    sides += 1
+        assert sides > 10000
 
 
 class TestStrongCoreStructure:
@@ -348,7 +376,7 @@ class TestParallelPlayerEdges:
                 Graph(n, set(base.graph.edges) | {extra}), base.players
             )
             cg = normalize(inst)
-            assert cg.parallel_players
+            assert any(pr in cg.inst.graph.edge_set for pr in cg.pairs)
             for kind in ("weak", "strong"):
                 oracle = oracle_core(inst, kind)
                 seen = set()
@@ -483,7 +511,7 @@ class TestUnionKernel:
             restrict = None
             if rng.random() < 0.4:
                 restrict = {v for v in range(nv) if rng.random() < 0.75}
-            view = cg.union if restrict is None else cg.union.restrict(restrict)
+            view = cg.union if restrict is None else cg.union.without(set(range(nv)) - restrict)
             drop_players = set(rng.sample(range(cg.num_players), rng.randint(0, min(3, cg.num_players))))
             drop_vertices = set(rng.sample(range(nv), rng.randint(0, 2)))
             alive = sorted(set(range(nv) if restrict is None else restrict) - drop_vertices)
@@ -532,10 +560,22 @@ class TestUnionKernel:
         for v in (6, 7, -1):
             with pytest.raises(InvariantError):
                 cg.union.augment(extra_edges=((v, 0),), fresh=1 if v == 7 else 0)
-        restricted = cg.union.restrict({0, 1, 2, 3})
+        restricted = cg.union.without({4, 5})
         with pytest.raises(InvariantError):
             restricted.augment(extra_edges=((6, 4),), fresh=1)
         assert restricted.augment(drop_players=(0,), extra_edges=((6, 0), (6, 1)), fresh=1, missing=1)
+
+    def test_kept_deletions_compose(self, rng):
+        for _ in range(200):
+            n = rng.choice([4, 5, 8, 9, 12, 20])
+            cg = normalize(gen_random(n, 2, rng.choice([0.15, 0.3, 0.6]), seed=rng.randint(0, 10**6)))
+            nv = cg.inst.graph.n
+            a = set(rng.sample(range(nv), rng.randint(0, nv)))
+            b = set(rng.sample(range(nv), rng.randint(0, nv)))
+            twice = cg.union.without(v for v in sorted(a)).without(b)
+            once = cg.union.without(a | b)
+            assert twice.gone == once.gone == a | b
+            assert (twice.adj, twice.base, twice.exposed) == (once.adj, once.base, once.exposed)
 
     def test_extra_edge_outside_view_is_a_fault(self):
         cg = normalize(three_couples_chain())

@@ -26,13 +26,12 @@ from ntumatch.exhaustive import (
     coverable_sets_brute,
     even_reach_brute,
 )
-from ntumatch import graphs
 from ntumatch.graphs import bipartition, induced_subgraph
 
 from conftest import cycle_graph, path_graph, random_graph, random_matching
 
 
-def graphs(max_n=9):
+def small_graphs(max_n=9):
     return st.integers(1, max_n).flatmap(
         lambda n: st.builds(
             lambda es: Graph(n, es),
@@ -75,7 +74,7 @@ class TestMaxMatching:
         with pytest.raises(InputError):
             max_matching(path_graph(3), Matching([(0, 2)]))
 
-    @given(graphs())
+    @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g):
         best = max((m.size for m in all_matchings(g)), default=0)
@@ -294,9 +293,6 @@ class TestCoverageGolden:
         first = coverage_sweep()
         assert sum(w is not None for _, _, w in first) == 156
         assert hashlib.sha256(json.dumps(first).encode()).hexdigest() == self.DIGEST
-        for cached in vars(graphs).values():
-            if hasattr(cached, "cache_clear"):
-                cached.cache_clear()
         assert coverage_sweep() == first
 
 
