@@ -2,8 +2,9 @@
 
 Whether a matching is blocked depends only on how many vertices each
 player has covered.  With few players we can therefore list every
-component-wise maximal achievable utility vector, realize each one, and
-test just those: the core is empty exactly when all of them are blocked.
+component-wise maximal achievable utility vector, test each one, and
+realize the first unblocked one: the core is empty exactly when all of
+them are blocked.
 
 The showcase instance is the classic three-player, 21-vertex example
 whose weak core is empty.

@@ -3,7 +3,7 @@
 Membership depends only on how many vertices each player has covered, so
 for few players the whole game collapses onto the component-wise maximal
 achievable utility vectors: a core is non-empty exactly when some maximal
-vector admits an unblocked realization.
+vector is unblocked.
 
 The frontier walks the utility lattice one player at a time, bounding each
 coordinate once by a table of prefix sums over player unions; the verdicts
@@ -100,7 +100,6 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
 @dataclass(frozen=True)
 class CoreOutcome:
     vector: tuple[int, ...]
-    witness: Matching
     membership: MembershipResult
 
 
@@ -109,25 +108,15 @@ def core_outcomes(
 ) -> Iterator[CoreOutcome]:
     """Blocked/unblocked verdicts for every maximal utility vector.
 
-    Vectors are realized exactly (any realization of a maximal vector is a
-    maximum matching), processed in lexicographically decreasing order.
-    ``kind``, the player guard and the lattice budget are checked, and the
-    frontier computed, before this returns; the verdicts come lazily.
+    Membership reads only the vector, so none is realized here; a caller
+    that wants a matching asks :func:`achievable` for it.  Vectors come in
+    lexicographically decreasing order.  ``kind``, the player guard and the
+    lattice budget are checked, and the frontier computed, before this
+    returns; the verdicts come lazily.
     """
     search = _BlockSearch(inst, kind)
     fr = frontier(inst, budget)
-
-    def outcomes() -> Iterator[CoreOutcome]:
-        for x in reversed(fr.maximal_vectors):
-            witness = achievable(inst, x)
-            if witness is None:
-                raise InvariantError("frontier vector is not achievable")
-            realized = utility(inst, witness)
-            if realized != x:
-                raise InvariantError("maximal vector realized inexactly")
-            yield CoreOutcome(x, witness, search(realized))
-
-    return outcomes()
+    return (CoreOutcome(x, search(x)) for x in reversed(fr.maximal_vectors))
 
 
 def core_empty(
@@ -135,12 +124,18 @@ def core_empty(
 ) -> Optional[Matching]:
     """A matching in the requested core, or None when that core is empty.
 
-    It suffices to test one realization per maximal achievable vector:
-    membership depends only on the utility vector, and every unblocked
-    matching is dominated by some maximal vector whose realization is then
-    unblocked too.
+    It suffices to test each maximal achievable vector: membership depends
+    only on the utility vector, and every unblocked matching is dominated by
+    some maximal vector that is then unblocked too.  Only the first
+    unblocked vector is realized; any realization of a maximal vector is a
+    maximum matching with exactly that vector.
     """
     for outcome in core_outcomes(inst, kind, budget):
         if outcome.membership.in_core:
-            return outcome.witness
+            witness = achievable(inst, outcome.vector)
+            if witness is None:
+                raise InvariantError("frontier vector is not achievable")
+            if utility(inst, witness) != outcome.vector:
+                raise InvariantError("maximal vector realized inexactly")
+            return witness
     return None

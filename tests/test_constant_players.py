@@ -8,9 +8,12 @@ from ntumatch import (
     Graph,
     InputError,
     Instance,
+    InvariantError,
+    Matching,
     PartitionQuota,
     ResourceLimitError,
     achievable,
+    attach_special_edge,
     core_empty,
     core_membership_by_enumeration,
     frontier,
@@ -24,6 +27,7 @@ from ntumatch import (
 from ntumatch import constant_players, games
 from ntumatch.constant_players import core_outcomes
 from ntumatch.exhaustive import all_matchings, oracle_core
+from ntumatch.serialize import matching_to_json
 
 # recorded with the per-mask prefix-sum frontier that preceded the
 # incremental load table
@@ -151,6 +155,9 @@ GADGETS = (
     gen_3sat_weak_emptiness([(1, 1, 2)]).instance,
     gen_3sat_weak_emptiness([(1, 2, 3)]).instance,
 )
+# sha256 of the core_empty witnesses, weak then strong per instance, over
+# GADGETS and five random instances (12 of the 16 answers are matchings)
+WITNESS_DIGEST = "f369fd8f924e096f655f53f45e97dd90b34af5c9ea1a49a95527477dd53729f3"
 
 
 class TestCoreEmpty:
@@ -186,13 +193,53 @@ class TestCoreEmpty:
             for kind in ("weak", "strong"):
                 for outcome in core_outcomes(inst, kind):
                     assert outcome.membership == core_membership_by_enumeration(
-                        inst, outcome.witness, kind
+                        inst, achievable(inst, outcome.vector), kind
                     )
 
     def test_outcomes_realize_vectors_exactly(self, rng):
-        inst = gen_random(8, 3, 0.5, seed=99)
-        for outcome in core_outcomes(inst, "weak"):
-            assert utility(inst, outcome.witness) == outcome.vector
+        for inst in (gen_random(8, 3, 0.5, seed=99), *GADGETS):
+            for outcome in core_outcomes(inst, "weak"):
+                assert utility(inst, achievable(inst, outcome.vector)) == outcome.vector
+
+    def test_golden_witnesses(self):
+        sizes_seeds = ((8, 1), (9, 2), (10, 3), (12, 4), (12, 5))
+        randoms = (gen_random(n, 3, 0.4, seed=s) for n, s in sizes_seeds)
+        text = "".join(
+            "null\n" if m is None else matching_to_json(m)
+            for inst in (*GADGETS, *randoms)
+            for m in (core_empty(inst, "weak"), core_empty(inst, "strong"))
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == WITNESS_DIGEST
+
+    def test_realizes_at_most_one_vector(self, monkeypatch):
+        calls = []
+
+        def counting(inst, x):
+            calls.append(x)
+            return achievable(inst, x)
+
+        monkeypatch.setattr(constant_players, "achievable", counting)
+        e = gen_example1()
+        stress = attach_special_edge(e.instance, e.name_map["a1"], e.name_map["b1"]).instance
+        for inst in (*GADGETS, stress):
+            for kind in ("weak", "strong"):
+                calls.clear()
+                core_empty(inst, kind)
+                assert len(calls) <= 1
+
+    def test_realization_faults_raise(self, monkeypatch):
+        inst = Instance(
+            Graph(4, [(0, 1), (2, 3)]),
+            (frozenset({0, 1}), frozenset({2, 3})),
+        )
+        monkeypatch.setattr(constant_players, "achievable", lambda inst, x: None)
+        with pytest.raises(InvariantError, match="not achievable"):
+            core_empty(inst, "weak")
+        monkeypatch.setattr(
+            constant_players, "achievable", lambda inst, x: Matching([(0, 1)])
+        )
+        with pytest.raises(InvariantError, match="realized inexactly"):
+            core_empty(inst, "weak")
 
     def test_achievability_is_down_closed(self, rng):
         for _ in range(15):

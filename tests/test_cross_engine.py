@@ -13,7 +13,7 @@ from ntumatch import (
     strong_membership,
     weak_membership,
 )
-from ntumatch.constant_players import core_outcomes
+from ntumatch.constant_players import achievable, core_outcomes
 
 
 @st.composite
@@ -37,7 +37,7 @@ def test_const_agrees_with_couples(inst):
     assert (core_empty(inst, "strong") is None) == (strong_core_solve(cg) is None)
     for kind, couples_test in (("weak", weak_membership), ("strong", strong_membership)):
         for outcome in core_outcomes(inst, kind):
-            theirs = couples_test(cg, outcome.witness)
+            theirs = couples_test(cg, achievable(inst, outcome.vector))
             assert theirs.in_core == outcome.membership.in_core
             for res in (outcome.membership, theirs):
                 if res.certificate is not None:
