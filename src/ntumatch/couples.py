@@ -2,13 +2,18 @@
 
 Each player's vertex pair acts as an artificial *player edge*; the player
 edges together form a perfect matching that real edges alternate with.
-Membership tests, the always-successful weak-core construction, and the
-strong-core existence machinery all reduce to perfect-matching and
-alternating-reachability queries on the union of real and player edges,
-and one kernel, :class:`_Union`, answers every one of them.  One
+Membership tests and the always-successful weak-core construction reduce
+to perfect-matching and alternating-reachability queries on the union of
+real and player edges, and one kernel, :class:`_Union`, answers them.  One
 extractor, :func:`_structure`, turns a kernel answer into the blocking
-cycle or path a certificate needs, and the Gallai–Edmonds contexts of the
-composite-structure test come from the kernel's reach sets.
+cycle or path a certificate needs.
+
+The strong-core existence machinery works per cycle-free player: the
+Gallai–Edmonds context of the union without its edge comes from the
+kernel's reach sets, and contracting that context's odd components gives
+a component digraph.  Pair paths are lookups in it and ordered triples
+two-path flow questions on it; only the free-component and through-path
+pieces of the composite-structure test stay kernel queries.
 
 A real edge parallel to a player edge forms a two-edge alternating cycle
 through that player.  The kernel keeps the real edge when a query deletes
@@ -132,14 +137,10 @@ class _Union:
 
     Built once per game.  A query masks a shallow copy of the adjacency,
     replacing only the rows its deletions touch, and augments from the
-    base matching without the deleted player edges.  A kept view
-    (:meth:`without`) is such a mask with its vertex deletions kept.  A
-    query may also add ``fresh`` new vertices, with ids ``len(adj)``,
-    ``len(adj) + 1``, ..., which start exposed and may be endpoints of
-    extra edges.  Deleting k player edges or vertices and adding f fresh
-    vertices leaves at most 2k + f exposed vertices, so a query runs at
-    most 2k + f blossom searches, and it stops at the first root that
-    cannot be matched.
+    base matching without the deleted player edges, one blossom search per
+    exposed root; it stops at the first root that cannot be matched.  A
+    kept view (:meth:`without`) is such a mask with its vertex deletions
+    kept.
     """
 
     __slots__ = ("cg", "adj", "base", "gone", "exposed")
@@ -168,17 +169,17 @@ class _Union:
         """The same union with ``verts`` deleted too, as a query deletes
         them: their partners become exposed."""
         verts = frozenset(verts)
-        adj, base, exposed = self._mask((), verts, (), 0)
+        adj, base, exposed = self._mask((), verts, ())
         return _Union(self.cg, tuple(adj), tuple(base), self.gone | verts, tuple(exposed))
 
     def has(self, v: int) -> bool:
         return v not in self.gone
 
-    def _mask(self, drop_players, drop_vertices, extra_edges, fresh):
+    def _mask(self, drop_players, drop_vertices, extra_edges):
         n = len(self.adj)
-        adj = [*self.adj, *[()] * fresh]
-        match = [*self.base, *[-1] * fresh]
-        exposed = {*self.exposed, *range(n, n + fresh)}
+        adj = list(self.adj)
+        match = list(self.base)
+        exposed = set(self.exposed)
         real = self.cg.inst.graph.edge_set
         for p in drop_players:
             u, v = self.cg.pairs[p]
@@ -203,17 +204,17 @@ class _Union:
             adj[w] = tuple(z for z in adj[w] if z not in gone)
         for a, b in extra_edges:
             for v in (a, b):
-                if not (0 <= v < n + fresh and (v >= n or self.has(v))) or v in gone:
+                if not (0 <= v < n and self.has(v)) or v in gone:
                     raise InvariantError("extra edge endpoint outside the view")
             if b not in adj[a]:
                 adj[a] = tuple(sorted((*adj[a], b)))
                 adj[b] = tuple(sorted((*adj[b], a)))
         return adj, match, sorted(exposed)
 
-    def augment(self, drop_players=(), drop_vertices=(), extra_edges=(), missing=0, fresh=0):
-        """Delete players' edges and vertices, add ``fresh`` vertices and
-        the extra edges, and augment the surviving player edges until at
-        most ``missing`` vertices of the view stay exposed.
+    def augment(self, drop_players=(), drop_vertices=(), extra_edges=(), missing=0):
+        """Delete players' edges and vertices, add the extra edges, and
+        augment the surviving player edges until at most ``missing``
+        vertices of the view stay exposed.
 
         Returns ``(match, base)`` as partner arrays (-1 for exposed) of the
         matching found and of the masked base matching, whose symmetric
@@ -222,7 +223,7 @@ class _Union:
         whose search fails stays exposed under every later augmentation,
         so each failure is final.
         """
-        adj, match, exposed = self._mask(drop_players, drop_vertices, extra_edges, fresh)
+        adj, match, exposed = self._mask(drop_players, drop_vertices, extra_edges)
         base = list(match)
         left = len(exposed)
         failed = 0
@@ -242,7 +243,7 @@ class _Union:
     def reach(self, root: int, drop_players=()) -> frozenset[int]:
         """Vertices even-reachable from the exposed ``root`` by alternating
         paths over the base matching without the given players' edges."""
-        adj, match, _ = self._mask(drop_players, (), (), 0)
+        adj, match, _ = self._mask(drop_players, (), ())
         if not self.has(root) or match[root] != -1:
             raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
         used, _ = _blossom_search(adj, match, root, augment=False)
@@ -406,25 +407,6 @@ def weak_construct(cg: CouplesGame) -> Matching:
 # strong-core existence machinery
 
 
-def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
-    """Whether an alternating path ends at players ``a`` and ``c`` and
-    traverses ``b``.
-
-    One kernel query: delete the three player edges, add a fresh vertex s
-    joined to both of ``a``'s vertices and a fresh t joined to both of
-    ``c``'s, and ask for a perfect matching.  s and t each take one tip,
-    and the rest is a perfect matching of the union without the three
-    player edges and those two tips; because ``b`` is on no alternating
-    cycle, the augmenting pieces can only splice into one path through
-    ``b``.
-    """
-    _require_cycle_free(cg, (a, b, c))
-    s = len(cg.union.adj)
-    t = s + 1
-    tips = [(s, x) for x in cg.pairs[a]] + [(t, y) for y in cg.pairs[c]]
-    return cg.union.augment(drop_players=(a, b, c), extra_edges=tips, fresh=2) is not None
-
-
 def _require_cycle_free(cg: CouplesGame, players) -> None:
     if len(set(players)) != len(players):
         raise InputError("players must be distinct")
@@ -442,14 +424,26 @@ def _require_cycle_free(cg: CouplesGame, players) -> None:
 class _DeltaContext:
     """The union without one cycle-free player's edge, by its
     Gallai–Edmonds structure: the odd components and the one each of
-    their vertices lies in, the entry edge (cut vertex, its partner) of
-    every side component, and the reach sets of the player's two freed
-    vertices, whose union is the deficient part."""
+    their vertices lies in, the two free components that hold the
+    player's freed vertices, the entry edge (cut vertex, its partner) of
+    every side component, and the reach sets of the freed vertices, whose
+    union is the deficient part.
+
+    ``arcs`` is the component digraph: x → y when a vertex of x is
+    adjacent to y's entry cut vertex.  Every odd component is
+    factor-critical and is entered only by its entry edge, so alternating
+    paths from the freed vertices are paths of this digraph, and
+    vertex-disjoint ones use disjoint components.  ``second`` keeps, per
+    target component, the answer of :func:`_second_reach`.
+    """
 
     comps: tuple[frozenset[int], ...]
     comp_of: dict[int, int]
+    free: tuple[int, int]
     entry: dict[int, tuple[int, int]]
     reach: dict[int, frozenset[int]]
+    arcs: tuple[frozenset[int], ...]
+    second: dict[int, frozenset[int]] = field(default_factory=dict, compare=False, repr=False)
 
 
 def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
@@ -464,7 +458,7 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
         return ctx
     au, av = cg.pairs[a_pl]
     reach = {x: cg.union.reach(x, drop_players=(a_pl,)) for x in (au, av)}
-    adj, _, _ = cg.union._mask((a_pl,), (), (), 0)
+    adj, _, _ = cg.union._mask((a_pl,), (), ())
     cut, comps = _cut_and_components(adj, reach[au] | reach[av])
     if len(comps) - len(cut) != 2:
         raise InvariantError("deleting a cycle-free player edge must leave deficiency 2")
@@ -476,21 +470,29 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
     if ca == cb:
         raise InvariantError("freed vertices must land in distinct odd components")
     entry: dict[int, tuple[int, int]] = {}
+    arcs: list[set[int]] = [set() for _ in comps]
     for s in sorted(cut):
         t = cg.partner[s]
         j = comp_of.get(t)
         if j is None or j in (ca, cb) or j in entry:
             raise InvariantError("entry edges must pair cut vertices with distinct components")
         entry[j] = (s, t)
+        for w in adj[s]:
+            x = comp_of.get(w)
+            if x is not None and x != j:
+                arcs[x].add(j)
     if set(entry) != set(range(len(comps))) - {ca, cb}:
         raise InvariantError("every side component must have exactly one entry edge")
-    ctx = cg.delta_contexts[a_pl] = _DeltaContext(comps, comp_of, entry, reach)
+    ctx = cg.delta_contexts[a_pl] = _DeltaContext(
+        comps, comp_of, (ca, cb), entry, reach, tuple(map(frozenset, arcs))
+    )
     return ctx
 
 
 def _component(cg: CouplesGame, ctx: _DeltaContext, pl: int) -> Optional[int]:
     """The odd component that holds player ``pl``'s edge or is entered by
-    it, or None."""
+    it, or None.  It is not None exactly when an alternating path joins
+    ``pl`` to the context's player."""
     u, v = cg.pairs[pl]
     for s, t in ((u, v), (v, u)):
         j = ctx.comp_of.get(t)
@@ -499,14 +501,90 @@ def _component(cg: CouplesGame, ctx: _DeltaContext, pl: int) -> Optional[int]:
     return None
 
 
+def _second_reach(ctx: _DeltaContext, target: int) -> frozenset[int]:
+    """The components y for which the component digraph has two
+    vertex-disjoint paths from the two free components, one ending in
+    ``target`` and one in y (Menger: a unit-capacity flow of 2).
+
+    Routes one unit from the free components to ``target`` with node
+    capacity 1 (each node split into an in- and an out-node), then
+    searches the residual network once: y qualifies exactly when its
+    out-node is reachable.  Empty when no path reaches ``target``.
+    """
+    got = ctx.second.get(target)
+    if got is not None:
+        return got
+    prev: dict[int, Optional[int]] = {f: None for f in ctx.free}
+    queue = list(ctx.free)
+    for x in queue:
+        if x == target:
+            break
+        for y in ctx.arcs[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    seen_out: set[int] = set()
+    if target in prev:
+        # the unit's path, as flow arcs before[y] -> y and x -> after[x]
+        before: dict[int, int] = {}
+        y = target
+        while prev[y] is not None:
+            before[y] = prev[y]
+            y = prev[y]
+        start = y
+        after = {x: y for y, x in before.items()}
+        on_path = {start, *before}
+        seen_in = {f for f in ctx.free if f != start}
+        stack = [(f, False) for f in seen_in]
+        while stack:
+            v, out = stack.pop()
+            if out:
+                steps = [(y, False) for y in ctx.arcs[v] if after.get(v) != y]
+                if v in on_path:
+                    steps.append((v, False))  # back through v's saturated node
+            elif v in before:
+                steps = [(before[v], True)]  # back along the flow arc into v
+            else:
+                # off the path: no arc enters the path's free start
+                steps = [(v, True)]
+            for w, w_out in steps:
+                seen = seen_out if w_out else seen_in
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, w_out))
+    got = ctx.second[target] = frozenset(seen_out)
+    return got
+
+
+def _joined(ctx: _DeltaContext, i: Optional[int], j: Optional[int]) -> bool:
+    """Whether the context player's two freed vertices have vertex-disjoint
+    alternating paths into components ``i`` and ``j``."""
+    return i is not None and j is not None and i != j and j in _second_reach(ctx, i)
+
+
+def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
+    """Whether an alternating path ends at players ``a`` and ``c`` and
+    traverses ``b``.
+
+    With ``b``'s edge deleted, such a path is two vertex-disjoint
+    alternating paths from ``b``'s freed vertices, one ending at ``a``'s
+    edge and one at ``c``'s: two disjoint paths of ``b``'s component
+    digraph into the distinct components that hold or are entered by
+    ``a``'s and ``c``'s edges.
+    """
+    _require_cycle_free(cg, (a, b, c))
+    ctx = _delta_context(cg, b)
+    return _joined(ctx, _component(cg, ctx, a), _component(cg, ctx, c))
+
+
 def delta_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     """Whether an odd alternating cycle through players ``a`` and ``b``
     extends, from a shared vertex, by an alternating path ending at ``c``.
 
     Implements the two-case decision: delete ``a``'s player edge, take the
-    decomposition of the rest, and test path pieces with modified-graph
-    perfect-matching and reachability queries.  The roles of ``a`` and
-    ``b`` are exchangeable.
+    decomposition of the rest, and test path pieces with ``a``'s component
+    digraph and modified-graph perfect-matching and reachability queries.
+    The roles of ``a`` and ``b`` are exchangeable.
     """
     _require_cycle_free(cg, (a, b, c))
     return _delta_path_decide(cg, a, b, c)
@@ -516,15 +594,12 @@ def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     ctx = _delta_context(cg, a)
     i = _component(cg, ctx, b)
     j = _component(cg, ctx, c)
-    if i is None or j is None or i == j:
+    if i is None or j is None or i == j or j in ctx.free:
         return False
     au, av = cg.pairs[a]
-    free_comps = {ctx.comp_of[au], ctx.comp_of[av]}
-    if j in free_comps:
-        return False
     sj, sj_in = ctx.entry[j]
     sj_pl = cg.player_of[sj]
-    if i in free_comps:
+    if i in ctx.free:
         # the cycle closes inside the component freed by one of a's
         # vertices; the path to c leaves from the other vertex
         a_near = au if ctx.comp_of[au] == i else av
@@ -541,14 +616,10 @@ def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     # b's component; the tail to c inside c's component always exists,
     # because an odd Gallai–Edmonds component is factor-critical, so its
     # entry vertex reaches all of it, c's edge included
+    if not _joined(ctx, i, j):
+        return False
     si, si_in = ctx.entry[i]
     si_pl = cg.player_of[si]
-    if cg.union.augment(
-        drop_players=(a, si_pl, sj_pl),
-        drop_vertices=(si_in, sj_in),
-        extra_edges=((si, sj),),
-    ) is None:
-        return False
     if b == si_pl:
         return si in cg.union.reach(sj, drop_players=(a, sj_pl))
     return cg.union.augment(
@@ -585,19 +656,22 @@ def strong_core_structure(cg: CouplesGame) -> StrongCoreStructure:
 
 
 def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
+    """The structure from every cycle-free player's component digraph.
+
+    Two cycle-free players are joined by an alternating path iff one's
+    edge holds or enters a component of the other's context, so pair
+    paths are lookups; ordered triples are two-path flow answers in the
+    middle player's digraph.  The kernel answers only the free-component
+    and through-path pieces of :func:`_delta_path_decide`.
+    """
     kset = cg.cycle_free
     korder = sorted(kset)
-    # two cycle-free players are joined by an alternating path iff the
-    # union without their edges leaves at most two vertices exposed
-    path_between: dict[frozenset[int], bool] = {}
-    for p, q in combinations(korder, 2):
-        path_between[frozenset((p, q))] = (
-            cg.union.augment(drop_players=(p, q), missing=2) is not None
-        )
+    where = {}
+    for b in korder:
+        ctx = _delta_context(cg, b)
+        where[b] = {p: _component(cg, ctx, p) for p in korder if p != b}
     isolated = frozenset(
-        p
-        for p in korder
-        if not any(path_between[frozenset((p, q))] for q in korder if q != p)
+        p for p in korder if all(j is None for j in where[p].values())
     )
     closed: set[int] = set()
     for b in korder:
@@ -605,7 +679,7 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
         for a, c in combinations([p for p in korder if p != b], 2):
             # an a...b...c path contains an alternating a...b path and an
             # alternating b...c path, so pairs without one rule it out
-            if not (path_between[frozenset((a, b))] and path_between[frozenset((b, c))]):
+            if where[b][a] is None or where[b][c] is None:
                 continue
             if not ordered_triple_path_exists(cg, a, b, c):
                 continue
@@ -617,7 +691,7 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
     pair_edges: set[tuple[int, int]] = set()
     for x, y in combinations(sorted(closed), 2):
         if any(
-            delta_path_exists(cg, x, y, z)
+            _delta_path_decide(cg, x, y, z)
             for z in korder
             if z not in (x, y)
         ):

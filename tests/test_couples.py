@@ -1,6 +1,6 @@
 import hashlib
 import json
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -25,7 +25,7 @@ from ntumatch import (
     weak_construct,
     weak_membership,
 )
-from ntumatch.couples import _delta_context, strong_core_quotas
+from ntumatch.couples import _component, _delta_context, _joined, strong_core_quotas
 from ntumatch.exhaustive import (
     alternating_triples_brute,
     all_matchings,
@@ -34,7 +34,7 @@ from ntumatch.exhaustive import (
 )
 from ntumatch.serialize import certificate_to_json, matching_to_json
 
-from couples_reference import delta_context_by_graph, ordered_triple_by_tips
+from couples_reference import delta_context_by_graph, ordered_triple_by_tips, ordered_triple_one_query
 
 
 def couples_instance(n, edges):
@@ -260,6 +260,77 @@ class TestOrderedTriplePath:
                     fn(cg, *players)
 
 
+class TestComponentDigraph:
+    """Answers read off a cycle-free player's component digraph against
+    the kernel queries and the explicit one-query reference."""
+
+    @staticmethod
+    def sweep():
+        # the 600 seeded sparse instances of TestDeltaContext, n 6-30
+        for seed in range(600):
+            n = 6 + seed % 25
+            yield seed, normalize(gen_random(n, 2, (1.0, 1.5, 2.0)[seed % 3] / n, seed=seed))
+
+    def test_pair_lookup_agrees_with_kernel(self):
+        pairs = hits = 0
+        for seed, cg in self.sweep():
+            for p, q in permutations(sorted(cg.cycle_free), 2):
+                got = _component(cg, _delta_context(cg, p), q) is not None
+                want = cg.union.augment(drop_players=(p, q), missing=2) is not None
+                assert got == want, (seed, p, q)
+                pairs += 1
+                hits += got
+        assert pairs > 20000 and hits > 3000
+
+    def test_side_branch_flow_agrees_with_kernel(self):
+        # disjoint alternating paths from a's two vertices to the entry cut
+        # vertices of side components i and j: the kernel deletes both
+        # entry partners, joins the two cut vertices and asks for a
+        # perfect matching
+        checked = hits = 0
+        for seed, cg in self.sweep():
+            for a in sorted(cg.cycle_free):
+                ctx = _delta_context(cg, a)
+                for i, j in permutations(sorted(ctx.entry), 2):
+                    (si, si_in), (sj, sj_in) = ctx.entry[i], ctx.entry[j]
+                    want = cg.union.augment(
+                        drop_players=(a, cg.player_of[si], cg.player_of[sj]),
+                        drop_vertices=(si_in, sj_in),
+                        extra_edges=((si, sj),),
+                    ) is not None
+                    assert _joined(ctx, i, j) == want, (seed, a, i, j)
+                    checked += 1
+                    hits += want
+        assert checked > 50000 and hits > 5000
+
+    @pytest.mark.parametrize("n,seed", [(80, 1), (80, 3), (120, 2), (120, 3)])
+    def test_ordered_triples_at_scale_agree_with_one_query(self, n, seed):
+        # every ordered triple of cycle-free players; an a...b...c path
+        # contains an a...b and a b...c path, so where the kernel finds no
+        # such pair path the reference answer is no without building its
+        # graph, and the reference is symmetric in a and c
+        cg = normalize(gen_random(n, 2, 1.5 / n, seed))
+        kset = sorted(cg.cycle_free)
+        linked = {
+            frozenset(pq)
+            for pq in combinations(kset, 2)
+            if cg.union.augment(drop_players=pq, missing=2) is not None
+        }
+        triples = hits = 0
+        for b in kset:
+            for a, c in combinations([p for p in kset if p != b], 2):
+                want = (
+                    {frozenset((a, b)), frozenset((b, c))} <= linked
+                    and ordered_triple_one_query(cg, a, b, c)
+                )
+                assert ordered_triple_path_exists(cg, a, b, c) == want, (a, b, c)
+                assert ordered_triple_path_exists(cg, c, b, a) == want, (c, b, a)
+                triples += 2
+                hits += 2 * want
+        assert triples == len(kset) * (len(kset) - 1) * (len(kset) - 2)
+        assert hits > 0
+
+
 class TestDeltaPath:
     def test_explicit_instance(self):
         cg = normalize(delta_instance())
@@ -481,11 +552,10 @@ class TestUnionKernel:
     maximum matching and alternating reach on an explicitly built graph."""
 
     @staticmethod
-    def explicit(cg, drop_players, drop_vertices, restrict, extra, fresh=0):
+    def explicit(cg, drop_players, drop_vertices, restrict, extra):
         nv = cg.inst.graph.n
         verts = set(range(nv)) if restrict is None else set(restrict)
         verts -= set(drop_vertices)
-        verts |= set(range(nv, nv + fresh))
         edges = {e for e in cg.inst.graph.edges if verts.issuperset(e)}
         base = [
             pr
@@ -498,10 +568,8 @@ class TestUnionKernel:
         g = Graph(len(to_old), [(to_new[u], to_new[v]) for u, v in edges])
         return g, Matching((to_new[u], to_new[v]) for u, v in base), to_old
 
-    def check_random_queries(self, rng, max_fresh):
-        """300 random queries with drops, restrictions, extra edges and up
-        to ``max_fresh`` fresh vertices; ``max_fresh`` 0 draws nothing for
-        fresh vertices."""
+    def test_random_queries_against_explicit_subgraph(self, rng):
+        # 300 random queries with drops, restrictions and extra edges
         checked = 0
         for _ in range(300):
             n = rng.choice([4, 5, 6, 8, 9, 10, 12, 13, 14])  # odd n pads a player
@@ -518,28 +586,22 @@ class TestUnionKernel:
             extra = []
             if len(alive) >= 2 and rng.random() < 0.5:
                 extra = [tuple(rng.sample(alive, 2)) for _ in range(rng.randint(1, 2))]
-            fresh = rng.randint(1, max_fresh) if max_fresh else 0
-            for s in range(nv, nv + fresh):
-                extra += [(s, v) for v in rng.sample(alive, min(len(alive), rng.randint(0, 3)))]
-            if fresh == 2 and rng.random() < 0.3:
-                extra.append((nv + 1, nv))
-            g, base, to_old = self.explicit(cg, drop_players, drop_vertices, restrict, extra, fresh)
+            g, base, to_old = self.explicit(cg, drop_players, drop_vertices, restrict, extra)
             for missing in (0, 2):
-                found = view.augment(drop_players, drop_vertices, extra, missing=missing, fresh=fresh)
+                found = view.augment(drop_players, drop_vertices, extra, missing=missing)
                 best = max_matching(g)
                 assert (found is not None) == (g.n - 2 * best.size <= missing)
                 if missing == 0:
                     assert (found is not None) == perfect_matching_exists(g)[0]
                 if found is not None:
                     match, masked = found
-                    assert len(match) == len(masked) == nv + fresh
-                    assert all(masked[s] == -1 for s in range(nv, nv + fresh))
+                    assert len(match) == len(masked) == nv
                     got = Matching((to_old[u], match[to_old[u]]) for u in range(g.n) if match[to_old[u]] != -1)
                     assert got.covered <= set(to_old)
                     assert len(to_old) - len(got.covered) <= missing
                     for u, v in got.edges:
                         assert g.has_edge(to_old.index(u), to_old.index(v))
-            if not extra and not drop_vertices and not fresh:
+            if not extra and not drop_vertices:
                 exposed = [v for v in range(g.n) if v not in base.covered]
                 if exposed:
                     root = rng.choice(exposed)
@@ -549,21 +611,16 @@ class TestUnionKernel:
             checked += 1
         assert checked == 300
 
-    def test_random_queries_against_explicit_subgraph(self, rng):
-        self.check_random_queries(rng, 0)
-
-    def test_fresh_vertices_against_explicit_subgraph(self, rng):
-        self.check_random_queries(rng, 2)
-
-    def test_fresh_vertex_past_the_count_is_a_fault(self):
+    def test_vertex_past_the_count_is_a_fault(self):
         cg = normalize(three_couples_chain())
         for v in (6, 7, -1):
             with pytest.raises(InvariantError):
-                cg.union.augment(extra_edges=((v, 0),), fresh=1 if v == 7 else 0)
+                cg.union.augment(extra_edges=((v, 0),))
         restricted = cg.union.without({4, 5})
-        with pytest.raises(InvariantError):
-            restricted.augment(extra_edges=((6, 4),), fresh=1)
-        assert restricted.augment(drop_players=(0,), extra_edges=((6, 0), (6, 1)), fresh=1, missing=1)
+        for v in (4, 6):
+            with pytest.raises(InvariantError):
+                restricted.augment(extra_edges=((v, 2),))
+        assert restricted.augment(drop_players=(0,), extra_edges=((0, 3),))
 
     def test_kept_deletions_compose(self, rng):
         for _ in range(200):
@@ -586,7 +643,9 @@ class TestUnionKernel:
 class TestStructureGolden:
     """Structures of sparse instances beyond the oracle's reach: n=40 and
     n=64 recorded with the engine that rebuilt a graph per query, n=120
-    with the engine that tried each ordered triple's four tip pairs."""
+    with the engine that tried each ordered triple's four tip pairs, n=240
+    and n=320 with the engine that asked one kernel query per ordered
+    triple."""
 
     CASES = {
         (40, 1): dict(
@@ -624,6 +683,70 @@ class TestStructureGolden:
                 {0}, {7}, {8}, {9}, {11}, {17}, {18}, {19}, {21}, {24}, {26},
                 {27}, {28}, {30}, {34}, {36}, {39}, {40}, {42}, {43}, {44},
                 {47}, {55}, {56},
+            ],
+        ),
+        (240, 3): dict(
+            cycle_free={
+                0, 2, 3, 6, 7, 9, 12, 14, 15, 16, 20, 21, 22, 23, 24, 25, 26,
+                28, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 45, 46, 48, 50, 52,
+                53, 56, 57, 58, 60, 61, 63, 64, 65, 67, 69, 70, 71, 72, 73, 74,
+                75, 77, 80, 81, 85, 86, 87, 89, 90, 93, 94, 95, 96, 97, 98, 99,
+                100, 103, 104, 105, 107, 108, 109, 110, 112, 113, 115, 116,
+                118, 119,
+            },
+            path_isolated={2, 21, 40, 50, 89, 98, 105},
+            delta_closed={
+                0, 2, 3, 6, 7, 16, 20, 21, 25, 31, 33, 35, 36, 37, 39, 40, 46,
+                50, 53, 56, 57, 58, 64, 67, 69, 70, 72, 81, 85, 89, 94, 95, 96,
+                98, 99, 100, 104, 105, 108, 113, 115, 116, 118, 119,
+            },
+            pair_transitive={
+                0, 2, 3, 6, 7, 16, 20, 21, 25, 31, 33, 35, 36, 37, 39, 40, 46,
+                50, 53, 56, 57, 58, 64, 67, 69, 70, 72, 81, 85, 89, 94, 95, 96,
+                98, 99, 100, 104, 105, 108, 113, 115, 116, 118, 119,
+            },
+            pair_edges=set(),
+            cliques=[
+                {0}, {2}, {3}, {6}, {7}, {16}, {20}, {21}, {25}, {31}, {33},
+                {35}, {36}, {37}, {39}, {40}, {46}, {50}, {53}, {56}, {57},
+                {58}, {64}, {67}, {69}, {70}, {72}, {81}, {85}, {89}, {94},
+                {95}, {96}, {98}, {99}, {100}, {104}, {105}, {108}, {113},
+                {115}, {116}, {118}, {119},
+            ],
+        ),
+        (320, 3): dict(
+            cycle_free={
+                0, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13, 15, 17, 18, 19, 20, 22,
+                23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 35, 36, 37, 38, 39,
+                41, 44, 46, 47, 48, 50, 51, 52, 53, 57, 59, 60, 61, 65, 67, 68,
+                69, 70, 72, 73, 74, 75, 76, 77, 78, 79, 80, 82, 84, 86, 89, 90,
+                91, 92, 93, 94, 95, 96, 97, 98, 99, 101, 103, 104, 105, 107,
+                108, 110, 111, 112, 113, 115, 116, 117, 118, 119, 120, 121,
+                122, 124, 125, 126, 127, 128, 130, 131, 132, 133, 135, 136,
+                137, 138, 139, 140, 142, 143, 144, 146, 147, 148, 149, 150,
+                151, 152, 153, 154, 155, 156, 158,
+            },
+            path_isolated={20, 52, 68, 92, 133},
+            delta_closed={
+                6, 9, 10, 12, 15, 20, 22, 29, 32, 33, 36, 37, 38, 39, 41, 44,
+                46, 50, 51, 52, 59, 67, 68, 70, 72, 73, 79, 82, 90, 92, 94, 95,
+                98, 99, 101, 105, 108, 110, 113, 118, 119, 124, 127, 128, 133,
+                135, 137, 142, 143, 144, 146, 147, 151, 158,
+            },
+            pair_transitive={
+                6, 9, 10, 12, 15, 20, 22, 29, 32, 33, 36, 37, 38, 39, 41, 44,
+                46, 50, 51, 52, 59, 67, 68, 70, 72, 73, 79, 82, 90, 92, 94, 95,
+                98, 99, 101, 105, 108, 110, 113, 118, 119, 124, 127, 128, 133,
+                135, 137, 142, 143, 144, 146, 147, 151, 158,
+            },
+            pair_edges=set(),
+            cliques=[
+                {6}, {9}, {10}, {12}, {15}, {20}, {22}, {29}, {32}, {33}, {36},
+                {37}, {38}, {39}, {41}, {44}, {46}, {50}, {51}, {52}, {59},
+                {67}, {68}, {70}, {72}, {73}, {79}, {82}, {90}, {92}, {94},
+                {95}, {98}, {99}, {101}, {105}, {108}, {110}, {113}, {118},
+                {119}, {124}, {127}, {128}, {133}, {135}, {137}, {142}, {143},
+                {144}, {146}, {147}, {151}, {158},
             ],
         ),
     }
