@@ -129,13 +129,7 @@ def _gen(args) -> int:
     elif args.kind in ("x3c-weak", "x3c-strong"):
         if not args.input:
             raise InputError(f"gen {args.kind} requires --input with an exact-cover file")
-        import json as _json
-
-        obj = _json.loads(_read(args.input))
-        x3c = generators.X3CInstance(
-            elements=obj["elements"],
-            sets=tuple(tuple(s) for s in obj["sets"]),
-        )
+        x3c = serialize.x3c_from_json(_read(args.input))
         gen = (
             generators.gen_x3c_weak(x3c)
             if args.kind == "x3c-weak"
@@ -144,9 +138,7 @@ def _gen(args) -> int:
     elif args.kind == "sat-weak":
         if not args.input:
             raise InputError("gen sat-weak requires --input with a clause file")
-        import json as _json
-
-        clauses = _json.loads(_read(args.input))
+        clauses = serialize.clauses_from_json(_read(args.input))
         gen = generators.gen_3sat_weak_emptiness(clauses)
     else:  # pragma: no cover - argparse limits the choices
         raise InputError(f"unknown generator {args.kind}")

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import InputError, InvariantError
 from .games import BlockCertificate, Instance, MembershipResult, utility
-from .graphs import Graph, Matching, _blossom_search, _cut_and_components, max_matching
+from .graphs import Graph, Matching, _blossom_search, _cut_and_components, _Labels, max_matching
 from .matroids import PartitionQuota, matching_with_lower_bounds
 
 
@@ -141,16 +141,26 @@ class _Union:
     exposed root; it stops at the first root that cannot be matched.  A
     kept view (:meth:`without`) is such a mask with its vertex deletions
     kept.
+
+    The searches' label arrays belong to the kernel: ``spare`` holds blank
+    :class:`~ntumatch.graphs._Labels` for all n vertices, shared by the
+    game's union and every view made from it.  A query pops one (or makes
+    one when none is spare), clears it after each search (see
+    :meth:`~ntumatch.graphs._Labels.clear`) and appends it back when done,
+    so a search costs its tree; the mask still copies two length-n arrays
+    per query.  ``list.pop`` and ``list.append`` are atomic, so concurrent
+    queries never share a label object.
     """
 
-    __slots__ = ("cg", "adj", "base", "gone", "exposed")
+    __slots__ = ("cg", "adj", "base", "gone", "exposed", "spare")
 
-    def __init__(self, cg: "CouplesGame", adj, base, gone, exposed):
+    def __init__(self, cg: "CouplesGame", adj, base, gone, exposed, spare):
         self.cg = cg
         self.adj = adj
         self.base = base
         self.gone = gone
         self.exposed = exposed
+        self.spare = spare
 
     @classmethod
     def of_game(cls, cg: "CouplesGame") -> "_Union":
@@ -163,17 +173,25 @@ class _Union:
                 rows[u].append(v)
                 rows[v].append(u)
         adj = tuple(tuple(sorted(r)) for r in rows)
-        return cls(cg, adj, tuple(base), frozenset(), ())
+        return cls(cg, adj, tuple(base), frozenset(), (), [])
 
     def without(self, verts) -> "_Union":
         """The same union with ``verts`` deleted too, as a query deletes
         them: their partners become exposed."""
         verts = frozenset(verts)
         adj, base, exposed = self._mask((), verts, ())
-        return _Union(self.cg, tuple(adj), tuple(base), self.gone | verts, tuple(exposed))
+        return _Union(
+            self.cg, tuple(adj), tuple(base), self.gone | verts, tuple(exposed), self.spare
+        )
 
     def has(self, v: int) -> bool:
         return v not in self.gone
+
+    def _labels(self) -> _Labels:
+        try:
+            return self.spare.pop()
+        except IndexError:
+            return _Labels(len(self.adj))
 
     def _mask(self, drop_players, drop_vertices, extra_edges):
         n = len(self.adj)
@@ -227,18 +245,22 @@ class _Union:
         base = list(match)
         left = len(exposed)
         failed = 0
+        labels = self._labels()
         for root in exposed:
             if left <= missing:
                 break
             if match[root] != -1:
                 continue
-            if _blossom_search(adj, match, root, augment=True):
+            found = _blossom_search(adj, match, root, labels, augment=True)
+            labels.clear()
+            if found:
                 left -= 2
             else:
                 failed += 1
                 if failed > missing:
-                    return None
-        return match, base
+                    break
+        self.spare.append(labels)
+        return (match, base) if failed <= missing else None
 
     def reach(self, root: int, drop_players=()) -> frozenset[int]:
         """Vertices even-reachable from the exposed ``root`` by alternating
@@ -246,8 +268,11 @@ class _Union:
         adj, match, _ = self._mask(drop_players, (), ())
         if not self.has(root) or match[root] != -1:
             raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
-        used, _ = _blossom_search(adj, match, root, augment=False)
-        return frozenset(i for i, hit in enumerate(used) if hit)
+        labels = self._labels()
+        even = _blossom_search(adj, match, root, labels, augment=False)
+        labels.clear()
+        self.spare.append(labels)
+        return frozenset(even)
 
 
 # ---------------------------------------------------------------------------
@@ -587,13 +612,15 @@ def delta_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     The roles of ``a`` and ``b`` are exchangeable.
     """
     _require_cycle_free(cg, (a, b, c))
-    return _delta_path_decide(cg, a, b, c)
-
-
-def _delta_path_decide(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     ctx = _delta_context(cg, a)
-    i = _component(cg, ctx, b)
-    j = _component(cg, ctx, c)
+    return _delta_path_decide(cg, ctx, a, b, c, _component(cg, ctx, b), _component(cg, ctx, c))
+
+
+def _delta_path_decide(
+    cg: CouplesGame, ctx: _DeltaContext, a: int, b: int, c: int, i: Optional[int], j: Optional[int]
+) -> bool:
+    """:func:`delta_path_exists` for cycle-free players, given ``a``'s
+    context and the components ``i`` and ``j`` of ``b`` and ``c`` in it."""
     if i is None or j is None or i == j or j in ctx.free:
         return False
     au, av = cg.pairs[a]
@@ -666,10 +693,11 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
     """
     kset = cg.cycle_free
     korder = sorted(kset)
-    where = {}
-    for b in korder:
-        ctx = _delta_context(cg, b)
-        where[b] = {p: _component(cg, ctx, p) for p in korder if p != b}
+    ctxs = {b: _delta_context(cg, b) for b in korder}
+    # where[b][p] == _component(cg, ctxs[b], p)
+    where = {
+        b: {p: _component(cg, ctx, p) for p in korder if p != b} for b, ctx in ctxs.items()
+    }
     isolated = frozenset(
         p for p in korder if all(j is None for j in where[p].values())
     )
@@ -681,19 +709,23 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
             # alternating b...c path, so pairs without one rule it out
             if where[b][a] is None or where[b][c] is None:
                 continue
-            if not ordered_triple_path_exists(cg, a, b, c):
-                continue
-            if not (delta_path_exists(cg, a, b, c) or delta_path_exists(cg, c, b, a)):
+            if not _joined(ctxs[b], where[b][a], where[b][c]):
+                continue  # no ordered triple path a...b...c
+            if not (
+                _delta_path_decide(cg, ctxs[a], a, b, c, where[a][b], where[a][c])
+                or _delta_path_decide(cg, ctxs[c], c, b, a, where[c][b], where[c][a])
+            ):
                 ok = False
                 break
         if ok:
             closed.add(b)
     pair_edges: set[tuple[int, int]] = set()
     for x, y in combinations(sorted(closed), 2):
+        wx = where[x]
         if any(
-            _delta_path_decide(cg, x, y, z)
+            _delta_path_decide(cg, ctxs[x], x, y, z, wx[y], wx[z])
             for z in korder
-            if z not in (x, y)
+            if z not in (x, y) and wx[z] is not None
         ):
             pair_edges.add((x, y))
     mates: dict[int, set[int]] = {p: set() for p in closed}

@@ -10,6 +10,11 @@ threads.  The module keeps no global state: structure derived from a graph
 (its Gallai–Edmonds contact data and coverage ranks) is memoised on the
 ``Graph`` it belongs to, so it lives and dies with that graph.  Concurrent
 first use may compute the same deterministic value twice, which is safe.
+
+A search labels vertices in a :class:`_Labels` its caller owns.  Each
+function here makes one per call and clears it after every search, so a
+search costs the tree it grows rather than the whole graph; the couples
+kernel keeps spare ones across queries (``couples._Union``).
 """
 
 from __future__ import annotations
@@ -205,46 +210,91 @@ def _lca(match, base, parent, a, b):
         v = parent[match[v]]
 
 
-def _mark_path(match, base, parent, blossom, v, b, child):
+def _mark_path(match, base, parent, marked, v, b, child):
     while base[v] != b:
-        blossom[base[v]] = True
-        blossom[base[match[v]]] = True
+        marked.add(base[v])
+        marked.add(base[match[v]])
         parent[v] = child
         child = match[v]
         v = parent[match[v]]
 
 
-def _blossom_search(adj, match, root, augment: bool):
-    """Edmonds search from an exposed root.
+class _Labels:
+    """Blossom-search labels for vertices ``0..n-1``: ``parent`` (-1 when
+    unset), ``base`` (the base of the vertex's blossom, the vertex itself
+    outside one) and ``used`` (even in the search tree).
+
+    A search starts from blank labels and records the vertices it labels in
+    ``even`` (its queue, in scan order) and ``odd``.  The caller owns the
+    object, reads the tree, then calls :meth:`clear` before the next
+    search.  Clearing resets only the vertices the tree touched, or, when
+    the tree covered more than a quarter of the graph, allocates fresh
+    arrays, which is cheaper there than a Python-level reset.  Not
+    thread-safe: one search at a time per object.
+    """
+
+    __slots__ = ("parent", "base", "used", "even", "odd")
+
+    def __init__(self, n: int):
+        self.parent = [-1] * n
+        self.base = list(range(n))
+        self.used = [False] * n
+        self.even: list[int] = []
+        self.odd: list[int] = []
+
+    def clear(self) -> None:
+        n = len(self.used)
+        if 4 * (len(self.even) + len(self.odd)) > n:
+            self.parent = [-1] * n
+            self.base = list(range(n))
+            self.used = [False] * n
+            return
+        parent, base, used = self.parent, self.base, self.used
+        for v in self.even:
+            parent[v] = -1
+            base[v] = v
+            used[v] = False
+        for v in self.odd:
+            parent[v] = -1
+
+
+def _blossom_search(adj, match, root, labels: _Labels, augment: bool):
+    """Edmonds search from an exposed root over blank ``labels``.
 
     With ``augment`` True, flips the matching along the first augmenting
     path found and returns True.  Otherwise explores exhaustively and
-    returns ``(even_vertices, parent)`` for path reconstruction.
+    returns the even vertices in scan order; ``labels.parent`` then allows
+    path reconstruction.  Either way the tree stays in ``labels`` until the
+    caller clears it.  The search costs the tree it grows: the queue is the
+    list of even vertices, and a blossom relabels only its own members
+    (kept per base) in ascending order, the order a scan of every vertex
+    would find them in.
     """
-    n = len(adj)
-    parent = [-1] * n
-    base = list(range(n))
-    used = [False] * n
+    parent, base, used = labels.parent, labels.base, labels.used
+    even = labels.even = [root]
+    odd = labels.odd = []
+    members: dict[int, list[int]] = {}
     used[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    for v in even:  # a FIFO queue: the loop sees what the search appends
         for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
                 cur = _lca(match, base, parent, v, to)
-                blossom = [False] * n
-                _mark_path(match, base, parent, blossom, v, cur, to)
-                _mark_path(match, base, parent, blossom, to, cur, v)
-                for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = cur
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
+                marked: set[int] = set()
+                _mark_path(match, base, parent, marked, v, cur, to)
+                _mark_path(match, base, parent, marked, to, cur, v)
+                marked.discard(cur)  # its members are even with base cur already
+                inner = sorted(x for b in marked for x in members.pop(b, (b,)))
+                members.setdefault(cur, [cur]).extend(inner)
+                for i in inner:
+                    base[i] = cur
+                    if not used[i]:
+                        used[i] = True
+                        even.append(i)
             elif parent[to] == -1:
                 parent[to] = v
+                odd.append(to)
                 if match[to] == -1:
                     if augment:
                         u = to
@@ -261,10 +311,10 @@ def _blossom_search(adj, match, root, augment: bool):
                     w = match[to]
                     if not used[w]:
                         used[w] = True
-                        queue.append(w)
+                        even.append(w)
     if augment:
         return False
-    return used, parent
+    return even
 
 
 def max_matching(g: Graph, seed_matching: Optional[Matching] = None) -> Matching:
@@ -278,9 +328,11 @@ def max_matching(g: Graph, seed_matching: Optional[Matching] = None) -> Matching
         match = _match_array(g.n, seed_matching)
     else:
         match = [-1] * g.n
+    labels = _Labels(g.n)
     for root in range(g.n):
         if match[root] == -1:
-            _blossom_search(g.adj, match, root, augment=True)
+            _blossom_search(g.adj, match, root, labels, augment=True)
+            labels.clear()
     return Matching((v, match[v]) for v in range(g.n) if match[v] > v)
 
 
@@ -323,9 +375,9 @@ def alternating_reach(g: Graph, m: Matching, root: int) -> AlternatingForest:
         raise InputError(f"root {root} out of range")
     if match[root] != -1:
         raise InputError(f"root {root} is covered by the matching")
-    used, parent = _blossom_search(g.adj, match, root, augment=False)
-    even = frozenset(i for i in range(g.n) if used[i])
-    return AlternatingForest(root, even, match, parent)
+    labels = _Labels(g.n)
+    even = _blossom_search(g.adj, match, root, labels, augment=False)
+    return AlternatingForest(root, frozenset(even), match, labels.parent)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -356,10 +408,11 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     m = max_matching(g)
     match = _match_array(g.n, m)
     exposable: set[int] = set()
+    labels = _Labels(g.n)
     for root in range(g.n):
         if match[root] == -1:
-            used, _ = _blossom_search(g.adj, match, root, augment=False)
-            exposable.update(i for i in range(g.n) if used[i])
+            exposable.update(_blossom_search(g.adj, match, root, labels, augment=False))
+            labels.clear()
     cut, comps = _cut_and_components(g.adj, exposable)
     if len(comps) - len(cut) != g.n - 2 * m.size:
         raise InvariantError("deficiency identity violated")
@@ -441,22 +494,20 @@ def _cover_targets(g: Graph, y: frozenset[int]) -> tuple[list[int], set[int]]:
     target_set = set(targets)
     match = list(base)
     failed: set[int] = set()
+    labels = _Labels(aux.n)
     for idx, t in enumerate(targets):
         if match[t] != -1:
             continue
-        used, parent = _blossom_search(aux.adj, match, t, augment=False)
-        swap = None
-        for v in range(aux.n):
-            if used[v] and v != t and v not in target_set:
-                swap = v
-                break
+        even = frozenset(_blossom_search(aux.adj, match, t, labels, augment=False))
+        swap = min((v for v in even if v != t and v not in target_set), default=None)
         if swap is None:
             if idx < len(cut):
                 raise InvariantError("cut vertex not coverable in contact graph")
             failed.add(t)
+            labels.clear()
             continue
-        even = frozenset(v for v in range(aux.n) if used[v])
-        path = AlternatingForest(t, even, match, parent).path_to(swap)
+        path = AlternatingForest(t, even, match, labels.parent).path_to(swap)
+        labels.clear()
         # flipping the path matches its odd edges and exposes ``swap``
         match[swap] = -1
         for a, b in zip(path[::2], path[1::2]):
@@ -495,9 +546,12 @@ def _assemble_witness(
         rest |= comp - {q}
     adj = [[w for w in row if w in rest] for row in g.adj]
     match = [-1] * g.n
+    labels = _Labels(g.n)
     for root in sorted(rest):
-        if match[root] == -1 and not _blossom_search(adj, match, root, augment=True):
-            raise InvariantError("even part or odd component is not matchable as required")
+        if match[root] == -1:
+            if not _blossom_search(adj, match, root, labels, augment=True):
+                raise InvariantError("even part or odd component is not matchable as required")
+            labels.clear()
     edges.extend((v, match[v]) for v in rest if match[v] > v)
     return Matching(edges)
 

@@ -1,4 +1,5 @@
-"""Canonical JSON formats for instances, matchings, and certificates.
+"""Canonical JSON formats for instances, matchings, and certificates, and
+the parsers of the reductions' exact-cover and clause inputs.
 
 All arrays are sorted ascending and every edge is written smaller-endpoint
 first, so serializing the same value always produces identical bytes
@@ -12,6 +13,7 @@ from typing import Optional
 
 from .errors import InputError
 from .games import BlockCertificate, Instance
+from .generators import X3CInstance
 from .graphs import Graph, Matching
 
 
@@ -29,11 +31,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _load(text: str, what: str) -> dict:
+def _parse(text: str, what: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON for {what}: {exc}") from exc
+
+
+def _int_rows(raw) -> bool:
+    """Whether ``raw`` is an array of arrays of JSON integers."""
+    return isinstance(raw, list) and all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in raw
+    )
+
+
+def _load(text: str, what: str) -> dict:
+    obj = _parse(text, what)
     if not isinstance(obj, dict):
         raise InputError(f"{what} must be a JSON object")
     return obj
@@ -129,6 +142,25 @@ def certificate_from_json(text: str) -> dict:
         "coalition": tuple(coalition),
         "witness": Matching(_parse_edges(obj.get("witness", []), "certificate")),
     }
+
+
+def x3c_from_json(text: str) -> X3CInstance:
+    """An exact-cover input, ``{"elements": k, "sets": [[a, b, c], ...]}``."""
+    obj = _load(text, "exact-cover input")
+    if not _is_int(obj.get("elements")):
+        raise InputError("exact-cover input.elements must be an integer")
+    if not _int_rows(obj.get("sets")):
+        raise InputError("exact-cover input.sets must be an array of integer arrays")
+    return X3CInstance(elements=obj["elements"], sets=tuple(map(tuple, obj["sets"])))
+
+
+def clauses_from_json(text: str) -> list[tuple[int, ...]]:
+    """A clause input, ``[[literal, ...], ...]`` with non-zero integer
+    literals (negative for a negated variable)."""
+    obj = _parse(text, "clause input")
+    if not _int_rows(obj):
+        raise InputError("clause input must be an array of integer arrays")
+    return [tuple(cl) for cl in obj]
 
 
 def name_map_to_json(names: dict) -> str:

@@ -223,6 +223,25 @@ class TestCli:
         capsys.readouterr()
         assert certificate_from_json(cert.read_text())["verdict"] == "blocked"
 
+    @pytest.mark.parametrize(
+        "kind,text",
+        [
+            ("x3c-weak", "not json"),
+            ("x3c-strong", '{"sets": [[1, 2, 3]]}'),
+            ("sat-weak", '[[1, "a", 3]]'),
+        ],
+        ids=["non-json", "missing-elements", "string-literal"],
+    )
+    def test_gen_malformed_input_exit_2(self, tmp_path, capsys, kind, text):
+        # exit 1 means "blocked / core empty", so a bad input file must not
+        # reach the generators and fail there
+        src = tmp_path / "in.json"
+        src.write_text(text)
+        assert main(["gen", kind, "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: input: ")
+
     def test_usage_error(self, capsys):
         assert main(["verify", "--core", "weak"]) == 2
         capsys.readouterr()

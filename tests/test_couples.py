@@ -1,5 +1,8 @@
 import hashlib
 import json
+import sys
+import threading
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -638,6 +641,46 @@ class TestUnionKernel:
         cg = normalize(three_couples_chain())
         with pytest.raises(InvariantError):
             cg.union.augment(drop_vertices=(0,), extra_edges=((0, 3),))
+
+    def test_threads_share_one_kernel(self):
+        # the spare label list is shared by the union and its views: threads
+        # that query them at once must each search over labels of their own
+        cg = normalize(gen_random(80, 2, 2.0 / 80, 11))
+        views = [cg.union, cg.union.without(range(0, 80, 7))]
+
+        def answers():
+            out = []
+            for view in views:
+                for p, (u, v) in enumerate(cg.pairs):
+                    if view.has(u) and view.has(v):
+                        out.append(view.augment(drop_players=(p,)))
+                        out.append(view.reach(u, drop_players=(p,)))
+            return out
+
+        want = answers()
+        results = [None] * 6
+
+        def work(k):
+            results[k] = answers()
+
+        threads = [
+            threading.Thread(target=work, args=(k,), daemon=True) for k in range(len(results))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(got == want for got in results)
+        n = cg.inst.graph.n
+        for labels in cg.union.spare:
+            assert (labels.parent, labels.base, labels.used) == ([-1] * n, list(range(n)), [False] * n)
 
 
 class TestStructureGolden:

@@ -26,7 +26,7 @@ from ntumatch.exhaustive import (
     coverable_sets_brute,
     even_reach_brute,
 )
-from ntumatch.graphs import bipartition, induced_subgraph
+from ntumatch.graphs import _blossom_search, _Labels, _match_array, bipartition, induced_subgraph
 
 from conftest import cycle_graph, path_graph, random_graph, random_matching
 
@@ -269,6 +269,169 @@ class TestDerivedStructure:
         fresh = cycle_graph(5)
         assert fresh == g and hash(fresh) == hash(g)
         assert fresh._contact is None and fresh._ranks == {}
+
+
+@st.composite
+def blossom_graphs(draw):
+    """A graph with blossoms and a matching of it.
+
+    One large component grows from an odd cycle by odd ears, each a new
+    odd cycle through one earlier vertex, plus a few chords, so blossoms
+    nest when contracted; small odd cycles and single edges follow it.  A
+    search rooted in the large component covers most of the graph, one
+    rooted in a small component only a few vertices.
+    """
+    edges = []
+
+    def cycle(verts):
+        edges.extend(zip(verts, verts[1:] + verts[:1]))
+
+    n = draw(st.sampled_from([3, 5, 7]))
+    cycle(list(range(n)))
+    ears = st.tuples(st.integers(0, 10**6), st.sampled_from([3, 5]))
+    for at, length in draw(st.lists(ears, max_size=5)):
+        cycle([at % n, *range(n, n + length - 1)])
+        n += length - 1
+    chords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for u, v in draw(st.lists(chords, max_size=4)):
+        if u != v:
+            edges.append((u, v))
+    for size in draw(st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3)):
+        if size == 2:
+            edges.append((n, n + 1))
+        else:
+            cycle(list(range(n, n + size)))
+        n += size
+    g = Graph(n, edges)
+    order = draw(st.permutations(g.edges))
+    keep = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    chosen, covered = [], set()
+    for (u, v), k in zip(order, keep):
+        if k and u not in covered and v not in covered:
+            chosen.append((u, v))
+            covered.update((u, v))
+    return g, Matching(chosen)
+
+
+def reference_search(adj, match, root, augment):
+    """Edmonds search as written before label reuse: fresh arrays, and each
+    blossom relabels by a scan of every vertex.  Returns what
+    ``_blossom_search`` does, with the parent array in reach mode."""
+    n = len(adj)
+    parent, base, used = [-1] * n, list(range(n)), [False] * n
+    used[root] = True
+    queue = [root]
+    for v in queue:
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                marks = set()
+                x = v
+                while True:
+                    x = base[x]
+                    marks.add(x)
+                    if match[x] == -1:
+                        break
+                    x = parent[match[x]]
+                cur = to
+                while True:
+                    cur = base[cur]
+                    if cur in marks:
+                        break
+                    cur = parent[match[cur]]
+                blossom = [False] * n
+                for x, child in ((v, to), (to, v)):
+                    while base[x] != cur:
+                        blossom[base[x]] = blossom[base[match[x]]] = True
+                        parent[x] = child
+                        child = match[x]
+                        x = parent[match[x]]
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    if augment:
+                        u = to
+                        while u != -1:
+                            pv, ppv = parent[u], match[parent[u]]
+                            match[u], match[pv] = pv, u
+                            u = ppv
+                        return True
+                elif not used[match[to]]:
+                    used[match[to]] = True
+                    queue.append(match[to])
+    return False if augment else (queue, parent)
+
+
+def assert_blank(labels, n):
+    assert labels.parent == [-1] * n
+    assert labels.base == list(range(n))
+    assert labels.used == [False] * n
+
+
+class TestLabelReuse:
+    """Searches through one shared ``_Labels`` agree with searches on fresh
+    arrays, by the same code and by the full-scan reference, and leave the
+    labels blank once cleared."""
+
+    @given(
+        blossom_graphs(),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_shared_labels_match_fresh_search(self, gm, searches):
+        g, m = gm
+        shared = _Labels(g.n)
+        match = _match_array(g.n, m)
+        by_fresh, by_scan = list(match), list(match)
+        for augment, pick in searches:
+            exposed = [v for v in range(g.n) if match[v] == -1]
+            if not exposed:
+                break
+            root = exposed[pick % len(exposed)]
+            fresh = _Labels(g.n)
+            want = _blossom_search(g.adj, by_fresh, root, fresh, augment=augment)
+            scanned = reference_search(g.adj, by_scan, root, augment)
+            got = _blossom_search(g.adj, match, root, shared, augment=augment)
+            assert got == want
+            assert match == by_fresh == by_scan
+            if augment:
+                assert got == scanned
+            else:
+                assert set(got) == {v for v in range(g.n) if fresh.used[v]}
+                assert shared.parent == fresh.parent
+                assert (got, shared.parent) == scanned
+            shared.clear()
+            assert_blank(shared, g.n)
+
+    def test_both_reset_paths(self):
+        # a 9-cycle with a triangle on vertex 0, then 12 disjoint edges
+        edges = [(i, (i + 1) % 9) for i in range(9)] + [(0, 9), (9, 10), (10, 0)]
+        edges += [(v, v + 1) for v in range(11, 35, 2)]
+        g = Graph(35, edges)
+        match = [-1] * g.n
+        labels = _Labels(g.n)
+        arrays = labels.parent, labels.base, labels.used
+        # one edge: the tree touches two vertices, so they are reset in place
+        assert _blossom_search(g.adj, match, 11, labels, augment=True)
+        labels.clear()
+        assert all(a is b for a, b in zip((labels.parent, labels.base, labels.used), arrays))
+        assert_blank(labels, g.n)
+        # the flower: match the 9-cycle but 8, and the triangle's other edge
+        for v in range(0, 8, 2):
+            match[v], match[v + 1] = v + 1, v
+        match[9], match[10] = 10, 9
+        even = _blossom_search(g.adj, match, 8, labels, augment=False)
+        assert sorted(even) == list(range(11))  # every vertex of the flower
+        labels.clear()  # 11 + odd vertices of 35: fresh arrays
+        assert not any(a is b for a, b in zip((labels.parent, labels.base, labels.used), arrays))
+        assert_blank(labels, g.n)
 
 
 def coverage_sweep():
