@@ -6,10 +6,10 @@ ascending id order and adjacency lists are sorted, so every result is
 deterministic and reproducible.
 
 All values are immutable after construction and safe to share across
-threads.  The module keeps no global state: structure derived from a graph
-(its Gallai–Edmonds contact data and coverage ranks) is memoised on the
-``Graph`` it belongs to, so it lives and dies with that graph.  Concurrent
-first use may compute the same deterministic value twice, which is safe.
+threads.  The module keeps no global state: a graph's maximum matching
+(the seed of its coverage queries) and coverage ranks are memoised on the
+``Graph``, so they live and die with it.  Concurrent first use may compute
+the same deterministic value twice, which is safe.
 
 A search labels vertices in a :class:`_Labels` its caller owns.  Each
 function here makes one per call and clears it after every search, so a
@@ -38,11 +38,12 @@ class Graph:
 
     No self-loops, no parallel edges.  Hashable and comparable by value.
     Two private slots memoise derived structure on first use and take no
-    part in equality: ``_contact`` (see :func:`_contact`) and ``_ranks``,
-    the :func:`coverage_rank` answers keyed by vertex frozenset.
+    part in equality: ``_match``, a maximum matching (as a match array) that
+    seeds every coverage query, and ``_ranks``, the :func:`coverage_rank`
+    answers keyed by vertex frozenset.
     """
 
-    __slots__ = ("n", "edges", "edge_set", "adj", "_hash", "_contact", "_ranks")
+    __slots__ = ("n", "edges", "edge_set", "adj", "_hash", "_match", "_ranks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -59,7 +60,7 @@ class Graph:
         self.edge_set = frozenset(es)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self._hash = hash((n, self.edges))
-        self._contact = None
+        self._match: Optional[tuple[int, ...]] = None
         self._ranks: dict[frozenset[int], int] = {}
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -449,149 +450,67 @@ def _cut_and_components(adj, exposable) -> tuple[frozenset[int], tuple[frozenset
     return cut, tuple(comps)
 
 
-def _contact(g: Graph) -> tuple[GallaiEdmonds, tuple[int, ...], Graph, tuple[int, ...]]:
-    """Gallai–Edmonds decomposition, cut tuple, bipartite contact graph and
-    a maximum matching of it (as a match array), built once per graph and
-    kept on it.
-
-    The contact graph has the cut vertices on the left and the odd
-    components on the right, with an edge when the graph joins the cut
-    vertex to the component.
-    """
-    if g._contact is not None:
-        return g._contact
-    ge = gallai_edmonds(g)
-    cut = tuple(sorted(ge.cut_set))
-    comp_index = {}
-    for j, comp in enumerate(ge.odd_components):
-        for v in comp:
-            comp_index[v] = j
-    edges = set()
-    for i, a in enumerate(cut):
-        for b in g.adj[a]:
-            j = comp_index.get(b)
-            if j is not None:
-                edges.add((i, len(cut) + j))
-    aux = Graph(len(cut) + len(ge.odd_components), edges)
-    g._contact = ge, cut, aux, tuple(_match_array(aux.n, max_matching(aux)))
-    return g._contact
-
-
-def _cover_targets(g: Graph, y: frozenset[int]) -> tuple[list[int], set[int]]:
-    """Maximize coverage in the contact graph of every cut vertex, then of
-    every odd component lying inside ``y``, in that order.
-
-    Cut vertices must be coverable (invariant violation otherwise);
-    components may fail.  Returns the contact match array and the set of
-    components left uncovered.  Coverable subsets of a fixed vertex set
-    form a matroid, so fixing earlier targets and greedily exchanging
-    exposure onto non-target vertices is exact.
-    """
-    ge, cut, aux, base = _contact(g)
-    targets = list(range(len(cut))) + [
-        len(cut) + j for j, comp in enumerate(ge.odd_components) if comp <= y
-    ]
-    target_set = set(targets)
-    match = list(base)
-    failed: set[int] = set()
-    labels = _Labels(aux.n)
-    for idx, t in enumerate(targets):
-        if match[t] != -1:
-            continue
-        even = frozenset(_blossom_search(aux.adj, match, t, labels, augment=False))
-        swap = min((v for v in even if v != t and v not in target_set), default=None)
-        if swap is None:
-            if idx < len(cut):
-                raise InvariantError("cut vertex not coverable in contact graph")
-            failed.add(t)
-            labels.clear()
-            continue
-        path = AlternatingForest(t, even, match, labels.parent).path_to(swap)
+def _cover(g: Graph, y: frozenset[int], stop: bool) -> tuple[list[int], int]:
+    """The greedy of :func:`coverable`: its match array (pendants included)
+    and failed-root count, ending at the first failure if ``stop`` is set."""
+    for v in y:
+        if not (0 <= v < g.n):
+            raise InputError(f"vertex {v} out of range")
+    if g._match is None:
+        g._match = tuple(_match_array(g.n, max_matching(g)))
+    match = list(g._match)
+    roots = [v for v in sorted(y) if match[v] == -1]
+    if not roots:
+        return match, 0
+    adj = list(g.adj)
+    for v in range(g.n):
+        if v not in y:
+            adj[v] += (len(adj),)
+            adj.append((v,))
+            match.append(-1)
+    labels = _Labels(len(adj))
+    failed = 0
+    for root in roots:
+        if not _blossom_search(adj, match, root, labels, augment=True):
+            failed += 1
+            if stop:
+                break
         labels.clear()
-        # flipping the path matches its odd edges and exposes ``swap``
-        match[swap] = -1
-        for a, b in zip(path[::2], path[1::2]):
-            match[a] = b
-            match[b] = a
     return match, failed
-
-
-def _assemble_witness(
-    g: Graph, aux_match: list[int], avoid: frozenset[int]
-) -> Matching:
-    """Expand a contact-graph matching into a real maximum matching.
-
-    Components matched to a cut vertex are fully covered; every other
-    component exposes one vertex, chosen outside ``avoid`` when possible.
-    What is left (the even part and each component minus its cut-matched
-    or exposed vertex) is matched perfectly by one search over adjacency
-    masked to it: no edge joins the even part to a component, so each
-    search stays inside its own piece.
-    """
-    ge, cut, _, _ = _contact(g)
-    edges: list[tuple[int, int]] = []
-    rest = set(ge.even_part)
-    matched_comp: dict[int, int] = {}
-    for i, a in enumerate(cut):
-        if aux_match[i] != -1:
-            matched_comp[aux_match[i] - len(cut)] = a
-    for j, comp in enumerate(ge.odd_components):
-        if j in matched_comp:
-            a = matched_comp[j]
-            q = next(v for v in g.adj[a] if v in comp)
-            edges.append((a, q))
-        else:
-            outside = sorted(comp - avoid)
-            q = outside[0] if outside else min(comp)
-        rest |= comp - {q}
-    adj = [[w for w in row if w in rest] for row in g.adj]
-    match = [-1] * g.n
-    labels = _Labels(g.n)
-    for root in sorted(rest):
-        if match[root] == -1:
-            if not _blossom_search(adj, match, root, labels, augment=True):
-                raise InvariantError("even part or odd component is not matchable as required")
-            labels.clear()
-    edges.extend((v, match[v]) for v in rest if match[v] > v)
-    return Matching(edges)
 
 
 def coverable(g: Graph, x: Iterable[int]) -> Optional[Matching]:
     """A matching covering all of ``x``, or None.
 
-    Decision: in the contact graph between the cut set and the odd
-    components, some matching must cover every cut vertex and every odd
-    component that lies entirely inside ``x``; components with an outside
-    vertex can always expose one.  The witness is assembled from the even
-    part's perfect matching, per-component near-perfect matchings, and the
-    contact matching.
+    Greedy augmentation from a maximum matching of ``g``: every vertex
+    outside ``x`` gets a fresh pendant partner, one augmenting search runs
+    from each exposed vertex of ``x`` in ascending order, and the witness
+    drops the pendant edges.  Coverable sets are the independent sets of
+    the matching matroid, whose bases are the covered sets ``C`` of maximum
+    matchings.  If ``(C & x) + r`` is coverable, circuit exchange gives
+    ``u`` in ``C - x`` with ``C - u + r`` a basis: an even alternating path
+    from ``r`` to ``u``, which ``u``'s pendant extends to an augmenting
+    path.  As the matching of ``g`` stays maximum, every augmenting path is
+    of that kind and adds just ``r``, so the greedy is exact and a failed
+    root stays failed.  A seed that is not maximum breaks this.
     """
     xset = frozenset(x)
-    for v in xset:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range")
-    aux_match, failed = _cover_targets(g, xset)
+    match, failed = _cover(g, xset, stop=True)
     if failed:
         return None
-    witness = _assemble_witness(g, aux_match, xset)
+    witness = Matching((v, match[v]) for v in range(g.n) if v < match[v] < g.n)
     if not xset <= witness.covered:
-        raise InvariantError("assembled witness does not cover the requested set")
+        raise InvariantError("greedy witness does not cover the requested set")
     return witness
 
 
 def coverage_rank(g: Graph, y: Iterable[int]) -> int:
-    """Largest number of vertices of ``y`` a single matching can cover.
-
-    Equals the rank of ``y`` in the matroid whose independent sets are the
-    coverable vertex sets.  Answers are memoised on ``g``.
-    """
+    """Largest number of vertices of ``y`` a single matching can cover: its
+    rank in the matching matroid, ``|y|`` minus the roots that fail in the
+    greedy of :func:`coverable`.  Answers are memoised on ``g``."""
     y = frozenset(y)
     if y not in g._ranks:
-        for v in y:
-            if not (0 <= v < g.n):
-                raise InputError(f"vertex {v} out of range")
-        _, failed = _cover_targets(g, y)
-        g._ranks[y] = len(y) - len(failed)
+        g._ranks[y] = len(y) - _cover(g, y, stop=False)[1]
     return g._ranks[y]
 
 

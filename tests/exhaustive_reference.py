@@ -1,0 +1,170 @@
+"""Brute-force references for graph and couples structure tests.
+
+Alternating reach, coverable sets, alternating-path triples and delta
+structures, each by enumerating matchings or simple alternating paths
+(explicit stacks, no recursion), independent of the polynomial algorithms
+the tests compare them against.  Hard caps raise
+:class:`~ntumatch.errors.ResourceLimitError` instead of truncating.
+"""
+
+from __future__ import annotations
+
+from ntumatch.errors import InputError, ResourceLimitError
+from ntumatch.exhaustive import DEFAULT_CAP, all_matchings
+from ntumatch.graphs import Graph, Matching
+
+
+def coverable_sets_brute(g: Graph, cap: int = DEFAULT_CAP) -> set[frozenset[int]]:
+    """The covered vertex set of every matching, the empty matching's empty
+    set included; a set is coverable when it lies inside one of them."""
+    return {m.covered for m in all_matchings(g, cap)}
+
+
+def even_reach_brute(g: Graph, m: Matching, root: int, cap: int = 2_000_000) -> frozenset[int]:
+    """Vertices reachable from ``root`` by a simple alternating path ending
+    with a matching edge, by DFS (explicit stack) over all alternating
+    paths."""
+    partner = m.partner_map()
+    if root in partner:
+        raise InputError("root is covered")
+    reached = {root}
+    steps = 0
+    stack = [(root, frozenset((root,)))]
+    while stack:
+        v, visited = stack.pop()
+        for w in g.adj[v]:
+            steps += 1
+            if steps > cap:
+                raise ResourceLimitError("alternating-path enumeration exceeded cap")
+            if w in visited:
+                continue
+            # unmatched edge v-w, then w must continue on its matched edge
+            if partner.get(v) == w:
+                continue
+            x = partner.get(w)
+            if x is None or x in visited:
+                continue
+            reached.add(x)
+            stack.append((x, visited | {w, x}))
+    return frozenset(reached)
+
+
+def alternating_triples_brute(cg, cap: int = 2_000_000) -> set[tuple[int, int, int]]:
+    """All (end player, end player, traversed player) path patterns.
+
+    Enumerates, by DFS with an explicit stack, every simple alternating
+    path that starts and ends with a player edge; records
+    ``(first, last, through)`` for each interior player, both end orders.
+    """
+    out: set[tuple[int, int, int]] = set()
+    pairs = cg.pairs
+    e_adj = [set(cg.inst.graph.adj[v]) for v in range(cg.inst.graph.n)]
+    player_of = cg.player_of
+    steps = 0
+    # (players along the path, tip vertex just past a player edge, visited)
+    stack = []
+    for p, (u, v) in enumerate(pairs):
+        stack.append(((p,), v, frozenset((u, v))))
+        stack.append(((p,), u, frozenset((u, v))))
+    while stack:
+        seq_players, tip, visited = stack.pop()
+        if len(seq_players) >= 2:
+            a, c = seq_players[0], seq_players[-1]
+            for b in seq_players[1:-1]:
+                out.add((a, c, b))
+                out.add((c, a, b))
+        for w in e_adj[tip]:
+            steps += 1
+            if steps > cap:
+                raise ResourceLimitError("path enumeration exceeded cap")
+            if w in visited:
+                continue
+            pw = player_of[w]
+            u, v = pairs[pw]
+            other = v if w == u else u
+            if other in visited:
+                continue
+            stack.append((seq_players + (pw,), other, visited | {w, other}))
+    return out
+
+
+def delta_triples_brute(cg, cap: int = 4_000_000) -> set[tuple[frozenset, int]]:
+    """All realizable (cycle player pair, path-end player) patterns.
+
+    A structure is an odd cycle that alternates except at one vertex ``v``
+    plus an alternating path from ``v`` that starts with ``v``'s player
+    edge, is vertex-disjoint from the cycle apart from ``v``, and ends with
+    a player edge; recorded as every unordered pair of cycle players with
+    the path's end player.  Cycles and paths are both walked by DFS with
+    explicit stacks.
+    """
+    if cg.inst.graph.n > 14:
+        raise InputError("delta-structure enumeration is limited to n <= 14")
+    out: set[tuple[frozenset, int]] = set()
+    pairs = cg.pairs
+    e_adj = [set(cg.inst.graph.adj[v]) for v in range(cg.inst.graph.n)]
+    player_of = cg.player_of
+    steps = 0
+
+    def mate(x: int) -> int:
+        x1, x2 = pairs[player_of[x]]
+        return x2 if x == x1 else x1
+
+    def paths_from(v: int, banned: frozenset, cycle_players: tuple[int, ...]):
+        """Alternating paths from v starting with v's player edge."""
+        nonlocal steps
+        other = mate(v)
+        if other in banned:
+            return
+        cycle_pairs = [
+            frozenset((pa, pb))
+            for i, pa in enumerate(cycle_players)
+            for pb in cycle_players[i + 1:]
+        ]
+        # (tip vertex just past a player edge, that edge's player, visited)
+        stack = [(other, player_of[v], frozenset((v, other)))]
+        while stack:
+            tip, end_player, visited = stack.pop()
+            for pair in cycle_pairs:
+                out.add((pair, end_player))
+            for w in e_adj[tip]:
+                steps += 1
+                if steps > cap:
+                    raise ResourceLimitError("delta enumeration exceeded cap")
+                if w in visited or w in banned:
+                    continue
+                nxt = mate(w)
+                if nxt in visited or nxt in banned:
+                    continue
+                stack.append((nxt, player_of[w], visited | {w, nxt}))
+
+    for v in range(cg.inst.graph.n):
+        # odd cycles through v alternating except at v: leave v on a
+        # non-player edge to w, take w's player edge, and repeat until a
+        # non-player edge closes the cycle back at v
+        stack = []
+        for w in sorted(e_adj[v]):
+            nxt = mate(w)
+            if nxt not in (v, w):
+                stack.append((nxt, frozenset((v, w, nxt)), (player_of[w],)))
+        while stack:
+            tip, visited, players = stack.pop()
+            if v in e_adj[tip]:
+                paths_from(v, visited - {v}, players)
+            for w in e_adj[tip]:
+                steps += 1
+                if steps > cap:
+                    raise ResourceLimitError("delta enumeration exceeded cap")
+                if w in visited:
+                    continue
+                nxt = mate(w)
+                if nxt in visited or nxt == w:
+                    continue
+                stack.append((nxt, visited | {w, nxt}, players + (player_of[w],)))
+    return out
+
+
+def oracle_delta_path(cg, a: int, b: int, c: int) -> bool:
+    """Definitional test used only in validation; enumerates the game's
+    structures afresh on every call."""
+    return (frozenset((a, b)), c) in delta_triples_brute(cg)

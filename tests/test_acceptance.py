@@ -31,16 +31,13 @@ from ntumatch import (
 from ntumatch.cli import main
 from ntumatch.constant_players import achievable, core_empty, core_outcomes
 from ntumatch.couples import strong_core_quotas
-from ntumatch.exhaustive import (
-    all_matchings,
-    coverable_sets_brute,
-    delta_triples_brute,
-    oracle_core,
-)
+from ntumatch.exhaustive import all_matchings, oracle_core
 from ntumatch.graphs import bipartition, coverable
 from ntumatch.matroids import PartitionQuota
 from ntumatch.serialize import matching_from_json
 import random
+
+from exhaustive_reference import coverable_sets_brute, delta_triples_brute
 
 
 def _report(num, text, t0):

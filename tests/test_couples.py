@@ -29,15 +29,11 @@ from ntumatch import (
     weak_membership,
 )
 from ntumatch.couples import _component, _delta_context, _joined, strong_core_quotas
-from ntumatch.exhaustive import (
-    alternating_triples_brute,
-    all_matchings,
-    oracle_core,
-    oracle_delta_path,
-)
+from ntumatch.exhaustive import all_matchings, oracle_core
 from ntumatch.serialize import certificate_to_json, matching_to_json
 
 from couples_reference import delta_context_by_graph, ordered_triple_by_tips, ordered_triple_one_query
+from exhaustive_reference import alternating_triples_brute, delta_triples_brute, oracle_delta_path
 
 
 def couples_instance(n, edges):
@@ -482,8 +478,6 @@ class TestParallelPlayerEdges:
             kset = sorted(cg.cycle_free)
             if len(kset) < 3:
                 continue
-            from ntumatch.exhaustive import delta_triples_brute
-
             brute = delta_triples_brute(cg)
             for a, b, c in permutations(kset, 3):
                 assert delta_path_exists(cg, a, b, c) == (

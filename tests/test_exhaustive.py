@@ -18,14 +18,13 @@ from ntumatch.exhaustive import (
     all_matchings,
     coalition_tables,
     count_matchings,
-    even_reach_brute,
     oracle_core,
-    oracle_delta_path,
 )
 from ntumatch.couples import normalize
 from ntumatch.graphs import induced_subgraph
 
 from conftest import cycle_graph, path_graph, random_graph
+from exhaustive_reference import even_reach_brute, oracle_delta_path
 
 
 def recursive_matchings(g: Graph) -> list[Matching]:

@@ -21,14 +21,11 @@ from ntumatch import (
     max_matching,
     perfect_matching_exists,
 )
-from ntumatch.exhaustive import (
-    all_matchings,
-    coverable_sets_brute,
-    even_reach_brute,
-)
+from ntumatch.exhaustive import all_matchings
 from ntumatch.graphs import _blossom_search, _Labels, _match_array, bipartition, induced_subgraph
 
 from conftest import cycle_graph, path_graph, random_graph, random_matching
+from exhaustive_reference import coverable_sets_brute, even_reach_brute
 
 
 def small_graphs(max_n=9):
@@ -247,6 +244,15 @@ class TestCoverable:
                 rank_want = max((len(x & s) for s in covsets), default=0)
                 assert coverage_rank(g, x) == rank_want
 
+    def test_seed_must_be_maximum(self):
+        # the smallest graph where augmenting from the empty matching fails:
+        # root 0 takes 1, root 2 then reaches 1's pendant through 0, and
+        # root 3 is left with no partner
+        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        w = coverable(g, {0, 2, 3})
+        assert w is not None and w.edges == ((0, 3), (1, 2))
+        assert coverage_rank(g, {0, 2, 3}) == 3
+
     def test_rank_accepts_any_iterable(self):
         g = Graph(3, [(0, 1), (1, 2)])
         ranks = {coverage_rank(g, x) for x in ([0, 2], {0, 2}, frozenset({0, 2}))}
@@ -265,10 +271,10 @@ class TestDerivedStructure:
     def test_memo_stays_on_its_graph(self):
         g = cycle_graph(5)
         assert coverable(g, [0, 1]) is not None and coverage_rank(g, [0, 2]) == 2
-        assert g._contact is not None and g._ranks == {frozenset({0, 2}): 2}
+        assert g._match is not None and g._ranks == {frozenset({0, 2}): 2}
         fresh = cycle_graph(5)
         assert fresh == g and hash(fresh) == hash(g)
-        assert fresh._contact is None and fresh._ranks == {}
+        assert fresh._match is None and fresh._ranks == {}
 
 
 @st.composite
@@ -435,6 +441,7 @@ class TestLabelReuse:
 
 
 def coverage_sweep():
+    """``(graph, x, rank, witness)`` of 240 seeded random coverage queries."""
     rng = random.Random(4242)
     out = []
     for _ in range(40):
@@ -443,20 +450,45 @@ def coverage_sweep():
         for _ in range(6):
             x = sorted(v for v in range(n) if rng.random() < 0.5)
             w = coverable(g, x)
-            out.append([x, coverage_rank(g, frozenset(x)), w and [list(e) for e in w.edges]])
+            out.append((g, x, coverage_rank(g, frozenset(x)), w))
     return out
 
 
+def sweep_json(sweep, witnesses=True):
+    """The sweep as JSON rows ``[x, rank, witness]``: the witness's edges
+    (null for none), or with ``witnesses`` False only whether one exists."""
+
+    def shown(w):
+        if not witnesses:
+            return w is not None
+        return None if w is None else [list(e) for e in w.edges]
+
+    return json.dumps([[x, rank, shown(w)] for _, x, rank, w in sweep])
+
+
 class TestCoverageGolden:
-    # sha256 of the sweep's JSON, recorded when the contact graph was
-    # rebuilt and matched afresh for every query
-    DIGEST = "1fa3b0ecbc9bd73db050080a4843a269ea05790b24914a2943892fa43e2afe70"
+    # sha256 of the sweep's [x, rank, witness is not None] list, recorded
+    # with the Gallai-Edmonds contact-graph coverage that preceded greedy
+    # augmentation: verdicts and ranks must not move
+    VERDICT_DIGEST = "916644bc09b428ecf1f1a88d1b213c9a1702f2d49a5284a6e5ee1527296c6e70"
+    # sha256 of the sweep's JSON with its witnesses, recorded with greedy
+    # augmentation from the memoised maximum matching
+    DIGEST = "dd286bc73de51e9089a0d9c0bd1f3afc0dfcba538f5d514b81d8c729dbdc887d"
 
     def test_witnesses_and_ranks_unchanged(self):
-        first = coverage_sweep()
-        assert sum(w is not None for _, _, w in first) == 156
-        assert hashlib.sha256(json.dumps(first).encode()).hexdigest() == self.DIGEST
-        assert coverage_sweep() == first
+        sweep = coverage_sweep()
+        assert sum(w is not None for *_, w in sweep) == 156
+        verdicts = sweep_json(sweep, witnesses=False)
+        assert hashlib.sha256(verdicts.encode()).hexdigest() == self.VERDICT_DIGEST
+        first = sweep_json(sweep)
+        assert hashlib.sha256(first.encode()).hexdigest() == self.DIGEST
+        assert sweep_json(coverage_sweep()) == first
+
+    def test_witnesses_are_matchings_covering_x(self):
+        for g, x, _, w in coverage_sweep():
+            if w is not None:
+                w.validate_for(g)
+                assert set(x) <= w.covered
 
 
 class TestBipartition:

@@ -9,10 +9,11 @@ from ntumatch import (
     matching_with_lower_bounds,
     quota_feasible,
 )
-from ntumatch.exhaustive import all_matchings, coverable_sets_brute
+from ntumatch.exhaustive import all_matchings
 from ntumatch.matroids import _union_ranks
 
 from conftest import path_graph, random_graph
+from exhaustive_reference import coverable_sets_brute
 from matroid_reference import MatchingMatroid, matroid_intersection_max
 
 
