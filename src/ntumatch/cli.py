@@ -78,14 +78,15 @@ def _verify(args) -> int:
     else:
         result = exhaustive.oracle_core(inst, args.core, cap=args.cap)
         u = utility(inst, m)
-        if u in result.in_core:
+        hit = result.blocked.get(u)
+        if hit is None:
             in_core, cert = True, None
         else:
             in_core = False
-            _, coalition, witness = result.blocked[u]
+            coalition, witness = hit
             cert = BlockCertificate(
                 coalition,
-                witness,
+                result.realize(witness),
                 "strong" if args.core == "weak" else "weak",
             )
             cert.validate(inst, u)
@@ -108,11 +109,7 @@ def _solve(args) -> int:
         found = constant_players.core_empty(inst, args.core, budget=args.budget)
     else:
         result = exhaustive.oracle_core(inst, args.core, cap=args.cap)
-        if result.in_core:
-            best = max(result.in_core)
-            found = result.in_core[best]
-        else:
-            found = None
+        found = result.realize(result.in_core[-1]) if result.in_core else None
     if found is None:
         sys.stderr.write(f"error: {args.core} core is empty\n")
         return 1
@@ -160,7 +157,7 @@ def _oracle(args) -> int:
         result = exhaustive.oracle_core(inst, args.core, cap=args.cap)
         payload = {
             "kind": args.core,
-            "in_core_vectors": sorted(list(v) for v in result.in_core),
+            "in_core_vectors": [list(v) for v in result.in_core],
             "empty": result.empty,
         }
     else:

@@ -6,16 +6,17 @@ polynomial algorithms it validates.  Hard caps raise
 
 Matchings are enumerated by one iterative include/exclude walk that yields
 covered-vertex bitmasks; ``Matching`` objects are built only where a caller
-sees them.  The core oracle makes a single pass over the whole graph's
+asks for one.  The core oracle makes a single pass over the whole graph's
 matchings and derives every coalition's table from it: a matching lies in
 the coalition's induced subgraph iff the players it touches are a subset
-of the coalition.  No enumerator here recurses, so none depends on
-Python's recursion limit.
+of the coalition.  It decides on utility vectors and realizes a vector as
+a matching only through ``OracleCoreResult.realize``.  No enumerator here
+recurses, so none depends on Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -115,48 +116,24 @@ def _first_by_vector(inst, cap: int) -> dict[tuple[int, ...], tuple[int, tuple[i
     return first
 
 
-def _coalition_maxima(first: dict, m_players: int) -> dict:
-    """Coalition -> its Pareto-maximal vectors (projected onto the
-    coalition, ascending), each paired with the full utility vector it
-    projects from, smallest coalitions first, then lexicographically.
+def _coalition_maxima(first: dict, m_players: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """``(coalition, its Pareto-maximal vectors)`` per coalition, smallest
+    coalitions first, then lexicographically; each maximal vector is
+    projected onto the coalition (ascending) and paired with the full
+    utility vector it projects from.
 
     A matching lies in the coalition's induced subgraph iff the players it
     touches are a subset of the coalition.  Those vectors are zero outside
     the coalition, so projecting them keeps both dominance and order, and
-    only the maximal ones are projected.
+    only the maximal ones are projected.  One table is built at a time.
     """
-    out: dict[tuple[int, ...], list] = {}
     for size in range(1, m_players + 1):
         for coalition in combinations(range(m_players), size):
             outside = ~sum(1 << i for i in coalition)
             inside = [vec for vec, (touched, _) in first.items() if not touched & outside]
-            out[coalition] = [
+            yield coalition, [
                 (tuple(vec[i] for i in coalition), vec) for vec in _pareto_maximal(inside)
             ]
-    return out
-
-
-@dataclass(frozen=True)
-class CoalitionTable:
-    """Achievable utility patterns of one coalition's induced subgraph."""
-
-    coalition: tuple[int, ...]
-    maximal: tuple[tuple[int, ...], ...]
-    representatives: dict  # maximal vector -> Matching in original ids
-
-
-def coalition_tables(inst, cap: int = DEFAULT_CAP) -> dict[tuple[int, ...], CoalitionTable]:
-    """Per-coalition Pareto-maximal achievable utility vectors, each with
-    the first matching of the coalition's induced subgraph achieving it."""
-    first = _first_by_vector(inst, cap)
-    return {
-        coalition: CoalitionTable(
-            coalition=coalition,
-            maximal=tuple(w for w, _ in maxima),
-            representatives={w: _matching_of(inst.graph, first[vec][1]) for w, vec in maxima},
-        )
-        for coalition, maxima in _coalition_maxima(first, len(inst.players)).items()
-    }
 
 
 def _witness(table: list, proj: tuple[int, ...], strong: bool) -> Optional[tuple[int, ...]]:
@@ -176,16 +153,17 @@ def _witness(table: list, proj: tuple[int, ...], strong: bool) -> Optional[tuple
     return None
 
 
-def _blocked(maxima: dict, vectors, strong: bool) -> dict:
+def _blocked(maxima, vectors, strong: bool) -> dict:
     """Utility vector -> (first coalition in ``maxima`` order that blocks
     it, its witness vector), for every blocked vector.
 
-    Coalitions go in order over the vectors not blocked yet; vectors with
-    the same projection onto a coalition share its verdict.
+    Coalitions go in order over the vectors not blocked yet, and none is
+    built once every vector is blocked; vectors with the same projection
+    onto a coalition share its verdict.
     """
     hits: dict[tuple[int, ...], tuple] = {}
     pending = list(vectors)
-    for coalition, table in maxima.items():
+    for coalition, table in maxima:
         verdict: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
         rest = []
         for u in pending:
@@ -197,24 +175,36 @@ def _blocked(maxima: dict, vectors, strong: bool) -> dict:
             else:
                 hits[u] = (coalition, verdict[proj])
         pending = rest
+        if not pending:
+            break
     return hits
 
 
 @dataclass(frozen=True)
 class OracleCoreResult:
-    """Definitional core computation on a small instance."""
+    """Definitional core computation on a small instance, on utility
+    vectors: membership only depends on the vector, so a matching is built
+    only when :meth:`realize` is asked for one."""
 
     kind: str  # which core was tested: "weak" or "strong"
-    in_core: dict  # utility vector -> representative Matching
-    blocked: dict  # utility vector -> (representative, coalition, witness)
+    in_core: tuple  # unblocked utility vectors, ascending
+    blocked: dict  # utility vector -> (coalition, witness vector)
+    _graph: Graph = field(repr=False, compare=False)
+    _first: dict = field(repr=False, compare=False)  # see _first_by_vector
 
     @property
     def empty(self) -> bool:
         return not self.in_core
 
+    def realize(self, vec: tuple[int, ...]) -> Matching:
+        """The first matching in :func:`all_matchings` order whose utility
+        vector is ``vec``; a ``KeyError`` if no matching achieves it."""
+        return _matching_of(self._graph, self._first[vec][1])
+
 
 def oracle_core(inst, kind: str, cap: int = DEFAULT_CAP) -> OracleCoreResult:
-    """All in-core utility vectors with representatives, by full enumeration.
+    """Every achievable utility vector, in the core or blocked, by full
+    enumeration.
 
     A matching is in the weak core when no coalition strongly blocks it and
     in the strong core when no coalition weakly blocks it; membership only
@@ -228,14 +218,6 @@ def oracle_core(inst, kind: str, cap: int = DEFAULT_CAP) -> OracleCoreResult:
         raise ResourceLimitError("oracle_core guard: more than 20 players")
     first = _first_by_vector(inst, cap)
     maxima = _coalition_maxima(first, len(inst.players))
-    hits = _blocked(maxima, first, strong=kind == "weak")
-    in_core: dict[tuple[int, ...], Matching] = {}
-    blocked: dict[tuple[int, ...], tuple] = {}
-    for vec in sorted(first):
-        rep = _matching_of(inst.graph, first[vec][1])
-        if vec not in hits:
-            in_core[vec] = rep
-        else:
-            coalition, witness = hits[vec]
-            blocked[vec] = (rep, coalition, _matching_of(inst.graph, first[witness][1]))
-    return OracleCoreResult(kind=kind, in_core=in_core, blocked=blocked)
+    blocked = _blocked(maxima, first, strong=kind == "weak")
+    in_core = tuple(vec for vec in sorted(first) if vec not in blocked)
+    return OracleCoreResult(kind, in_core, blocked, inst.graph, first)

@@ -7,9 +7,9 @@ deterministic and reproducible.
 
 All values are immutable after construction and safe to share across
 threads.  The module keeps no global state: a graph's maximum matching
-(the seed of its coverage queries) and coverage ranks are memoised on the
-``Graph``, so they live and die with it.  Concurrent first use may compute
-the same deterministic value twice, which is safe.
+(the seed of its coverage queries) is memoised on the ``Graph``, so it
+lives and dies with it.  Concurrent first use may compute the same
+deterministic value twice, which is safe.
 
 A search labels vertices in a :class:`_Labels` its caller owns.  Each
 function here makes one per call and clears it after every search, so a
@@ -37,13 +37,12 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     No self-loops, no parallel edges.  Hashable and comparable by value.
-    Two private slots memoise derived structure on first use and take no
-    part in equality: ``_match``, a maximum matching (as a match array) that
-    seeds every coverage query, and ``_ranks``, the :func:`coverage_rank`
-    answers keyed by vertex frozenset.
+    The private slot ``_match`` memoises, on first use, a maximum matching
+    (as a match array) that seeds every coverage query; it takes no part in
+    equality.
     """
 
-    __slots__ = ("n", "edges", "edge_set", "adj", "_hash", "_match", "_ranks")
+    __slots__ = ("n", "edges", "edge_set", "adj", "_hash", "_match")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -61,7 +60,6 @@ class Graph:
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self._hash = hash((n, self.edges))
         self._match: Optional[tuple[int, ...]] = None
-        self._ranks: dict[frozenset[int], int] = {}
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge((u, v)) in self.edge_set
@@ -144,46 +142,6 @@ class GallaiEdmonds:
     even_part: frozenset[int]
     odd_components: tuple[frozenset[int], ...]
     witness: Matching
-
-
-class AlternatingForest:
-    """Vertices reachable from an exposed root by even alternating paths.
-
-    A vertex is *even-reachable* when some alternating path from the root
-    ends at it with a matching edge (the root itself counts, via the empty
-    path).  ``path_to`` reconstructs one such path.
-    """
-
-    __slots__ = ("root", "even_set", "_match", "_parent")
-
-    def __init__(self, root: int, even: frozenset[int], match: list[int], parent: list[int]):
-        self.root = root
-        self.even_set = even
-        self._match = match
-        self._parent = parent
-
-    def path_to(self, v: int) -> list[int]:
-        """Alternating path (vertex sequence) from the root to ``v``."""
-        if v not in self.even_set:
-            raise InputError(f"vertex {v} is not even-reachable from {self.root}")
-        if v == self.root:
-            return [self.root]
-        seq = [v]
-        u = self._match[v]
-        limit = len(self._match) + 2
-        while True:
-            seq.append(u)
-            w = self._parent[u]
-            seq.append(w)
-            if w == self.root:
-                break
-            u = self._match[w]
-            if len(seq) > limit:
-                raise InvariantError("alternating path extraction did not terminate")
-        seq.reverse()
-        if len(set(seq)) != len(seq):
-            raise InvariantError("alternating path extraction produced a non-simple path")
-        return seq
 
 
 def _match_array(n: int, m: Matching) -> list[int]:
@@ -345,40 +303,17 @@ def perfect_matching_exists(g: Graph) -> tuple[bool, Optional[Matching]]:
     return False, None
 
 
-def matching_missing_exactly(g: Graph, k: int) -> Optional[Matching]:
-    """A matching covering exactly ``n - k`` vertices, if one exists.
-
-    When the maximum matching covers more, edges are removed greedily
-    (each removal uncovers exactly two vertices); a parity mismatch means
-    no such matching exists.
-    """
-    if k < 0:
-        raise InputError("k must be non-negative")
-    target = g.n - k
-    if target < 0 or target % 2 != 0:
-        return None
-    m = max_matching(g)
-    covered = 2 * m.size
-    if covered < target:
-        return None
-    if covered == target:
-        return m
-    return Matching(m.edges[: target // 2])
-
-
-def alternating_reach(g: Graph, m: Matching, root: int) -> AlternatingForest:
-    """All vertices reachable from ``root`` by alternating paths that end
-    with a matching edge, with blossom handling (correct on non-bipartite
-    graphs)."""
+def alternating_reach(g: Graph, m: Matching, root: int) -> frozenset[int]:
+    """The vertices reachable from the exposed ``root`` by alternating
+    paths that end with a matching edge, ``root`` itself included, with
+    blossom handling (correct on non-bipartite graphs)."""
     m.validate_for(g)
     match = _match_array(g.n, m)
     if not (0 <= root < g.n):
         raise InputError(f"root {root} out of range")
     if match[root] != -1:
         raise InputError(f"root {root} is covered by the matching")
-    labels = _Labels(g.n)
-    even = _blossom_search(g.adj, match, root, labels, augment=False)
-    return AlternatingForest(root, frozenset(even), match, labels.parent)
+    return frozenset(_blossom_search(g.adj, match, root, _Labels(g.n), augment=False))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -507,11 +442,9 @@ def coverable(g: Graph, x: Iterable[int]) -> Optional[Matching]:
 def coverage_rank(g: Graph, y: Iterable[int]) -> int:
     """Largest number of vertices of ``y`` a single matching can cover: its
     rank in the matching matroid, ``|y|`` minus the roots that fail in the
-    greedy of :func:`coverable`.  Answers are memoised on ``g``."""
+    greedy of :func:`coverable`."""
     y = frozenset(y)
-    if y not in g._ranks:
-        g._ranks[y] = len(y) - _cover(g, y, stop=False)[1]
-    return g._ranks[y]
+    return len(y) - _cover(g, y, stop=False)[1]
 
 
 def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:

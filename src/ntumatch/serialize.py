@@ -53,6 +53,8 @@ def _load(text: str, what: str) -> dict:
 
 
 def _parse_edges(raw, what: str) -> list[tuple[int, int]]:
+    """An edge array; ``None`` (a missing key) is a format error, never an
+    edgeless graph or an empty matching."""
     if not isinstance(raw, list):
         raise InputError(f"{what}.edges must be an array")
     out = []
@@ -81,7 +83,7 @@ def instance_from_json(text: str) -> Instance:
     obj = _load(text, "instance")
     if not _is_int(obj.get("n")):
         raise InputError("instance.n must be an integer")
-    edges = _parse_edges(obj.get("edges", []), "instance")
+    edges = _parse_edges(obj.get("edges"), "instance")
     players_raw = obj.get("players")
     if not isinstance(players_raw, list) or not players_raw:
         raise InputError("instance.players must be a non-empty array")
@@ -106,7 +108,7 @@ def matching_to_json(m: Matching) -> str:
 
 def matching_from_json(text: str) -> Matching:
     obj = _load(text, "matching")
-    return Matching(_parse_edges(obj.get("edges", []), "matching"))
+    return Matching(_parse_edges(obj.get("edges"), "matching"))
 
 
 def certificate_to_json(

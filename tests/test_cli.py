@@ -3,7 +3,7 @@ import json
 import pytest
 
 import ntumatch.cli
-from ntumatch import InputError, InvariantError, Matching, couples, gen_random
+from ntumatch import InputError, InvariantError, Matching, couples, exhaustive, gen_random
 from ntumatch.cli import main
 from ntumatch.games import BlockCertificate
 from ntumatch.serialize import (
@@ -61,6 +61,13 @@ class TestRoundTrip:
     def test_instance_rejects_n_other_than_player_vertices(self, n):
         with pytest.raises(InputError, match="players list 2 vertices"):
             instance_from_json(f'{{"n": {n}, "edges": [], "players": [[0], [1]]}}')
+
+    def test_missing_edges_rejected(self):
+        # the writers always emit the key; a missing one is no empty edge set
+        with pytest.raises(InputError, match="edges"):
+            instance_from_json('{"n": 2, "players": [[0], [1]]}')
+        with pytest.raises(InputError, match="edges"):
+            matching_from_json('{"edge": [[0, 1]]}')
 
     def test_matching_and_certificate_reject_booleans(self):
         with pytest.raises(InputError):
@@ -330,6 +337,40 @@ class TestCli:
         assert main(["oracle", "core", "--instance", str(inst), "--core", "weak"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "in_core_vectors" in payload
+
+    def test_oracle_realizes_at_most_one_matching(self, tmp_path, capsys, monkeypatch):
+        # this instance's weak core is non-empty and its strong core empty
+        inst, mat = tmp_path / "inst.json", tmp_path / "m.json"
+        main(["gen", "random", "--n", "8", "--class-cap", "3", "--edge-prob", "0.4",
+              "--seed", "132", "--out", str(inst)])
+        real = exhaustive._matching_of
+        calls = []
+        monkeypatch.setattr(
+            exhaustive, "_matching_of", lambda g, chosen: calls.append(chosen) or real(g, chosen)
+        )
+
+        def realized(*argv):
+            calls.clear()
+            rc = main([*argv, "--instance", str(inst)])
+            return rc, len(calls)
+
+        oracle = ("--method", "oracle")
+        assert realized("solve", "--core", "weak", *oracle, "--out", str(mat)) == (0, 1)
+        assert realized("solve", "--core", "strong", *oracle) == (1, 0)
+        assert realized("verify", "--core", "weak", *oracle, "--matching", str(mat)) == (0, 0)
+        assert realized("verify", "--core", "strong", *oracle, "--matching", str(mat)) == (1, 1)
+        assert realized("oracle", "core", "--core", "weak") == (0, 0)
+        capsys.readouterr()
+
+    def test_missing_edges_exit_2(self, tmp_path, capsys):
+        # read as "no edges", this matching would come out blocked (exit 1)
+        inst, mat = tmp_path / "inst.json", tmp_path / "m.json"
+        inst.write_text('{"n": 2, "edges": [[0, 1]], "players": [[0], [1]]}')
+        mat.write_text('{"edge": [[0, 1]]}')
+        rc = main(["verify", "--core", "weak", "--instance", str(inst), "--matching", str(mat)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: input:")
 
     def test_oracle_long_path_resource_exit_3(self, tmp_path, capsys):
         n = 1300

@@ -602,7 +602,7 @@ class TestUnionKernel:
                 exposed = [v for v in range(g.n) if v not in base.covered]
                 if exposed:
                     root = rng.choice(exposed)
-                    want = alternating_reach(g, base, root).even_set
+                    want = alternating_reach(g, base, root)
                     got = view.reach(to_old[root], drop_players)
                     assert got == {to_old[v] for v in want}
             checked += 1

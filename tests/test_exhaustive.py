@@ -14,9 +14,11 @@ from ntumatch import (
     utility,
 )
 from ntumatch.exhaustive import (
+    DEFAULT_CAP,
+    _coalition_maxima,
+    _first_by_vector,
     _pareto_maximal,
     all_matchings,
-    coalition_tables,
     count_matchings,
     oracle_core,
 )
@@ -70,12 +72,14 @@ def definitional_tables(inst: Instance) -> list:
 
 
 def definitional_oracle_core(inst: Instance, kind: str, tables: list):
-    """Both result dicts of ``oracle_core`` from ``definitional_tables``,
-    blocking checked coalition by coalition, smallest first."""
+    """The first matching of every utility vector, the in-core vectors
+    (ascending) and, per blocked vector, its coalition and witness matching,
+    from ``definitional_tables``, blocking checked coalition by coalition,
+    smallest first."""
     reps: dict = {}
     for m in all_matchings(inst.graph):
         reps.setdefault(utility(inst, m), m)
-    in_core, blocked = {}, {}
+    in_core, blocked = [], {}
     for u in sorted(reps):
         hit = None
         for coalition, maximal, vecs in tables:
@@ -86,15 +90,15 @@ def definitional_oracle_core(inst: Instance, kind: str, tables: list):
                 else:
                     blocks = w != proj and all(a >= b for a, b in zip(w, proj))
                 if blocks:
-                    hit = (reps[u], coalition, vecs[w])
+                    hit = (coalition, vecs[w])
                     break
             if hit is not None:
                 break
         if hit is None:
-            in_core[u] = reps[u]
+            in_core.append(u)
         else:
             blocked[u] = hit
-    return in_core, blocked
+    return reps, tuple(in_core), blocked
 
 
 class TestAllMatchings:
@@ -182,8 +186,8 @@ class TestOracleCore:
             (frozenset({0, 1}), frozenset({2, 3})),
         )
         res = oracle_core(inst, "strong")
-        for vec, (rep, coalition, witness) in res.blocked.items():
-            cert = BlockCertificate(coalition, witness, "weak")
+        for vec, (coalition, witness) in res.blocked.items():
+            cert = BlockCertificate(coalition, res.realize(witness), "weak")
             cert.validate(inst, vec)
 
 
@@ -196,15 +200,18 @@ class TestOracleCore:
             expected = definitional_tables(inst)
             for kind in ("weak", "strong"):
                 res = oracle_core(inst, kind)
-                in_core, blocked = definitional_oracle_core(inst, kind, expected)
+                reps, in_core, blocked = definitional_oracle_core(inst, kind, expected)
                 assert res.in_core == in_core, (seed, kind)
-                assert res.blocked == blocked, (seed, kind)
-            got = coalition_tables(inst)
-            assert list(got) == [coalition for coalition, _, _ in expected]
-            for coalition, maximal, vecs in expected:
-                table = got[coalition]
-                assert table.maximal == tuple(maximal), (seed, coalition)
-                assert table.representatives == {w: vecs[w] for w in maximal}
+                assert res.blocked.keys() == blocked.keys(), (seed, kind)
+                for vec, (coalition, witness) in res.blocked.items():
+                    assert (coalition, res.realize(witness)) == blocked[vec], (seed, kind)
+                for vec in reps:
+                    assert res.realize(vec) == reps[vec], (seed, kind)
+            got = list(_coalition_maxima(_first_by_vector(inst, DEFAULT_CAP), len(inst.players)))
+            assert [coalition for coalition, _ in got] == [c for c, _, _ in expected]
+            for (_, table), (coalition, maximal, vecs) in zip(got, expected):
+                assert [w for w, _ in table] == maximal, (seed, coalition)
+                assert [res.realize(vec) for _, vec in table] == [vecs[w] for w in maximal]
 
 
 class TestOracleDelta:
