@@ -6,6 +6,11 @@ core empty (certificate written for verify), 2 = usage or format error,
 fault (a broken invariant or the recursion limit; never a verdict).
 Result JSON goes to stdout (and ``--out`` when given); diagnostics go to
 stderr as a single ``error: <reason>`` line.
+
+:func:`main` builds the argument parser on its first call and reuses it
+for every later call in the process (building one costs far more than a
+parse).  A parse keeps no state on the parser, so reuse is safe, also
+after a usage error.
 """
 
 from __future__ import annotations
@@ -228,8 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
         for flag in ("cap", "budget"):  # work caps: a usage error, not a verdict

@@ -135,24 +135,28 @@ class _Union:
     """The union of real and player edges on original vertex ids, with the
     player edges as the base matching, minus the vertices of ``gone``.
 
-    Built once per game.  A query masks a shallow copy of the adjacency,
-    replacing only the rows its deletions touch, and augments from the
-    base matching without the deleted player edges, one blossom search per
-    exposed root; it stops at the first root that cannot be matched.  A
-    kept view (:meth:`without`) is such a mask with its vertex deletions
-    kept.
+    Built once per game.  A query applies its deletions and extra edges in
+    place to working copies of the adjacency and base matching, logging
+    every row and entry it changes, and augments from the base matching
+    without the deleted player edges, one blossom search per exposed root;
+    it stops at the first root that cannot be matched.  When it is done,
+    the logged rows and entries, and the entries its augmenting paths
+    flipped, are reset from ``adj`` and ``base``, so a query costs its
+    deletions and its searches, never a copy of the graph.  A kept view
+    (:meth:`without`) is such a mask with its vertex deletions kept.
 
-    The searches' label arrays belong to the kernel: ``spare`` holds blank
+    ``pool`` holds the view's idle working triples ``[adj, match, base]``
+    as lists equal to ``adj``, ``base`` and ``base``.  The searches' label
+    arrays belong to the kernel: ``spare`` holds blank
     :class:`~ntumatch.graphs._Labels` for all n vertices, shared by the
-    game's union and every view made from it.  A query pops one (or makes
-    one when none is spare), clears it after each search (see
-    :meth:`~ntumatch.graphs._Labels.clear`) and appends it back when done,
-    so a search costs its tree; the mask still copies two length-n arrays
-    per query.  ``list.pop`` and ``list.append`` are atomic, so concurrent
-    queries never share a label object.
+    game's union and every view made from it.  A query pops a triple and a
+    label object (or makes them when none is idle), clears the labels after
+    each search (see :meth:`~ntumatch.graphs._Labels.clear`) and appends
+    both back when done.  ``list.pop`` and ``list.append`` are atomic, so
+    concurrent queries never share working arrays or labels.
     """
 
-    __slots__ = ("cg", "adj", "base", "gone", "exposed", "spare")
+    __slots__ = ("cg", "adj", "base", "gone", "exposed", "spare", "pool")
 
     def __init__(self, cg: "CouplesGame", adj, base, gone, exposed, spare):
         self.cg = cg
@@ -161,6 +165,7 @@ class _Union:
         self.gone = gone
         self.exposed = exposed
         self.spare = spare
+        self.pool: list[list] = []
 
     @classmethod
     def of_game(cls, cg: "CouplesGame") -> "_Union":
@@ -179,10 +184,13 @@ class _Union:
         """The same union with ``verts`` deleted too, as a query deletes
         them: their partners become exposed."""
         verts = frozenset(verts)
-        adj, base, exposed = self._mask((), verts, ())
-        return _Union(
-            self.cg, tuple(adj), tuple(base), self.gone | verts, tuple(exposed), self.spare
-        )
+
+        def keep(adj, match, base, exposed, flipped):
+            return _Union(
+                self.cg, tuple(adj), tuple(match), self.gone | verts, tuple(exposed), self.spare
+            )
+
+        return self._query((), verts, (), keep)
 
     def has(self, v: int) -> bool:
         return v not in self.gone
@@ -193,86 +201,139 @@ class _Union:
         except IndexError:
             return _Labels(len(self.adj))
 
-    def _mask(self, drop_players, drop_vertices, extra_edges):
-        n = len(self.adj)
-        adj = list(self.adj)
-        match = list(self.base)
+    def _query(self, drop_players, drop_vertices, extra_edges, run):
+        """``run(adj, match, base, exposed, flipped)`` on a working triple
+        with the deletions and extra edges applied; ``exposed`` lists the
+        masked base's exposed vertices in ascending order, and ``run``
+        appends to ``flipped`` every vertex whose ``match`` entry it may
+        have changed.  The triple is reset and pooled again whatever
+        ``run`` returns or raises."""
+        try:
+            work = self.pool.pop()
+        except IndexError:
+            work = [list(self.adj), list(self.base), list(self.base)]
+        adj, match, base = work
+        rows: list[int] = []
+        entries: list[int] = []
+        try:
+            exposed = self._mask(
+                adj, base, rows, entries, drop_players, drop_vertices, extra_edges
+            )
+            for v in entries:
+                match[v] = base[v]
+            return run(adj, match, base, exposed, entries)
+        finally:
+            for v in rows:
+                adj[v] = self.adj[v]
+            for v in entries:
+                match[v] = base[v] = self.base[v]
+            self.pool.append(work)
+
+    def _mask(self, adj, base, rows, entries, drop_players, drop_vertices, extra_edges):
+        """Applies the deletions and extra edges to ``adj`` and ``base`` in
+        place, logging changed rows in ``rows`` and changed base entries in
+        ``entries`` before it changes them; returns the exposed vertices,
+        ascending."""
+        n = len(adj)
         exposed = set(self.exposed)
         real = self.cg.inst.graph.edge_set
         for p in drop_players:
             u, v = self.cg.pairs[p]
-            if match[u] != v:
+            if base[u] != v:
                 continue  # not inside the view
-            match[u] = match[v] = -1
+            entries += (u, v)
+            base[u] = base[v] = -1
             exposed.update((u, v))
             if (u, v) not in real:
+                rows += (u, v)
                 adj[u] = _without(adj[u], v)
                 adj[v] = _without(adj[v], u)
         gone = {x for x in drop_vertices if self.has(x)}
         touched = set()
         for x in gone:
-            y = match[x]
+            y = base[x]
             if y != -1:
-                match[x] = match[y] = -1
+                entries += (x, y)
+                base[x] = base[y] = -1
                 exposed.add(y)
             exposed.discard(x)
             touched.update(adj[x])
+            rows.append(x)
             adj[x] = ()
         for w in touched - gone:
+            rows.append(w)
             adj[w] = tuple(z for z in adj[w] if z not in gone)
         for a, b in extra_edges:
             for v in (a, b):
                 if not (0 <= v < n and self.has(v)) or v in gone:
                     raise InvariantError("extra edge endpoint outside the view")
             if b not in adj[a]:
+                rows += (a, b)
                 adj[a] = tuple(sorted((*adj[a], b)))
                 adj[b] = tuple(sorted((*adj[b], a)))
-        return adj, match, sorted(exposed)
+        return sorted(exposed)
 
-    def augment(self, drop_players=(), drop_vertices=(), extra_edges=(), missing=0):
+    def augment(self, drop_players=(), drop_vertices=(), extra_edges=(), missing=0, read=None):
         """Delete players' edges and vertices, add the extra edges, and
         augment the surviving player edges until at most ``missing``
         vertices of the view stay exposed.
 
-        Returns ``(match, base)`` as partner arrays (-1 for exposed) of the
-        matching found and of the masked base matching, whose symmetric
-        difference is the augmenting paths taken; None when no matching
-        of the view leaves at most ``missing`` vertices exposed.  A root
-        whose search fails stays exposed under every later augmentation,
-        so each failure is final.
+        Returns None when no matching of the view leaves at most
+        ``missing`` vertices exposed.  Otherwise returns True, or, given
+        ``read``, ``read(match, base)``: partner arrays (-1 for exposed) of
+        the matching found and of the masked base matching, whose symmetric
+        difference is the augmenting paths taken.  They are the kernel's
+        working arrays, valid only during the call.  A root whose search
+        fails stays exposed under every later augmentation, so each failure
+        is final.
         """
-        adj, match, exposed = self._mask(drop_players, drop_vertices, extra_edges)
-        base = list(match)
-        left = len(exposed)
-        failed = 0
-        labels = self._labels()
-        for root in exposed:
-            if left <= missing:
-                break
-            if match[root] != -1:
-                continue
-            found = _blossom_search(adj, match, root, labels, augment=True)
-            labels.clear()
-            if found:
-                left -= 2
-            else:
-                failed += 1
-                if failed > missing:
-                    break
-        self.spare.append(labels)
-        return (match, base) if failed <= missing else None
+
+        def run(adj, match, base, exposed, flipped):
+            left = len(exposed)
+            failed = 0
+            labels = self._labels()
+            try:
+                for root in exposed:
+                    if left <= missing:
+                        break
+                    if match[root] != -1:
+                        continue
+                    path = _blossom_search(adj, match, root, labels, augment=True)
+                    labels.clear()
+                    if path:
+                        flipped += path
+                        left -= 2
+                    else:
+                        failed += 1
+                        if failed > missing:
+                            break
+            except BaseException:
+                # a search cut short may have flipped part of its path,
+                # which lies inside its tree
+                flipped += labels.even
+                flipped += labels.odd
+                raise
+            self.spare.append(labels)
+            if failed > missing:
+                return None
+            return True if read is None else read(match, base)
+
+        return self._query(drop_players, drop_vertices, extra_edges, run)
 
     def reach(self, root: int, drop_players=()) -> frozenset[int]:
         """Vertices even-reachable from the exposed ``root`` by alternating
         paths over the base matching without the given players' edges."""
-        adj, match, _ = self._mask(drop_players, (), ())
-        if not self.has(root) or match[root] != -1:
-            raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
-        labels = self._labels()
-        even = _blossom_search(adj, match, root, labels, augment=False)
-        labels.clear()
-        self.spare.append(labels)
-        return frozenset(even)
+
+        def run(adj, match, base, exposed, flipped):
+            if not self.has(root) or match[root] != -1:
+                raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
+            labels = self._labels()
+            even = frozenset(_blossom_search(adj, match, root, labels, augment=False))
+            labels.clear()
+            self.spare.append(labels)
+            return even
+
+        return self._query(drop_players, (), (), run)
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +354,27 @@ def _structure(cg: CouplesGame, players: tuple[int, ...], view: _Union, missing:
     this holds only when none of their edges lies on an alternating cycle
     in the view; callers establish that first.
     """
-    found = view.augment(drop_players=players, missing=missing)
-    if found is None:
+
+    def walk(match, base):  # reads the working arrays before they are reset
+        labeled = [(*cg.pairs[p], "p") for p in players]
+        walked: set[int] = set()
+        for start in sorted({*view.exposed, *(x for p in players for x in cg.pairs[p])}):
+            if match[start] == -1 or start in walked:
+                continue
+            x = start
+            while True:
+                y = match[x]
+                labeled.append((x, y, "e"))
+                x = base[y]
+                if x == -1:
+                    break
+                labeled.append((y, x, "p"))
+            walked.add(y)
+        return labeled
+
+    labeled = view.augment(drop_players=players, missing=missing, read=walk)
+    if labeled is None:
         return None
-    match, base = found
-    labeled = [(*cg.pairs[p], "p") for p in players]
-    walked: set[int] = set()
-    for start in sorted({*view.exposed, *(x for p in players for x in cg.pairs[p])}):
-        if match[start] == -1 or start in walked:
-            continue
-        x = start
-        while True:
-            y = match[x]
-            labeled.append((x, y, "e"))
-            x = base[y]
-            if x == -1:
-                break
-            labeled.append((y, x, "p"))
-        walked.add(y)
     nbrs: dict[int, list[int]] = {}
     for x, y, _ in labeled:
         nbrs.setdefault(x, []).append(y)
@@ -483,8 +547,9 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
         return ctx
     au, av = cg.pairs[a_pl]
     reach = {x: cg.union.reach(x, drop_players=(a_pl,)) for x in (au, av)}
-    adj, _, _ = cg.union._mask((a_pl,), (), ())
-    cut, comps = _cut_and_components(adj, reach[au] | reach[av])
+    cut, comps = cg.union._query(
+        (a_pl,), (), (), lambda adj, *_: _cut_and_components(adj, reach[au] | reach[av])
+    )
     if len(comps) - len(cut) != 2:
         raise InvariantError("deleting a cycle-free player edge must leave deficiency 2")
     comp_of: dict[int, int] = {}
@@ -502,7 +567,9 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
         if j is None or j in (ca, cb) or j in entry:
             raise InvariantError("entry edges must pair cut vertices with distinct components")
         entry[j] = (s, t)
-        for w in adj[s]:
+        # a cut vertex is outside the deficient part, which holds both of
+        # a_pl's vertices, so deleting a_pl's edge left its row as it was
+        for w in cg.union.adj[s]:
             x = comp_of.get(w)
             if x is not None and x != j:
                 arcs[x].add(j)

@@ -33,6 +33,15 @@ def _norm_edge(e) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _loop_error(first) -> Optional[InputError]:
+    """The error for the first self-loop of ``first`` (normalised edges in
+    the order given), or None when there is none."""
+    for u, v in first:
+        if u == v:
+            return InputError(f"self-loop at vertex {u}")
+    return None
+
+
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
@@ -47,17 +56,20 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError("vertex count must be non-negative")
-        es = sorted({_norm_edge(e) for e in edges})
+        first = {(u, v) if u < v else (v, u): None for u, v in edges}
+        es = sorted(first)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in es:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
+            if u == v or u < 0 or v >= n:
+                raise _loop_error(first) or InputError(f"edge ({u},{v}) out of range for n={n}")
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
         self.edges = tuple(es)
         self.edge_set = frozenset(es)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        # sorted edges append each row's smaller neighbours, ascending,
+        # before its larger ones, so every row is sorted already
+        self.adj = tuple(map(tuple, adj))
         self._hash = hash((n, self.edges))
         self._match: Optional[tuple[int, ...]] = None
 
@@ -84,11 +96,14 @@ class Matching:
     __slots__ = ("edges", "edge_set", "covered", "_hash")
 
     def __init__(self, edges: Iterable[tuple[int, int]] = ()):
-        es = sorted({_norm_edge(e) for e in edges})
+        first = {(u, v) if u < v else (v, u): None for u, v in edges}
+        es = sorted(first)
         seen: set[int] = set()
         for u, v in es:
-            if u in seen or v in seen:
-                raise InputError(f"edges are not vertex-disjoint at ({u},{v})")
+            if u == v or u in seen or v in seen:
+                raise _loop_error(first) or InputError(
+                    f"edges are not vertex-disjoint at ({u},{v})"
+                )
             seen.add(u)
             seen.add(v)
         self.edges = tuple(es)
@@ -221,13 +236,14 @@ def _blossom_search(adj, match, root, labels: _Labels, augment: bool):
     """Edmonds search from an exposed root over blank ``labels``.
 
     With ``augment`` True, flips the matching along the first augmenting
-    path found and returns True.  Otherwise explores exhaustively and
-    returns the even vertices in scan order; ``labels.parent`` then allows
-    path reconstruction.  Either way the tree stays in ``labels`` until the
-    caller clears it.  The search costs the tree it grows: the queue is the
-    list of even vertices, and a blossom relabels only its own members
-    (kept per base) in ascending order, the order a scan of every vertex
-    would find them in.
+    path found and returns the path's vertices, the ``match`` entries it
+    changed (a non-empty list), or False when there is none.  Otherwise
+    explores exhaustively and returns the even vertices in scan order;
+    ``labels.parent`` then allows path reconstruction.  Either way the tree
+    stays in ``labels`` until the caller clears it.  The search costs the
+    tree it grows: the queue is the list of even vertices, and a blossom
+    relabels only its own members (kept per base) in ascending order, the
+    order a scan of every vertex would find them in.
     """
     parent, base, used = labels.parent, labels.base, labels.used
     even = labels.even = [root]
@@ -256,14 +272,16 @@ def _blossom_search(adj, match, root, labels: _Labels, augment: bool):
                 odd.append(to)
                 if match[to] == -1:
                     if augment:
+                        path = []
                         u = to
                         while u != -1:
                             pv = parent[u]
                             ppv = match[pv]
                             match[u] = pv
                             match[pv] = u
+                            path += (u, pv)
                             u = ppv
-                        return True
+                        return path
                     # reach mode: an exposed vertex is a dead end (it has no
                     # matched edge to continue on and can never turn even)
                 else:

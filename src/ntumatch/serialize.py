@@ -52,21 +52,16 @@ def _load(text: str, what: str) -> dict:
     return obj
 
 
-def _parse_edges(raw, what: str) -> list[tuple[int, int]]:
-    """An edge array; ``None`` (a missing key) is a format error, never an
-    edgeless graph or an empty matching."""
+def _parse_edges(raw, key: str, item: str) -> list[list[int]]:
+    """The edge array under ``key``, as given; ``None`` (a missing key) is a
+    format error, never an edgeless graph or an empty matching.  ``type(x)
+    is int`` rejects ``true``/``false`` as :func:`_is_int` does."""
     if not isinstance(raw, list):
-        raise InputError(f"{what}.edges must be an array")
-    out = []
+        raise InputError(f"{key} must be an array")
     for e in raw:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(_is_int(x) for x in e)
-        ):
-            raise InputError(f"{what} edge {e!r} must be a pair of integers")
-        out.append((e[0], e[1]))
-    return out
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            raise InputError(f"{item} {e!r} must be a pair of integers")
+    return raw
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -83,15 +78,20 @@ def instance_from_json(text: str) -> Instance:
     obj = _load(text, "instance")
     if not _is_int(obj.get("n")):
         raise InputError("instance.n must be an integer")
-    edges = _parse_edges(obj.get("edges"), "instance")
+    edges = _parse_edges(obj.get("edges"), "instance.edges", "instance edge")
     players_raw = obj.get("players")
     if not isinstance(players_raw, list) or not players_raw:
         raise InputError("instance.players must be a non-empty array")
     players = []
-    for p in players_raw:
-        if not isinstance(p, list) or not all(_is_int(x) for x in p):
-            raise InputError(f"player {p!r} must be an array of integers")
-        players.append(frozenset(p))
+    for p in players_raw:  # a plain loop: this check runs on every vertex
+        if type(p) is list:
+            for x in p:
+                if type(x) is not int:
+                    break
+            else:
+                players.append(frozenset(p))
+                continue
+        raise InputError(f"player {p!r} must be an array of integers")
     # the players partition 0..n-1, so n is their vertex count; checked
     # before Graph allocates n adjacency lists
     listed = len(frozenset().union(*players))
@@ -108,7 +108,7 @@ def matching_to_json(m: Matching) -> str:
 
 def matching_from_json(text: str) -> Matching:
     obj = _load(text, "matching")
-    return Matching(_parse_edges(obj.get("edges"), "matching"))
+    return Matching(_parse_edges(obj.get("edges"), "matching.edges", "matching edge"))
 
 
 def certificate_to_json(
@@ -142,7 +142,9 @@ def certificate_from_json(text: str) -> dict:
         "verdict": obj["verdict"],
         "kind": obj["kind"],
         "coalition": tuple(coalition),
-        "witness": Matching(_parse_edges(obj.get("witness", []), "certificate")),
+        "witness": Matching(
+            _parse_edges(obj.get("witness"), "certificate.witness", "certificate.witness edge")
+        ),
     }
 
 

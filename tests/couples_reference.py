@@ -10,12 +10,87 @@ player's component digraph instead.
 ``delta_context_by_graph`` builds the union without one player's edge as
 an explicit ``Graph`` and decomposes it with ``gallai_edmonds``; the library
 reads the same decomposition off the kernel's reach sets instead.
+
+``augment_by_copies`` and ``reach_by_copies`` answer kernel queries on full
+copies of a view's adjacency and base matching, masked by ``masked``, with
+fresh label arrays per query; the kernel masks pooled working arrays in
+place and undoes its changes instead.
 """
 
 from __future__ import annotations
 
 from ntumatch import Graph, Matching, gallai_edmonds, max_matching
-from ntumatch.couples import CouplesGame, _require_cycle_free
+from ntumatch.couples import CouplesGame, _require_cycle_free, _Union, _without
+from ntumatch.errors import InvariantError
+from ntumatch.graphs import _blossom_search, _Labels
+
+
+def masked(view: _Union, drop_players=(), drop_vertices=(), extra_edges=()):
+    """The view's adjacency rows and base matching, copied, with the
+    query's deletions and extra edges applied, and the exposed vertices in
+    ascending order."""
+    n = len(view.adj)
+    adj = list(view.adj)
+    match = list(view.base)
+    exposed = set(view.exposed)
+    real = view.cg.inst.graph.edge_set
+    for p in drop_players:
+        u, v = view.cg.pairs[p]
+        if match[u] != v:
+            continue  # not inside the view
+        match[u] = match[v] = -1
+        exposed.update((u, v))
+        if (u, v) not in real:
+            adj[u] = _without(adj[u], v)
+            adj[v] = _without(adj[v], u)
+    gone = {x for x in drop_vertices if view.has(x)}
+    touched = set()
+    for x in gone:
+        y = match[x]
+        if y != -1:
+            match[x] = match[y] = -1
+            exposed.add(y)
+        exposed.discard(x)
+        touched.update(adj[x])
+        adj[x] = ()
+    for w in touched - gone:
+        adj[w] = tuple(z for z in adj[w] if z not in gone)
+    for a, b in extra_edges:
+        for v in (a, b):
+            if not (0 <= v < n and view.has(v)) or v in gone:
+                raise InvariantError("extra edge endpoint outside the view")
+        if b not in adj[a]:
+            adj[a] = tuple(sorted((*adj[a], b)))
+            adj[b] = tuple(sorted((*adj[b], a)))
+    return adj, match, sorted(exposed)
+
+
+def augment_by_copies(view: _Union, drop_players=(), drop_vertices=(), extra_edges=(), missing=0):
+    """``(match, base)`` as the kernel's ``augment`` finds them, or None."""
+    adj, match, exposed = masked(view, drop_players, drop_vertices, extra_edges)
+    base = list(match)
+    left = len(exposed)
+    failed = 0
+    for root in exposed:
+        if left <= missing:
+            break
+        if match[root] != -1:
+            continue
+        if _blossom_search(adj, match, root, _Labels(len(adj)), augment=True):
+            left -= 2
+        else:
+            failed += 1
+            if failed > missing:
+                break
+    return (match, base) if failed <= missing else None
+
+
+def reach_by_copies(view: _Union, root: int, drop_players=()) -> frozenset[int]:
+    """The kernel's ``reach`` answer."""
+    adj, match, _ = masked(view, drop_players)
+    if not view.has(root) or match[root] != -1:
+        raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
+    return frozenset(_blossom_search(adj, match, root, _Labels(len(adj)), augment=False))
 
 
 def ordered_triple_by_tips(cg: CouplesGame, a: int, b: int, c: int) -> bool:

@@ -16,6 +16,85 @@ from ntumatch.serialize import (
 )
 
 
+def _inst(n="4", edges="[[0, 2]]", players="[[0, 1], [2, 3]]"):
+    return f'{{"n": {n}, "edges": {edges}, "players": {players}}}'
+
+
+def _mat(edges):
+    return f'{{"edges": {edges}}}'
+
+
+# malformed inputs with the messages the parsers gave before their checks
+# became one loop per array: bools, floats, strings, nulls, wrong arity,
+# nesting, and which of several faults is named
+MALFORMED = [
+    ("instance", "[1, 2]", "instance must be a JSON object"),
+    ("instance", "not json", "invalid JSON for instance: Expecting value: line 1 column 1 (char 0)"),
+    ("instance", _inst(n="true"), "instance.n must be an integer"),
+    ("instance", _inst(n="4.0"), "instance.n must be an integer"),
+    ("instance", _inst(n='"4"'), "instance.n must be an integer"),
+    ("instance", _inst(n="null"), "instance.n must be an integer"),
+    ("instance", '{"n": 4, "players": [[0, 1], [2, 3]]}', "instance.edges must be an array"),
+    ("instance", _inst(edges="null"), "instance.edges must be an array"),
+    ("instance", _inst(edges="{}"), "instance.edges must be an array"),
+    ("instance", _inst(edges='"01"'), "instance.edges must be an array"),
+    ("instance", _inst(edges="[[0, true]]"), "instance edge [0, True] must be a pair of integers"),
+    ("instance", _inst(edges="[[false, 1]]"), "instance edge [False, 1] must be a pair of integers"),
+    ("instance", _inst(edges="[[0, 1.0]]"), "instance edge [0, 1.0] must be a pair of integers"),
+    ("instance", _inst(edges='[["0", 1]]'), "instance edge ['0', 1] must be a pair of integers"),
+    ("instance", _inst(edges="[[0, null]]"), "instance edge [0, None] must be a pair of integers"),
+    ("instance", _inst(edges="[[0, 1, 2]]"), "instance edge [0, 1, 2] must be a pair of integers"),
+    ("instance", _inst(edges="[[[0], 1]]"), "instance edge [[0], 1] must be a pair of integers"),
+    ("instance", _inst(edges="[[0]]"), "instance edge [0] must be a pair of integers"),
+    ("instance", _inst(edges="[5]"), "instance edge 5 must be a pair of integers"),
+    ("instance", _inst(edges="[null]"), "instance edge None must be a pair of integers"),
+    ("instance", _inst(edges="[[0, 2], [1, true]]"), "instance edge [1, True] must be a pair of integers"),
+    ("instance", _inst(players="null"), "instance.players must be a non-empty array"),
+    ("instance", _inst(players="[]"), "instance.players must be a non-empty array"),
+    ("instance", _inst(players="{}"), "instance.players must be a non-empty array"),
+    ("instance", _inst(players="[[0, true], [2, 3]]"), "player [0, True] must be an array of integers"),
+    ("instance", _inst(players="[[0, 1.0], [2, 3]]"), "player [0, 1.0] must be an array of integers"),
+    ("instance", _inst(players='[["0", 1], [2, 3]]'), "player ['0', 1] must be an array of integers"),
+    ("instance", _inst(players="[[0, null], [2, 3]]"), "player [0, None] must be an array of integers"),
+    ("instance", _inst(players="[[[0], 1], [2, 3]]"), "player [[0], 1] must be an array of integers"),
+    ("instance", _inst(players="[[0, 1], 2, 3]"), "player 2 must be an array of integers"),
+    ("instance", _inst(players="[[0, 1], [2, 3.5], null]"), "player [2, 3.5] must be an array of integers"),
+    ("instance", _inst(n="5"), "instance.n is 5, but the players list 4 vertices"),
+    ("instance", _inst(n="3"), "instance.n is 3, but the players list 4 vertices"),
+    ("instance", _inst(edges="[[1, 1]]"), "self-loop at vertex 1"),
+    ("instance", _inst(edges="[[0, 7]]"), "edge (0,7) out of range for n=4"),
+    ("instance", _inst(edges="[[-1, 2]]"), "edge (-1,2) out of range for n=4"),
+    ("instance", _inst(edges="[[0, 7], [3, 3]]"), "self-loop at vertex 3"),
+    ("instance", _inst(edges="[[3, 3], [1, 1]]"), "self-loop at vertex 3"),
+    ("instance", _inst(edges="[[2, 0], [0, 2], [9, 1], [1, 5]]"), "edge (1,5) out of range for n=4"),
+    ("instance", _inst(players="[[0, 1], [1, 2, 3]]"), "player 1 overlaps another player"),
+    ("instance", _inst(players="[[0, 1], [2, 4]]"), "players must partition the vertex set"),
+    ("instance", _inst(players="[[0, 1], [], [2, 3]]"), "player 1 is empty"),
+    ("matching", "[[0, 1]]", "matching must be a JSON object"),
+    (
+        "matching",
+        "{",
+        "invalid JSON for matching: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    ("matching", '{"edge": [[0, 1]]}', "matching.edges must be an array"),
+    ("matching", _mat("null"), "matching.edges must be an array"),
+    ("matching", _mat("3"), "matching.edges must be an array"),
+    ("matching", _mat("[[0, true]]"), "matching edge [0, True] must be a pair of integers"),
+    ("matching", _mat("[[0, 1.0]]"), "matching edge [0, 1.0] must be a pair of integers"),
+    ("matching", _mat('[["0", 1]]'), "matching edge ['0', 1] must be a pair of integers"),
+    ("matching", _mat("[[0, null]]"), "matching edge [0, None] must be a pair of integers"),
+    ("matching", _mat("[[0, 1, 2]]"), "matching edge [0, 1, 2] must be a pair of integers"),
+    ("matching", _mat("[[[0], 1]]"), "matching edge [[0], 1] must be a pair of integers"),
+    ("matching", _mat("[[0]]"), "matching edge [0] must be a pair of integers"),
+    ("matching", _mat("[2]"), "matching edge 2 must be a pair of integers"),
+    ("matching", _mat("[[2, 2]]"), "self-loop at vertex 2"),
+    ("matching", _mat("[[0, 1], [2, 1]]"), "edges are not vertex-disjoint at (1,2)"),
+    ("matching", _mat("[[0, 1], [1, 2], [3, 3]]"), "self-loop at vertex 3"),
+    ("matching", _mat("[[4, 4], [3, 3]]"), "self-loop at vertex 4"),
+]
+
+
 class TestRoundTrip:
     def test_instance(self):
         inst = gen_random(9, 3, 0.4, seed=11)
@@ -76,6 +155,32 @@ class TestRoundTrip:
             certificate_from_json(
                 '{"verdict": "blocked", "kind": "weak", "coalition": [true], "witness": []}'
             )
+
+    @pytest.mark.parametrize(
+        "witness,message",
+        [
+            (None, "certificate.witness must be an array"),
+            ("3", "certificate.witness must be an array"),
+            ("null", "certificate.witness must be an array"),
+            ("[[0]]", "certificate.witness edge [0] must be a pair of integers"),
+            ("[[0, true]]", "certificate.witness edge [0, True] must be a pair of integers"),
+        ],
+    )
+    def test_certificate_witness_required_and_named(self, witness, message):
+        # a blocked certificate without its witness must not read as one
+        # whose witness is the empty matching
+        text = '{"verdict": "blocked", "kind": "weak", "coalition": [0]'
+        text += "}" if witness is None else f', "witness": {witness}}}'
+        with pytest.raises(InputError) as exc:
+            certificate_from_json(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind,text,message", MALFORMED)
+    def test_malformed_input_messages(self, kind, text, message):
+        parse = instance_from_json if kind == "instance" else matching_from_json
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        assert str(exc.value) == message
 
 
 class TestCli:
@@ -252,6 +357,42 @@ class TestCli:
     def test_usage_error(self, capsys):
         assert main(["verify", "--core", "weak"]) == 2
         capsys.readouterr()
+
+    def test_parser_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = ntumatch.cli.build_parser
+        monkeypatch.setattr(ntumatch.cli, "_parser", None)
+        monkeypatch.setattr(ntumatch.cli, "build_parser", lambda: built.append(1) or real())
+        inst = tmp_path / "inst.json"
+        for _ in range(3):
+            assert main(["gen", "example1", "--out", str(inst)]) == 0
+        assert main(["verify", "--core", "weak"]) == 2
+        assert main(["oracle", "matchings", "--instance", str(inst)]) == 0
+        assert main(["solve", "--core", "weak", "--instance", str(inst), "--cap", "0"]) == 2
+        assert len(built) == 1
+        capsys.readouterr()
+
+    def test_reused_parser_answers_as_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        inst, mat = tmp_path / "inst.json", tmp_path / "m.json"
+        main(["gen", "random", "--n", "40", "--edge-prob", "0.08", "--seed", "3", "--out", str(inst)])
+        main(["solve", "--core", "weak", "--instance", str(inst), "--out", str(mat)])
+        capsys.readouterr()
+
+        def run(argv, fresh):
+            if fresh:
+                monkeypatch.setattr(ntumatch.cli, "_parser", None)
+            return main(argv), capsys.readouterr()
+
+        usage = ["verify", "--core", "weak"]
+        verify = ["verify", "--core", "strong", "--instance", str(inst), "--matching", str(mat)]
+        first = run(usage, fresh=True)
+        # argparse's usage error still reaches the captured stderr
+        assert first[0] == 2 and first[1].out == ""
+        assert "usage: ntumatch verify" in first[1].err and "required" in first[1].err
+        assert run(usage, fresh=False) == first
+        after_error = run(verify, fresh=False)
+        assert after_error[1].out.startswith("{")
+        assert run(verify, fresh=True) == after_error
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize("flag,method", [("--cap", "oracle"), ("--budget", "const")])

@@ -27,6 +27,7 @@ from ntumatch import (
 from ntumatch import constant_players, games
 from ntumatch.constant_players import core_outcomes
 from ntumatch.exhaustive import all_matchings, oracle_core
+from ntumatch.matroids import _union_ranks
 from ntumatch.serialize import matching_to_json
 
 # recorded with the per-mask prefix-sum frontier that preceded the
@@ -48,13 +49,19 @@ SAT_FRONTIERS = (
 
 def brute_frontier(inst):
     """Vectors with sum 2*nu that pass the quota-feasibility duality, kept
-    when no other such vector dominates them."""
+    when no other such vector dominates them.  The 2^k union coverage ranks
+    are computed once and every lattice vector is tested against them, as
+    :func:`quota_feasible` tests one vector."""
     total = 2 * max_matching(inst.graph).size
+    ranks = _union_ranks(inst.graph, inst.players)
     feasible = [
         x
         for x in product(*(range(len(p) + 1) for p in inst.players))
         if sum(x) == total
-        and quota_feasible(inst.graph, PartitionQuota(inst.players, x))
+        and all(
+            sum(q for i, q in enumerate(x) if mask >> i & 1) <= rank
+            for mask, rank in enumerate(ranks)
+        )
     ]
     return tuple(
         x

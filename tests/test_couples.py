@@ -1,11 +1,15 @@
 import hashlib
 import json
+import random
 import sys
 import threading
 import time
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntumatch import (
     Graph,
@@ -28,12 +32,39 @@ from ntumatch import (
     weak_construct,
     weak_membership,
 )
+from ntumatch import couples as couples_module
 from ntumatch.couples import _component, _delta_context, _joined, strong_core_quotas
 from ntumatch.exhaustive import all_matchings, oracle_core
 from ntumatch.serialize import certificate_to_json, matching_to_json
 
-from couples_reference import delta_context_by_graph, ordered_triple_by_tips, ordered_triple_one_query
+from couples_reference import (
+    augment_by_copies,
+    delta_context_by_graph,
+    ordered_triple_by_tips,
+    ordered_triple_one_query,
+    reach_by_copies,
+)
 from exhaustive_reference import alternating_triples_brute, delta_triples_brute, oracle_delta_path
+
+
+def _copies(match, base):
+    """A kernel reader that keeps copies of the working arrays."""
+    return list(match), list(base)
+
+
+def outcome(query, *args):
+    """A query's answer, or the type of the error it raised."""
+    try:
+        return query(*args)
+    except InvariantError as exc:
+        return type(exc)
+
+
+def assert_pool_clean(view):
+    """Every idle working triple of the view equals its adjacency and base."""
+    for adj, match, base in view.pool:
+        assert adj == list(view.adj)
+        assert match == base == list(view.base)
 
 
 def couples_instance(n, edges):
@@ -585,7 +616,7 @@ class TestUnionKernel:
                 extra = [tuple(rng.sample(alive, 2)) for _ in range(rng.randint(1, 2))]
             g, base, to_old = self.explicit(cg, drop_players, drop_vertices, restrict, extra)
             for missing in (0, 2):
-                found = view.augment(drop_players, drop_vertices, extra, missing=missing)
+                found = view.augment(drop_players, drop_vertices, extra, missing=missing, read=_copies)
                 best = max_matching(g)
                 assert (found is not None) == (g.n - 2 * best.size <= missing)
                 if missing == 0:
@@ -675,6 +706,82 @@ class TestUnionKernel:
         n = cg.inst.graph.n
         for labels in cg.union.spare:
             assert (labels.parent, labels.base, labels.used) == ([-1] * n, list(range(n)), [False] * n)
+        for view in views:
+            assert len(view.pool) >= 1
+            assert_pool_clean(view)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pooled_queries_match_copying_reference(self, data):
+        # several queries in a row on one view, so later ones run on
+        # working arrays that earlier ones masked, searched and reset;
+        # extra edges may leave the view and roots may be matched, so some
+        # queries raise InvariantError part-way through
+        n = data.draw(st.integers(2, 16), label="n")
+        p = data.draw(st.sampled_from([0.15, 0.3, 0.6]), label="p")
+        cg = normalize(gen_random(n, 2, p, seed=data.draw(st.integers(0, 10**6), label="seed")))
+        nv = cg.inst.graph.n
+        vertex = st.integers(0, nv - 1)
+        view = cg.union
+        if data.draw(st.booleans(), label="restrict"):
+            view = view.without(data.draw(st.sets(vertex, max_size=nv), label="gone"))
+        for _ in range(data.draw(st.integers(1, 4), label="queries")):
+            drop_players = data.draw(
+                st.lists(st.integers(0, cg.num_players - 1), max_size=3, unique=True)
+            )
+            if data.draw(st.booleans()):
+                drop_vertices = data.draw(st.lists(vertex, max_size=2))
+                extra = data.draw(
+                    st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=2)
+                )
+                missing = data.draw(st.sampled_from([0, 2]))
+                got = outcome(view.augment, drop_players, drop_vertices, extra, missing, _copies)
+                want = outcome(augment_by_copies, view, drop_players, drop_vertices, extra, missing)
+            else:
+                root = data.draw(vertex)
+                got = outcome(view.reach, root, drop_players)
+                want = outcome(reach_by_copies, view, root, drop_players)
+            assert got == want
+            assert_pool_clean(view)
+
+    def test_search_that_raises_leaves_the_pool_clean(self, monkeypatch):
+        # an exception from inside a search that has already flipped its
+        # path must not leave the flip in the pooled arrays
+        cg = normalize(gen_random(30, 2, 0.15, 5))
+        real = couples_module._blossom_search
+
+        def flip_then_fail(*args, **kwargs):
+            if real(*args, **kwargs):
+                raise RuntimeError("interrupted after flipping")
+            return False
+
+        monkeypatch.setattr(couples_module, "_blossom_search", flip_then_fail)
+        raised = 0
+        for p in range(cg.num_players):
+            try:
+                cg.union.augment(drop_players=(p,))
+            except RuntimeError:
+                raised += 1
+            assert_pool_clean(cg.union)
+        assert raised
+
+    def test_query_costs_its_deletions_not_the_graph(self):
+        # one dropped player on an n=20,000 view with n/2 random real
+        # edges: a copy of the adjacency or of the base matching alone
+        # takes 160 kB, and copying both plus the matching took 480 kB
+        n = 20000
+        rng = random.Random(7)
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 2)}
+        view = normalize(couples_instance(n, sorted(edges))).union
+        assert view.augment(drop_players=(0,)) is None  # builds the pool
+        tracemalloc.start()
+        try:
+            assert view.augment(drop_players=(0,)) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n // 10, peak
+        assert_pool_clean(view)
 
 
 class TestStructureGolden:

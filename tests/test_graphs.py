@@ -368,11 +368,14 @@ class TestLabelReuse:
             fresh = _Labels(g.n)
             want = _blossom_search(g.adj, by_fresh, root, fresh, augment=augment)
             scanned = reference_search(g.adj, by_scan, root, augment)
+            before = list(match)
             got = _blossom_search(g.adj, match, root, shared, augment=augment)
             assert got == want
             assert match == by_fresh == by_scan
             if augment:
-                assert got == scanned
+                # a found path lists exactly the vertices it rematched
+                assert bool(got) == scanned
+                assert set(got or ()) == {v for v in range(g.n) if match[v] != before[v]}
             else:
                 assert set(got) == {v for v in range(g.n) if fresh.used[v]}
                 assert shared.parent == fresh.parent
