@@ -6,9 +6,9 @@ achievable utility vectors: a core is non-empty exactly when some maximal
 vector is unblocked.
 
 The frontier walks the utility lattice one player at a time, bounding each
-coordinate once by a table of prefix sums over player unions; the verdicts
-for the maximal vectors share one table of blocking answers per coalition
-and projection.
+coordinate once by a table of prefix sums over player unions against their
+coverage ranks; the verdicts for the maximal vectors share one block search,
+with its coalition levels, matching numbers and blocking answers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .games import (
     _BlockSearch,
     utility,
 )
-from .graphs import Matching, max_matching
+from .graphs import Matching, _max_match
 from .matroids import PartitionQuota, _union_ranks, matching_with_lower_bounds
 
 DEFAULT_BUDGET = 10_000_000
@@ -65,7 +65,7 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
                 f"utility lattice of size > {budget} exceeds the budget"
             )
     m = inst.num_players
-    total = 2 * max_matching(inst.graph).size
+    total = sum(w != -1 for w in _max_match(inst.graph))
     ranks = _union_ranks(inst.graph, inst.players)
     load = [0] * (1 << m)
     suffix_caps = [0] * (m + 1)

@@ -5,18 +5,19 @@ player's utility under a matching is how many of its vertices are covered.
 This module holds the definitional machinery: utilities, blocking-coalition
 search through coverage quotas, and core membership by coalition
 enumeration over the coalitions that are connected in the player contact
-graph.
+graph.  The enumeration grows those coalitions level by level once per
+search and sends a coalition to the quota solver only when its quotas fit
+both the members' sizes and the matching number of its induced subgraph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import InputError, InvariantError, ResourceLimitError
-from .graphs import Graph, Matching, induced_subgraph
+from .graphs import Graph, Matching, _matching_number, induced_subgraph
 from .matroids import PartitionQuota, matching_with_lower_bounds
 
 # coalition enumeration is exponential in the player count
@@ -172,8 +173,13 @@ class _BlockSearch:
     connected in the player contact graph (players adjacent when the graph
     joins them) are tried: a block by a disconnected coalition splits into
     blocks by its parts, one of which blocks on its own and comes earlier.
-    ``find_block_for_coalition`` reads ``u`` only on the coalition, so each
-    verdict is kept per (coalition, projection) for every vector searched.
+    A connected (s+1)-set is a connected s-set plus a contact neighbour, so
+    each level is grown once, from the one before, when a search first
+    reaches it.  A matching of ``G[V_S]`` covers at most ``2ν(G[V_S])``
+    vertices (the ``T = S`` term of the duality ``quota_feasible`` checks),
+    so tries whose quotas sum to more never reach
+    ``find_block_for_coalition``; every weak try sums to ``Σu_S + 1``.  ν is
+    kept per coalition, each verdict per (coalition, projection of ``u``).
     """
 
     def __init__(self, inst: Instance, kind: str):
@@ -192,39 +198,59 @@ class _BlockSearch:
         for a, b in inst.graph.edges:
             self.contacts[owner[a]] |= 1 << owner[b]
             self.contacts[owner[b]] |= 1 << owner[a]
+        # levels[s]: (coalition, mask, contact mask) of the connected
+        # (s+1)-sets in order; an empty level ends the list
+        self.levels = [[((i,), 1 << i, c) for i, c in enumerate(self.contacts)]]
+        self.nus: dict[int, int] = {}
         self.verdicts: dict[tuple, Optional[Matching]] = {}
 
-    def _connected(self, coalition: tuple[int, ...]) -> bool:
-        want = 0
-        for i in coalition:
-            want |= 1 << i
-        reached = todo = 1 << coalition[0]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = self.contacts[low.bit_length() - 1] & want & ~reached
-            reached |= new
-            todo |= new
-        return reached == want
+    def coalitions(self) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """The entries of ``levels``, grown as the iteration reaches them."""
+        levels, contacts = self.levels, self.contacts
+        depth = 0
+        while levels[depth]:
+            yield from levels[depth]
+            depth += 1
+            if depth == len(levels):
+                children: dict[int, tuple] = {}
+                for coalition, mask, reach in levels[-1]:
+                    fresh = reach & ~mask
+                    while fresh:
+                        low = fresh & -fresh
+                        fresh ^= low
+                        if mask | low not in children:
+                            j = low.bit_length() - 1
+                            children[mask | low] = (
+                                tuple(sorted((*coalition, j))), mask | low, reach | contacts[j]
+                            )
+                levels.append(sorted(children.values()))
+
+    def _nu(self, coalition: tuple[int, ...], mask: int) -> int:
+        if mask not in self.nus:
+            players = map(self.inst.players.__getitem__, coalition)
+            self.nus[mask] = _matching_number(self.inst.graph, frozenset().union(*players))
+        return self.nus[mask]
 
     def __call__(self, u: tuple[int, ...]) -> MembershipResult:
         inst = self.inst
-        for size in range(1, inst.num_players + 1):
-            for coalition in combinations(range(inst.num_players), size):
-                if not self._connected(coalition):
-                    continue
-                key = (coalition, tuple(u[i] for i in coalition))
-                if key in self.verdicts:
-                    witness = self.verdicts[key]
-                else:
-                    witness = find_block_for_coalition(
-                        inst, u, coalition, self.block_kind
-                    )
-                    self.verdicts[key] = witness
-                if witness is not None:
-                    cert = BlockCertificate(coalition, witness, self.block_kind)
-                    cert.validate(inst, u)
-                    return MembershipResult(False, cert)
+        strong = self.block_kind == "strong"
+        full = sum(1 << i for i, p in enumerate(inst.players) if u[i] >= len(p))
+        for coalition, mask, _ in self.coalitions():
+            # a strong try lifts every member, a weak one some member,
+            # and none lifts a player at its size
+            if mask & full and (strong or mask & full == mask):
+                continue
+            need = sum(map(u.__getitem__, coalition)) + (len(coalition) if strong else 1)
+            if need > 2 * self._nu(coalition, mask):
+                continue
+            key = (coalition, tuple(map(u.__getitem__, coalition)))
+            if key not in self.verdicts:
+                self.verdicts[key] = find_block_for_coalition(inst, u, coalition, self.block_kind)
+            witness = self.verdicts[key]
+            if witness is not None:
+                cert = BlockCertificate(coalition, witness, self.block_kind)
+                cert.validate(inst, u)
+                return MembershipResult(False, cert)
         return MembershipResult(True, None)
 
 

@@ -403,15 +403,39 @@ def _cut_and_components(adj, exposable) -> tuple[frozenset[int], tuple[frozenset
     return cut, tuple(comps)
 
 
+def _max_match(g: Graph) -> tuple[int, ...]:
+    """The match array of the maximum matching memoised on ``g``."""
+    if g._match is None:
+        g._match = tuple(_match_array(g.n, max_matching(g)))
+    return g._match
+
+
+def _matching_number(g: Graph, keep: frozenset[int]) -> int:
+    """Size of a maximum matching of ``g[keep]``, building no graph: the
+    memoised matching's edges inside ``keep``, grown by one search from each
+    exposed vertex over rows cut to ``keep``."""
+    seed = _max_match(g)
+    adj: list = [()] * g.n
+    match = [-1] * g.n
+    for v in keep:
+        adj[v] = [w for w in g.adj[v] if w in keep]
+        if seed[v] in keep:
+            match[v] = seed[v]
+    labels = _Labels(g.n)
+    for root in keep:
+        if match[root] == -1 and adj[root]:
+            _blossom_search(adj, match, root, labels, augment=True)
+            labels.clear()
+    return (g.n - match.count(-1)) // 2
+
+
 def _cover(g: Graph, y: frozenset[int], stop: bool) -> tuple[list[int], int]:
     """The greedy of :func:`coverable`: its match array (pendants included)
     and failed-root count, ending at the first failure if ``stop`` is set."""
     for v in y:
         if not (0 <= v < g.n):
             raise InputError(f"vertex {v} out of range")
-    if g._match is None:
-        g._match = tuple(_match_array(g.n, max_matching(g)))
-    match = list(g._match)
+    match = list(_max_match(g))
     roots = [v for v in sorted(y) if match[v] == -1]
     if not roots:
         return match, 0

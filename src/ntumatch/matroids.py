@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
-from .graphs import Graph, Matching, coverable, coverage_rank
+from .graphs import Graph, Matching, _Labels, _blossom_search, _max_match, coverable
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,44 @@ class PartitionQuota:
 
 
 def _union_ranks(g: Graph, groups: tuple[frozenset[int], ...]) -> list[int]:
-    """Coverage rank of every union of groups, indexed by bitmask."""
+    """Coverage rank of every union of groups, indexed by bitmask.
+
+    The greedy of :func:`~ntumatch.graphs.coverage_rank`, depth first over
+    the masks: a vertex outside the union has a pendant ``n + v``, and a
+    mask searches only from the joining group's exposed vertices, starting
+    from the match array its parent's subtree left (a basis of ``y``
+    extends greedily to one of ``y ∪ V_j``).  That array covers a basis of
+    the parent's union, as augmenting paths end at pendants and uncover no
+    vertex of a union; only the pendant rows are restored on the way back.
+    """
+    n = g.n
+    bad = [v for grp in groups for v in grp if not 0 <= v < n]
+    if bad:
+        raise InputError(f"vertex {bad[0]} out of range")
+    padded = [row + (n + v,) for v, row in enumerate(g.adj)] + [(v,) for v in range(n)]
+    adj = list(padded)
+    match = list(_max_match(g)) + [-1] * n
+    labels = _Labels(2 * n)
+    rows = [sorted(grp) for grp in groups]
     ranks = [0] * (1 << len(groups))
-    for mask in range(1, len(ranks)):
-        union = frozenset().union(
-            *(grp for i, grp in enumerate(groups) if mask >> i & 1)
-        )
-        ranks[mask] = coverage_rank(g, union)
+
+    def grow(mask: int, low: int) -> None:
+        for j in range(low, len(rows)):
+            child = mask | 1 << j
+            ranks[child] = ranks[mask] + len(rows[j])
+            for v in rows[j]:
+                adj[v] = g.adj[v]
+                if match[v] == n + v:
+                    match[v] = match[n + v] = -1
+            for v in rows[j]:
+                if match[v] == -1:
+                    ranks[child] -= not _blossom_search(adj, match, v, labels, augment=True)
+                    labels.clear()
+            grow(child, j + 1)
+            for v in rows[j]:
+                adj[v] = padded[v]
+
+    grow(0, 0)
     return ranks
 
 

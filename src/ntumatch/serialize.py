@@ -135,16 +135,22 @@ def certificate_from_json(text: str) -> dict:
         raise InputError("certificate.verdict must be 'in_core' or 'blocked'")
     if obj.get("kind") not in ("weak", "strong"):
         raise InputError("certificate.kind must be 'weak' or 'strong'")
-    coalition = obj.get("coalition", [])
+    # the writer always emits both keys: a missing coalition is no empty one
+    coalition = obj.get("coalition")
     if not isinstance(coalition, list) or not all(_is_int(x) for x in coalition):
         raise InputError("certificate.coalition must be an array of integers")
+    witness = Matching(
+        _parse_edges(obj.get("witness"), "certificate.witness", "certificate.witness edge")
+    )
+    if obj["verdict"] == "in_core" and (coalition or witness.edges):
+        raise InputError("an in_core certificate must have an empty coalition and witness")
+    if obj["verdict"] == "blocked" and not coalition:
+        raise InputError("a blocked certificate must name a non-empty coalition")
     return {
         "verdict": obj["verdict"],
         "kind": obj["kind"],
         "coalition": tuple(coalition),
-        "witness": Matching(
-            _parse_edges(obj.get("witness"), "certificate.witness", "certificate.witness edge")
-        ),
+        "witness": witness,
     }
 
 

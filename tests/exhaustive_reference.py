@@ -1,13 +1,15 @@
-"""Brute-force references for graph and couples structure tests.
+"""Brute-force references for graph, coalition and couples structure tests.
 
-Alternating reach, coverable sets, alternating-path triples and delta
-structures, each by enumerating matchings or simple alternating paths
-(explicit stacks, no recursion), independent of the polynomial algorithms
-the tests compare them against.  Hard caps raise
+Alternating reach, coverable sets, connected coalitions, alternating-path
+triples and delta structures, each by enumerating matchings, subsets or
+simple alternating paths (explicit stacks, no recursion), independent of
+the algorithms the tests compare them against.  Hard caps raise
 :class:`~ntumatch.errors.ResourceLimitError` instead of truncating.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from ntumatch.errors import InputError, ResourceLimitError
 from ntumatch.exhaustive import DEFAULT_CAP, all_matchings
@@ -18,6 +20,29 @@ def coverable_sets_brute(g: Graph, cap: int = DEFAULT_CAP) -> set[frozenset[int]
     """The covered vertex set of every matching, the empty matching's empty
     set included; a set is coverable when it lies inside one of them."""
     return {m.covered for m in all_matchings(g, cap)}
+
+
+def connected_coalitions_brute(contacts: list[int]) -> list[tuple[int, ...]]:
+    """Every coalition whose players are connected through ``contacts``
+    (bit ``j`` of ``contacts[i]`` set when players ``i`` and ``j`` touch),
+    by size then lexicographically: all subsets, each checked by a search
+    over its members."""
+    out = []
+    for size in range(1, len(contacts) + 1):
+        for coalition in combinations(range(len(contacts)), size):
+            want = 0
+            for i in coalition:
+                want |= 1 << i
+            reached = todo = 1 << coalition[0]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                new = contacts[low.bit_length() - 1] & want & ~reached
+                reached |= new
+                todo |= new
+            if reached == want:
+                out.append(coalition)
+    return out
 
 
 def even_reach_brute(g: Graph, m: Matching, root: int, cap: int = 2_000_000) -> frozenset[int]:

@@ -24,6 +24,13 @@ def _mat(edges):
     return f'{{"edges": {edges}}}'
 
 
+def _cert(verdict="blocked", coalition="[0]", witness="[[0, 1]]"):
+    text = f'{{"verdict": "{verdict}", "kind": "weak"'
+    if coalition is not None:
+        text += f', "coalition": {coalition}'
+    return text + f', "witness": {witness}}}'
+
+
 # malformed inputs with the messages the parsers gave before their checks
 # became one loop per array: bools, floats, strings, nulls, wrong arity,
 # nesting, and which of several faults is named
@@ -92,6 +99,35 @@ MALFORMED = [
     ("matching", _mat("[[0, 1], [2, 1]]"), "edges are not vertex-disjoint at (1,2)"),
     ("matching", _mat("[[0, 1], [1, 2], [3, 3]]"), "self-loop at vertex 3"),
     ("matching", _mat("[[4, 4], [3, 3]]"), "self-loop at vertex 4"),
+    # a certificate names its coalition, and the verdict fits the payload
+    ("certificate", _cert(coalition=None), "certificate.coalition must be an array of integers"),
+    (
+        "certificate",
+        _cert("in_core", coalition=None, witness="[]"),
+        "certificate.coalition must be an array of integers",
+    ),
+    ("certificate", _cert(coalition="null"), "certificate.coalition must be an array of integers"),
+    ("certificate", _cert(coalition="[]"), "a blocked certificate must name a non-empty coalition"),
+    (
+        "certificate",
+        _cert(coalition="[]", witness="[]"),
+        "a blocked certificate must name a non-empty coalition",
+    ),
+    (
+        "certificate",
+        _cert("in_core", coalition="[3]", witness="[]"),
+        "an in_core certificate must have an empty coalition and witness",
+    ),
+    (
+        "certificate",
+        _cert("in_core", coalition="[]"),
+        "an in_core certificate must have an empty coalition and witness",
+    ),
+    (
+        "certificate",
+        _cert("in_core", coalition="[3]", witness="[[0, 1], [2, 3]]"),
+        "an in_core certificate must have an empty coalition and witness",
+    ),
 ]
 
 
@@ -175,9 +211,18 @@ class TestRoundTrip:
             certificate_from_json(text)
         assert str(exc.value) == message
 
+    def test_certificate_payloads_that_fit_their_verdict(self):
+        assert certificate_from_json(_cert())["coalition"] == (0,)
+        empty = certificate_from_json(_cert("in_core", coalition="[]", witness="[]"))
+        assert empty["coalition"] == () and empty["witness"] == Matching()
+
     @pytest.mark.parametrize("kind,text,message", MALFORMED)
     def test_malformed_input_messages(self, kind, text, message):
-        parse = instance_from_json if kind == "instance" else matching_from_json
+        parse = {
+            "instance": instance_from_json,
+            "matching": matching_from_json,
+            "certificate": certificate_from_json,
+        }[kind]
         with pytest.raises(InputError) as exc:
             parse(text)
         assert str(exc.value) == message

@@ -27,8 +27,11 @@ from ntumatch import (
 from ntumatch import constant_players, games
 from ntumatch.constant_players import core_outcomes
 from ntumatch.exhaustive import all_matchings, oracle_core
+from ntumatch.graphs import induced_subgraph
 from ntumatch.matroids import _union_ranks
 from ntumatch.serialize import matching_to_json
+
+from conftest import random_matching
 
 # recorded with the per-mask prefix-sum frontier that preceded the
 # incremental load table
@@ -181,6 +184,55 @@ def golden_answers():
     ]
 
 
+def record_screen(monkeypatch):
+    """Records the block searches that run from now on.  The returned
+    function gives the (block kind, instance, coalition, utilities on it)
+    of every coalition whose tries passed the size filter but not the
+    matching-number screen: ν was read, and no try reached
+    ``find_block_for_coalition``."""
+    read, decided = set(), set()
+    current = []
+    real_call, real_nu = games._BlockSearch.__call__, games._BlockSearch._nu
+    real_find = games.find_block_for_coalition
+
+    def call(self, u):
+        current[:] = [u]
+        return real_call(self, u)
+
+    def nu(self, coalition, mask):
+        read.add((self.block_kind, self.inst, coalition, tuple(current[0][i] for i in coalition)))
+        return real_nu(self, coalition, mask)
+
+    def find(inst, u, coalition, kind):
+        decided.add((kind, inst, coalition, tuple(u[i] for i in coalition)))
+        return real_find(inst, u, coalition, kind)
+
+    monkeypatch.setattr(games._BlockSearch, "__call__", call)
+    monkeypatch.setattr(games._BlockSearch, "_nu", nu)
+    monkeypatch.setattr(games, "find_block_for_coalition", find)
+    return lambda: read - decided
+
+
+def all_tries_infeasible(screened) -> bool:
+    """Whether every try of every recorded coalition that fits the members'
+    sizes is infeasible by the union-rank duality on the coalition's
+    induced subgraph."""
+    for kind, inst, coalition, proj in screened:
+        sub, to_old = induced_subgraph(
+            inst.graph, set().union(*(inst.players[i] for i in coalition))
+        )
+        to_new = {v: i for i, v in enumerate(to_old)}
+        groups = tuple(frozenset(to_new[v] for v in inst.players[i]) for i in coalition)
+        if kind == "strong":
+            tries = [tuple(x + 1 for x in proj)]
+        else:
+            tries = [proj[:j] + (proj[j] + 1,) + proj[j + 1:] for j in range(len(proj))]
+        tries = [q for q in tries if all(x <= len(grp) for x, grp in zip(q, groups))]
+        if not tries or any(quota_feasible(sub, PartitionQuota(groups, q)) for q in tries):
+            return False
+    return True
+
+
 class TestCoreEmpty:
     def test_perfect_matching_instance(self):
         inst = Instance(
@@ -281,7 +333,8 @@ class TestCoreEmpty:
                     assert achievable(inst, y) is not None
 
     def test_lower_bound_verdicts_match_duality_on_gadgets(self, monkeypatch):
-        # every quota system the engine decides, checked against the 2^k
+        # every quota system the engine decides, and every try its
+        # matching-number screen rejects, checked against the 2^k
         # union-rank duality
         real = constant_players.matching_with_lower_bounds
         seen = {}
@@ -293,13 +346,29 @@ class TestCoreEmpty:
 
         monkeypatch.setattr(constant_players, "matching_with_lower_bounds", recording)
         monkeypatch.setattr(games, "matching_with_lower_bounds", recording)
+        screened = record_screen(monkeypatch)
         for inst in GADGETS:
             for kind in ("weak", "strong"):
                 core_empty(inst, kind)
-        assert any(found is None for found in seen.values())
+        assert screened() and all_tries_infeasible(screened())
         assert any(found is not None for found in seen.values())
+        # quotas (1, 1) sum to 2 = 2ν, so they pass the screen, yet nothing
+        # covers b1 or b2
+        pair = Instance(Graph(4, [(0, 1)]), (frozenset({0, 1}), frozenset({2, 3})))
+        assert games.find_block_for_coalition(pair, (0, 0), (0, 1), "strong") is None
+        assert any(found is None for found in seen.values())
         for (g, pq), found in seen.items():
             assert (found is None) == (not quota_feasible(g, pq))
+
+    def test_screened_tries_are_infeasible(self, rng, monkeypatch):
+        screened = record_screen(monkeypatch)
+        for _ in range(30):
+            inst = gen_random(rng.randint(4, 12), 3, rng.choice([0.2, 0.4]), rng.randint(0, 10**6))
+            for kind in ("weak", "strong"):
+                list(core_outcomes(inst, kind))
+                m = random_matching(rng, inst.graph)
+                core_membership_by_enumeration(inst, m, kind)
+        assert len(screened()) > 50 and all_tries_infeasible(screened())
 
     def test_player_guard_and_kind_checked_before_frontier(self, monkeypatch):
         def no_frontier(inst, budget):

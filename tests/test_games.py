@@ -21,6 +21,7 @@ from ntumatch import (
 from ntumatch.exhaustive import all_matchings, oracle_core
 
 from conftest import random_graph, random_matching
+from exhaustive_reference import connected_coalitions_brute
 
 
 def small_instance(rng, n_max=9, m_max=4):
@@ -208,6 +209,42 @@ class TestMembership:
                 for p, q in combinations(inst.players, 2)
             )
         assert blocked and disconnected
+
+    def test_grown_coalitions_keep_the_enumeration_order(self, rng):
+        # singleton players on graphs from edgeless (every player isolated)
+        # to dense, and random players of up to three vertices
+        disconnected = isolated = 0
+        for case in range(60):
+            if case % 3:
+                k = 16 if case < 6 else rng.randint(1, 12)
+                inst = Instance(
+                    random_graph(rng, k, rng.choice([0.0, 0.08, 0.2, 0.5])),
+                    tuple(frozenset({v}) for v in range(k)),
+                )
+            else:
+                n = rng.randint(2, 30)
+                inst = gen_random(n, 3, rng.choice([0.03, 0.1, 0.3]), rng.randint(0, 10**6))
+                if inst.num_players > 16:
+                    continue
+            contacts = [
+                1 << i | sum(
+                    1 << j
+                    for j, q in enumerate(inst.players)
+                    if any(inst.graph.has_edge(a, b) for a in p for b in q if a != b)
+                )
+                for i, p in enumerate(inst.players)
+            ]
+            want = connected_coalitions_brute(contacts)
+            search = ntumatch.games._BlockSearch(inst, "weak")
+            first = search.coalitions()
+            head = [next(first)[0] for _ in range(min(3, len(want)))]
+            assert head == want[: len(head)]
+            assert [c for c, _, _ in search.coalitions()] == want
+            # the levels are kept and replayed
+            assert [c for c, _, _ in search.coalitions()] == want
+            disconnected += want[-1] != tuple(range(len(contacts)))
+            isolated += any(c == 1 << i for i, c in enumerate(contacts))
+        assert disconnected and isolated
 
     def test_full_cover_in_both_cores(self):
         inst = Instance(

@@ -21,7 +21,14 @@ from ntumatch import (
     perfect_matching_exists,
 )
 from ntumatch.exhaustive import all_matchings
-from ntumatch.graphs import _blossom_search, _Labels, _match_array, bipartition, induced_subgraph
+from ntumatch.graphs import (
+    _blossom_search,
+    _Labels,
+    _match_array,
+    _matching_number,
+    bipartition,
+    induced_subgraph,
+)
 
 from conftest import cycle_graph, path_graph, random_graph, random_matching
 from exhaustive_reference import coverable_sets_brute, even_reach_brute
@@ -87,6 +94,15 @@ class TestMaxMatching:
     def test_deterministic(self, rng):
         g = random_graph(rng, 9, 0.5)
         assert max_matching(g) == max_matching(g)
+
+    def test_induced_matching_number(self, rng):
+        # seeded from the whole graph's matching, searched inside the subset
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            g = random_graph(rng, n, rng.choice([0.15, 0.3, 0.6]))
+            keep = frozenset(rng.sample(range(n), rng.randint(0, n)))
+            sub, _ = induced_subgraph(g, keep)
+            assert _matching_number(g, keep) == max_matching(sub).size
 
 
 class TestPerfectAndMissing:

@@ -6,6 +6,7 @@ from ntumatch import (
     Graph,
     InputError,
     PartitionQuota,
+    coverage_rank,
     matching_with_lower_bounds,
     quota_feasible,
 )
@@ -218,3 +219,29 @@ class TestLowerBounds:
                     *(grp for i, grp in enumerate(groups) if mask >> i & 1)
                 )
                 assert rank == max(len(x & union) for x in coverable)
+
+    def test_union_ranks_match_coverage_rank_with_ungrouped_vertices(self, rng):
+        # the incremental table against one coverage_rank call per union;
+        # vertices outside every group keep their pendants throughout
+        ungrouped = 0
+        for _ in range(200):
+            n = rng.randint(1, 16)
+            g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5]))
+            verts = rng.sample(range(n), rng.randint(1, n))
+            k = rng.randint(1, min(6, len(verts)))
+            cuts = sorted(rng.sample(range(1, len(verts)), k - 1))
+            groups = tuple(
+                frozenset(verts[a:b]) for a, b in zip([0, *cuts], [*cuts, len(verts)])
+            )
+            ranks = _union_ranks(g, groups)
+            for mask, rank in enumerate(ranks):
+                union = frozenset().union(
+                    *(grp for i, grp in enumerate(groups) if mask >> i & 1)
+                )
+                assert rank == coverage_rank(g, union)
+            ungrouped += len(verts) < n
+        assert ungrouped
+
+    def test_union_ranks_reject_out_of_range_vertices(self):
+        with pytest.raises(InputError, match="vertex 2 out of range"):
+            _union_ranks(Graph(2, [(0, 1)]), (frozenset({0}), frozenset({2})))
