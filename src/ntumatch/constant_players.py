@@ -6,9 +6,10 @@ achievable utility vectors: a core is non-empty exactly when some maximal
 vector is unblocked.
 
 The frontier walks the utility lattice one player at a time, bounding each
-coordinate once by a table of prefix sums over player unions against their
-coverage ranks; the verdicts for the maximal vectors share one block search,
-with its coalition levels, matching numbers and blocking answers.
+coordinate from above and below by the union coverage ranks (the projection
+of a base polyhedron), so no branch is a dead end; the verdicts for the
+maximal vectors share one block search, with its coalition levels, matching
+numbers and blocking answers.
 """
 
 from __future__ import annotations
@@ -47,53 +48,52 @@ def achievable(inst: Instance, x: tuple[int, ...]) -> Optional[Matching]:
 
 
 def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier:
-    """All component-wise maximal achievable utility vectors.
+    """All component-wise maximal achievable utility vectors, sorted.
 
-    Enumerates the capped product lattice with down-closed pruning; every
-    maximal vector covers exactly twice the maximum matching size, so only
-    that shell needs the full feasibility test.  ``load[mask]`` holds the
-    prefix's summed coordinates over the players in ``mask``: fixing
-    coordinate i bounds it once by every union whose highest player is i,
-    and one slice per child extends the table to the masks below ``2^(i+1)``.
+    They are the bases of the polymatroid ``f(S) = rank of V_S``, each
+    summing to ``f(N) = 2ν``; a prefix ``y`` extends to one iff
+    ``2ν - f(N \\ W) <= y(W) <= f(W)`` for every ``W`` in the prefix (Frank
+    & Tardos, Math. Programming 42, 1988).  Coordinate i checks the ``W``
+    whose highest player is i against ``load[mask]``, the prefix's sum over
+    ``mask``, which one slice per child extends.  Exact bounds leave no dead
+    end, force the last coordinate to ``2ν`` minus the prefix sum, and let
+    ascending coordinates emit the vectors in order.
     """
-    sizes = [len(p) for p in inst.players]
     lattice = 1
-    for s in sizes:
-        lattice *= s + 1
+    for p in inst.players:
+        lattice *= len(p) + 1
         if lattice > budget:
             raise ResourceLimitError(
                 f"utility lattice of size > {budget} exceeds the budget"
             )
     m = inst.num_players
+    if m == 0:
+        return AchievableFrontier(((),))
     total = sum(w != -1 for w in _max_match(inst.graph))
     ranks = _union_ranks(inst.graph, inst.players)
+    full = (1 << m) - 1
     load = [0] * (1 << m)
-    suffix_caps = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix_caps[i] = suffix_caps[i + 1] + sizes[i]
-
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def rec(acc: int):
         i = len(prefix)
-        if i == m:
-            out.append(tuple(prefix))
+        if i == m - 1:
+            out.append((*prefix, total - acc))
             return
         lo, hi = 1 << i, 2 << i
         below = load[:lo]
-        # feasibility is down-closed, so coordinate i is capped by the
-        # slack of every union of players whose highest index is i; the
-        # floor is what the later players can no longer make up
-        cap = min(sizes[i], total - acc, *map(int.__sub__, ranks[lo:hi], below))
-        for xi in range(max(0, total - acc - suffix_caps[i + 1]), cap + 1):
+        # W = lo + k for k < lo; its complement N \ W is (full ^ lo) - k
+        rest = (full ^ lo) - lo + 1
+        cap = min(map(int.__sub__, ranks[lo:hi], below))
+        floor = total - min(map(int.__add__, ranks[rest:rest + lo], reversed(below)))
+        for xi in range(max(0, floor), cap + 1):
             load[lo:hi] = [v + xi for v in below]
             prefix.append(xi)
             rec(acc + xi)
             prefix.pop()
 
     rec(0)
-    out.sort()
     return AchievableFrontier(tuple(out))
 
 

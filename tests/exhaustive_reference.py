@@ -1,10 +1,13 @@
-"""Brute-force references for graph, coalition and couples structure tests.
+"""Brute-force references for graph, coalition, frontier and couples
+structure tests.
 
 Alternating reach, coverable sets, connected coalitions, alternating-path
 triples and delta structures, each by enumerating matchings, subsets or
 simple alternating paths (explicit stacks, no recursion), independent of
 the algorithms the tests compare them against.  Hard caps raise
-:class:`~ntumatch.errors.ResourceLimitError` instead of truncating.
+:class:`~ntumatch.errors.ResourceLimitError` instead of truncating.  The
+const frontier's reference is the lattice walk that preceded its exact
+lower bounds, which recurses once per player.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from itertools import combinations
 
 from ntumatch.errors import InputError, ResourceLimitError
 from ntumatch.exhaustive import DEFAULT_CAP, all_matchings
-from ntumatch.graphs import Graph, Matching
+from ntumatch.games import Instance
+from ntumatch.graphs import Graph, Matching, _max_match
+from ntumatch.matroids import _union_ranks
 
 
 def coverable_sets_brute(g: Graph, cap: int = DEFAULT_CAP) -> set[frozenset[int]]:
@@ -43,6 +48,45 @@ def connected_coalitions_brute(contacts: list[int]) -> list[tuple[int, ...]]:
             if reached == want:
                 out.append(coalition)
     return out
+
+
+def frontier_walk_reference(inst: Instance) -> tuple[tuple[int, ...], ...]:
+    """The component-wise maximal achievable utility vectors, sorted.
+
+    Walks the capped product lattice one player at a time: coordinate i is
+    capped by its size, by 2ν minus the prefix sum and by the slack of every
+    union of players whose highest index is i, and floored only by what the
+    later players' sizes can no longer make up, so the walk may reach dead
+    ends at any level; the leaves are sorted at the end.
+    """
+    sizes = [len(p) for p in inst.players]
+    m = inst.num_players
+    total = sum(w != -1 for w in _max_match(inst.graph))
+    ranks = _union_ranks(inst.graph, inst.players)
+    load = [0] * (1 << m)
+    suffix_caps = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix_caps[i] = suffix_caps[i + 1] + sizes[i]
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+
+    def rec(acc: int):
+        i = len(prefix)
+        if i == m:
+            out.append(tuple(prefix))
+            return
+        lo, hi = 1 << i, 2 << i
+        below = load[:lo]
+        cap = min(sizes[i], total - acc, *map(int.__sub__, ranks[lo:hi], below))
+        for xi in range(max(0, total - acc - suffix_caps[i + 1]), cap + 1):
+            load[lo:hi] = [v + xi for v in below]
+            prefix.append(xi)
+            rec(acc + xi)
+            prefix.pop()
+
+    rec(0)
+    out.sort()
+    return tuple(out)
 
 
 def even_reach_brute(g: Graph, m: Matching, root: int, cap: int = 2_000_000) -> frozenset[int]:

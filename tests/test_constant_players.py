@@ -32,6 +32,7 @@ from ntumatch.matroids import _union_ranks
 from ntumatch.serialize import matching_to_json
 
 from conftest import random_matching
+from exhaustive_reference import frontier_walk_reference
 
 # recorded with the per-mask prefix-sum frontier that preceded the
 # incremental load table
@@ -105,10 +106,44 @@ class TestAchievable:
                 assert all(a >= b for a, b in zip(utility(inst, got), x))
 
 
+def rank_bounded_prefixes(inst, depth):
+    """Integer prefixes of length ``depth`` inside the players' sizes with
+    ``2ν - f(N \\ W) <= y(W) <= f(W)`` for every ``W`` among their players,
+    ``f`` the union coverage rank; read off the rank table alone."""
+    total = 2 * max_matching(inst.graph).size
+    ranks = _union_ranks(inst.graph, inst.players)
+    full = (1 << inst.num_players) - 1
+    return {
+        y
+        for y in product(*(range(len(p) + 1) for p in inst.players[:depth]))
+        if all(
+            total - ranks[full ^ mask] <= sum(q for i, q in enumerate(y) if mask >> i & 1) <= ranks[mask]
+            for mask in range(1 << depth)
+        )
+    }
+
+
 class TestFrontier:
     def test_single_player_internal_edge(self):
         inst = Instance(Graph(2, [(0, 1)]), (frozenset({0, 1}),))
         assert frontier(inst).maximal_vectors == ((2,),)
+
+    def test_zero_players(self):
+        assert frontier(Instance(Graph(0, []), ())).maximal_vectors == ((),)
+
+    def test_one_player_gets_twice_nu(self):
+        inst = Instance(Graph(5, [(0, 1), (1, 2), (2, 3)]), (frozenset(range(5)),))
+        assert frontier(inst).maximal_vectors == ((4,),)
+
+    def test_players_without_edges(self):
+        # vertex 0 has no edges; its player comes first, in the middle and
+        # last, where the forced last coordinate must be 0
+        edge = Graph(3, [(1, 2)])
+        for order, want in (((0, 1, 2), (0, 1, 1)), ((1, 0, 2), (1, 0, 1)), ((1, 2, 0), (1, 1, 0))):
+            inst = Instance(edge, tuple(frozenset({v}) for v in order))
+            assert frontier(inst).maximal_vectors == (want,)
+        inst = Instance(Graph(3), (frozenset({0, 1}), frozenset({2})))
+        assert frontier(inst).maximal_vectors == ((0, 0),)
 
     def test_example1_vectors_sum_to_sixteen(self):
         gen = gen_example1()
@@ -158,6 +193,47 @@ class TestFrontier:
             vectors = frontier(gen_3sat_weak_emptiness([clause]).instance).maximal_vectors
             assert (len(vectors), vectors[0], vectors[-1]) == (count, first, last)
             assert hashlib.sha256(json.dumps(vectors).encode()).hexdigest() == digest
+
+    def test_matches_walk_reference_sweep(self, rng):
+        player_counts = set()
+        for _ in range(1500):
+            while True:
+                inst = gen_random(
+                    rng.randint(2, 18), rng.randint(1, 7), rng.choice([0.1, 0.2, 0.35, 0.6]),
+                    seed=rng.randint(0, 10**6),
+                )
+                if inst.num_players <= 9:
+                    break
+            player_counts.add(inst.num_players)
+            assert frontier(inst).maximal_vectors == frontier_walk_reference(inst)
+        assert player_counts == set(range(1, 10))
+
+    def test_matches_walk_reference_on_large_frontiers(self):
+        e = gen_example1()
+        stress = attach_special_edge(e.instance, e.name_map["a1"], e.name_map["b1"]).instance
+        sparse = gen_random(60, 6, 0.05, 4)
+        assert sparse.num_players == 10
+        for inst, count in ((stress, 1656), (sparse, 108)):
+            vectors = frontier(inst, budget=10**12).maximal_vectors
+            assert len(vectors) == count
+            assert vectors == frontier_walk_reference(inst)
+
+    def test_maximal_prefixes_are_the_rank_bounded_points(self, rng):
+        # the rule the walk relies on, checked apart from it: the prefixes
+        # of the maximal vectors are exactly the integer points that meet
+        # both rank bounds for every union of their players
+        checked = 0
+        while checked < 40:
+            inst = gen_random(rng.randint(2, 12), rng.randint(1, 4), rng.choice([0.2, 0.35, 0.6]), rng.randint(0, 10**6))
+            lattice = 1
+            for p in inst.players:
+                lattice *= len(p) + 1
+            if inst.num_players > 6 or lattice > 5000:
+                continue
+            checked += 1
+            maximal = brute_frontier(inst)
+            for depth in range(inst.num_players + 1):
+                assert {x[:depth] for x in maximal} == rank_bounded_prefixes(inst, depth)
 
 
 GADGETS = (
