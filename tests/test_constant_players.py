@@ -125,15 +125,14 @@ def rank_bounded_prefixes(inst, depth):
 
 class TestFrontier:
     def test_single_player_internal_edge(self):
+        # a single player gets twice the matching number, ((2ν,),)
         inst = Instance(Graph(2, [(0, 1)]), (frozenset({0, 1}),))
         assert frontier(inst).maximal_vectors == ((2,),)
+        inst = Instance(Graph(5, [(0, 1), (1, 2), (2, 3)]), (frozenset(range(5)),))
+        assert frontier(inst).maximal_vectors == ((4,),)
 
     def test_zero_players(self):
         assert frontier(Instance(Graph(0, []), ())).maximal_vectors == ((),)
-
-    def test_one_player_gets_twice_nu(self):
-        inst = Instance(Graph(5, [(0, 1), (1, 2), (2, 3)]), (frozenset(range(5)),))
-        assert frontier(inst).maximal_vectors == ((4,),)
 
     def test_players_without_edges(self):
         # vertex 0 has no edges; its player comes first, in the middle and
