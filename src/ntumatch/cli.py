@@ -16,6 +16,7 @@ after a usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional
 
@@ -167,9 +168,7 @@ def _oracle(args) -> int:
         }
     else:
         payload = {"matchings": exhaustive.count_matchings(inst.graph, cap=args.cap)}
-    import json as _json
-
-    _emit(_json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 

@@ -2,22 +2,22 @@
 
 Everything here is deliberately brute force and independent of the
 polynomial algorithms it validates.  Hard caps raise
-:class:`~ntumatch.errors.ResourceLimitError` instead of truncating.
+:class:`~ntumatch.errors.ResourceLimitError` instead of truncating.  No
+enumerator recurses, so none depends on Python's recursion limit.
 
-Matchings are enumerated by one iterative include/exclude walk that yields
-covered-vertex bitmasks; ``Matching`` objects are built only where a caller
-asks for one.  The core oracle makes a single pass over the whole graph's
-matchings and derives every coalition's table from it: a matching lies in
-the coalition's induced subgraph iff the players it touches are a subset
-of the coalition.  It decides on utility vectors and realizes a vector as
-a matching only through ``OracleCoreResult.realize``.  No enumerator here
-recurses, so none depends on Python's recursion limit.
+Matchings are enumerated by iterative include/exclude walks; ``Matching``
+objects are built only where a caller asks for one.  The core oracle walks
+the whole graph's matchings once, coding each utility vector as an integer,
+and ``cap`` counts every matching of that walk.  Coalition C's table is the
+maxima of the vectors touching exactly C and of every C - {i}'s table.  The
+oracle decides on vectors and builds a matching only in ``OracleCoreResult.realize``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import ge, gt, itemgetter
 from typing import Iterator, Optional
 
 from .errors import InputError, ResourceLimitError
@@ -88,31 +88,50 @@ def _pareto_maximal(vectors) -> list[tuple[int, ...]]:
     """
     maxima: list[tuple[int, ...]] = []
     for v in sorted(vectors, reverse=True):
-        if not any(all(a >= b for a, b in zip(w, v)) for w in maxima):
+        if not any(all(map(ge, w, v)) for w in maxima):
             maxima.append(v)
     maxima.reverse()
     return maxima
 
 
 def _first_by_vector(inst, cap: int) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
-    """The single pass: utility vector -> (touched-player bitmask, chosen
-    edge indices of the first matching in ``all_matchings`` order that
-    achieves it).
+    """The single pass: vector -> (touched-player bitmask, chosen edge
+    indices of the first matching in ``all_matchings`` order with it).
 
-    The vector depends on the covered set only, so repeated covered sets
-    are skipped before any vector is computed.
+    The walk of :func:`_matching_masks`, inline: a frame holds its free
+    later edges as a bitmask, its vector as an integer whose base-(largest
+    player size + 1) digit ``i`` counts player ``i``'s matched vertices,
+    and its edges as ``(j, parent)`` cells.
     """
-    pmasks = [sum(1 << v for v in p) for p in inst.players]
-    seen: set[int] = set()
-    first: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    for mask, chosen in _matching_masks(inst.graph, cap):
-        if mask in seen:
-            continue
-        seen.add(mask)
-        vec = tuple([(mask & pm).bit_count() for pm in pmasks])
-        if vec not in first:
-            touched = sum(1 << i for i, k in enumerate(vec) if k)
-            first[vec] = (touched, chosen)
+    base = max(map(len, inst.players), default=0) + 1
+    powers = [base**i for i in range(len(inst.players))]
+    player_of, edges = inst.player_of, inst.graph.edges
+    ecode = [powers[player_of[u]] + powers[player_of[v]] for u, v in edges]
+    disjoint = [sum(1 << k for k, f in enumerate(edges) if {u, v}.isdisjoint(f)) for u, v in edges]
+    stack = [((1 << len(edges)) - 1, 0, None)]
+    pop, push = stack.pop, stack.append
+    chosen_by_code: dict = {}
+    count = 0
+    while stack:
+        free, code, chosen = pop()
+        count += 1
+        if count > cap:
+            raise ResourceLimitError(f"matching enumeration exceeded cap of {cap}")
+        if code not in chosen_by_code:
+            chosen_by_code[code] = chosen
+        while free:  # ascending j, so the largest j is popped first
+            low = free & -free
+            free ^= low
+            j = low.bit_length() - 1
+            push((free & disjoint[j], code + ecode[j], (j, chosen)))
+    first = {}
+    for code, chosen in chosen_by_code.items():
+        vec = tuple([code // pw % base for pw in powers])
+        path = []
+        while chosen:
+            j, chosen = chosen
+            path.append(j)
+        first[vec] = (sum([1 << i for i, k in enumerate(vec) if k]), tuple(path[::-1]))
     return first
 
 
@@ -123,17 +142,23 @@ def _coalition_maxima(first: dict, m_players: int) -> Iterator[tuple[tuple[int, 
     utility vector it projects from.
 
     A matching lies in the coalition's induced subgraph iff the players it
-    touches are a subset of the coalition.  Those vectors are zero outside
-    the coalition, so projecting them keeps both dominance and order, and
-    only the maximal ones are projected.  One table is built at a time.
+    touches are a subset of the coalition; its vector is zero outside, so
+    projecting keeps dominance and order.  One touching less than C lies
+    under some C - {i}, so max(C) is the maxima of every max(C - {i}) and
+    of the vectors touching exactly C; only one size's tables are kept.
     """
+    own: dict[int, list] = {}
+    for vec, (touched, _) in first.items():
+        own.setdefault(touched, []).append(vec)
+    prev = {0: own.get(0, [])}
     for size in range(1, m_players + 1):
+        level = {}
         for coalition in combinations(range(m_players), size):
-            outside = ~sum(1 << i for i in coalition)
-            inside = [vec for vec, (touched, _) in first.items() if not touched & outside]
-            yield coalition, [
-                (tuple(vec[i] for i in coalition), vec) for vec in _pareto_maximal(inside)
-            ]
+            cmask = sum(1 << i for i in coalition)
+            found = set(own.get(cmask, ())).union(*[prev[cmask ^ 1 << i] for i in coalition])
+            level[cmask] = maximal = _pareto_maximal(found)
+            yield coalition, [(tuple(vec[i] for i in coalition), vec) for vec in maximal]
+        prev = level
 
 
 def _witness(table: list, proj: tuple[int, ...], strong: bool) -> Optional[tuple[int, ...]]:
@@ -146,9 +171,9 @@ def _witness(table: list, proj: tuple[int, ...], strong: bool) -> Optional[tuple
     """
     for w, vec in table:
         if strong:
-            if all(a > b for a, b in zip(w, proj)):
+            if all(map(gt, w, proj)):
                 return vec
-        elif w != proj and all(a >= b for a, b in zip(w, proj)):
+        elif w != proj and all(map(ge, w, proj)):
             return vec
     return None
 
@@ -164,17 +189,12 @@ def _blocked(maxima, vectors, strong: bool) -> dict:
     hits: dict[tuple[int, ...], tuple] = {}
     pending = list(vectors)
     for coalition, table in maxima:
-        verdict: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
-        rest = []
-        for u in pending:
-            proj = tuple([u[i] for i in coalition])
-            if proj not in verdict:
-                verdict[proj] = _witness(table, proj, strong)
-            if verdict[proj] is None:
-                rest.append(u)
-            else:
-                hits[u] = (coalition, verdict[proj])
-        pending = rest
+        get = itemgetter(*coalition)
+        projs = list(map(get, pending)) if len(coalition) > 1 else [(get(u),) for u in pending]
+        verdict = {proj: _witness(table, proj, strong) for proj in set(projs)}
+        found = [verdict[proj] for proj in projs]
+        hits.update((u, (coalition, w)) for u, w in zip(pending, found) if w is not None)
+        pending = [u for u, w in zip(pending, found) if w is None]
         if not pending:
             break
     return hits

@@ -7,15 +7,20 @@ simple alternating paths (explicit stacks, no recursion), independent of
 the algorithms the tests compare them against.  Hard caps raise
 :class:`~ntumatch.errors.ResourceLimitError` instead of truncating.  The
 const frontier's reference is the lattice walk that preceded its exact
-lower bounds, which recurses once per player.
+lower bounds, which recurses once per player.  The core oracle's
+references are its phases before the subset recurrence: a deduplicating
+walk over covered-vertex masks, every coalition's table scanned from all
+achievable vectors, and the blocking pass that projected with a
+generator.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator, Optional
 
 from ntumatch.errors import InputError, ResourceLimitError
-from ntumatch.exhaustive import DEFAULT_CAP, all_matchings
+from ntumatch.exhaustive import DEFAULT_CAP, _matching_masks, all_matchings
 from ntumatch.games import Instance
 from ntumatch.graphs import Graph, Matching, _max_match
 from ntumatch.matroids import _union_ranks
@@ -237,3 +242,104 @@ def oracle_delta_path(cg, a: int, b: int, c: int) -> bool:
     """Definitional test used only in validation; enumerates the game's
     structures afresh on every call."""
     return (frozenset((a, b)), c) in delta_triples_brute(cg)
+
+
+def pareto_maximal_reference(vectors) -> list[tuple[int, ...]]:
+    """Pareto-maximal members of a set of equal-length vectors, ascending.
+
+    A vector can only be dominated by one that is lexicographically
+    larger, and then by a maximal one; so in descending order each vector
+    is checked against the maxima found so far.
+    """
+    maxima: list[tuple[int, ...]] = []
+    for v in sorted(vectors, reverse=True):
+        if not any(all(a >= b for a, b in zip(w, v)) for w in maxima):
+            maxima.append(v)
+    maxima.reverse()
+    return maxima
+
+
+def first_by_vector_reference(inst, cap: int) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
+    """The single pass: utility vector -> (touched-player bitmask, chosen
+    edge indices of the first matching in ``all_matchings`` order that
+    achieves it).
+
+    The vector depends on the covered set only, so repeated covered sets
+    are skipped before any vector is computed.
+    """
+    pmasks = [sum(1 << v for v in p) for p in inst.players]
+    seen: set[int] = set()
+    first: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    for mask, chosen in _matching_masks(inst.graph, cap):
+        if mask in seen:
+            continue
+        seen.add(mask)
+        vec = tuple([(mask & pm).bit_count() for pm in pmasks])
+        if vec not in first:
+            touched = sum(1 << i for i, k in enumerate(vec) if k)
+            first[vec] = (touched, chosen)
+    return first
+
+
+def coalition_maxima_reference(first: dict, m_players: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """``(coalition, its Pareto-maximal vectors)`` per coalition, smallest
+    coalitions first, then lexicographically; each maximal vector is
+    projected onto the coalition (ascending) and paired with the full
+    utility vector it projects from.
+
+    A matching lies in the coalition's induced subgraph iff the players it
+    touches are a subset of the coalition.  Those vectors are zero outside
+    the coalition, so projecting them keeps both dominance and order, and
+    only the maximal ones are projected.  One table is built at a time.
+    """
+    for size in range(1, m_players + 1):
+        for coalition in combinations(range(m_players), size):
+            outside = ~sum(1 << i for i in coalition)
+            inside = [vec for vec, (touched, _) in first.items() if not touched & outside]
+            yield coalition, [
+                (tuple(vec[i] for i in coalition), vec) for vec in pareto_maximal_reference(inside)
+            ]
+
+
+def _witness_reference(table: list, proj: tuple[int, ...], strong: bool) -> Optional[tuple[int, ...]]:
+    """Full vector of the first maximal vector in ``table`` that blocks the
+    projected utility ``proj``; strong blocks need every member strictly
+    better, weak ones need nobody worse and somebody better.
+
+    Comparing against maximal vectors only is exhaustive: any blocking
+    vector is dominated by a maximal one, which then blocks too.
+    """
+    for w, vec in table:
+        if strong:
+            if all(a > b for a, b in zip(w, proj)):
+                return vec
+        elif w != proj and all(a >= b for a, b in zip(w, proj)):
+            return vec
+    return None
+
+
+def blocked_reference(maxima, vectors, strong: bool) -> dict:
+    """Utility vector -> (first coalition in ``maxima`` order that blocks
+    it, its witness vector), for every blocked vector.
+
+    Coalitions go in order over the vectors not blocked yet, and none is
+    built once every vector is blocked; vectors with the same projection
+    onto a coalition share its verdict.
+    """
+    hits: dict[tuple[int, ...], tuple] = {}
+    pending = list(vectors)
+    for coalition, table in maxima:
+        verdict: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
+        rest = []
+        for u in pending:
+            proj = tuple([u[i] for i in coalition])
+            if proj not in verdict:
+                verdict[proj] = _witness_reference(table, proj, strong)
+            if verdict[proj] is None:
+                rest.append(u)
+            else:
+                hits[u] = (coalition, verdict[proj])
+        pending = rest
+        if not pending:
+            break
+    return hits

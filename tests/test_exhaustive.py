@@ -15,6 +15,7 @@ from ntumatch import (
 )
 from ntumatch.exhaustive import (
     DEFAULT_CAP,
+    _blocked,
     _coalition_maxima,
     _first_by_vector,
     _pareto_maximal,
@@ -26,7 +27,13 @@ from ntumatch.couples import normalize
 from ntumatch.graphs import induced_subgraph
 
 from conftest import cycle_graph, path_graph, random_graph
-from exhaustive_reference import even_reach_brute, oracle_delta_path
+from exhaustive_reference import (
+    blocked_reference,
+    coalition_maxima_reference,
+    even_reach_brute,
+    first_by_vector_reference,
+    oracle_delta_path,
+)
 
 
 def recursive_matchings(g: Graph) -> list[Matching]:
@@ -212,6 +219,84 @@ class TestOracleCore:
             for (_, table), (coalition, maximal, vecs) in zip(got, expected):
                 assert [w for w, _ in table] == maximal, (seed, coalition)
                 assert [res.realize(vec) for _, vec in table] == [vecs[w] for w in maximal]
+
+
+def pairs_instance(n_pairs: int, edges, big: int = 0) -> Instance:
+    """Players ``0..big-1`` as one player when ``big``, then consecutive
+    vertex pairs, on ``big + 2 * n_pairs`` vertices."""
+    players = [frozenset(range(big))] if big else []
+    players += [frozenset({big + 2 * i, big + 2 * i + 1}) for i in range(n_pairs)]
+    return Instance(Graph(big + 2 * n_pairs, edges), tuple(players))
+
+
+EQUIVALENCE_CASES = [
+    *(
+        gen_random(n, class_cap, p, 1900 + 20 * class_cap + seed)
+        for class_cap in (1, 2, 3)
+        for seed, (n, p) in enumerate(
+            (n, p) for n in (2, 5, 8, 10) for p in (0.2, 0.4, 0.7) if n * p < 6
+        )
+    ),
+    pairs_instance(3, []),  # edgeless
+    Instance(Graph(3, [(0, 1), (1, 2)]), (frozenset({0, 1, 2}),)),  # one player
+    # players 0, 2 and 4 have no edges: first, in the middle and last
+    pairs_instance(5, [(2, 6), (3, 7), (2, 7), (6, 3)]),
+    # one player of 12 vertices on a 12-cycle, which can match all 12 and
+    # so fills its base-13 digit, next to three pairs it touches
+    pairs_instance(3, [(i, (i + 1) % 12) for i in range(12)] + [(0, 12), (5, 14), (11, 17)], 12),
+    gen_random(18, 2, 0.3, 3),  # 9 players, 7,392 vectors
+]
+
+
+class TestOracleAgainstReference:
+    """The walk, the subset recurrence and the blocking pass against the
+    phases they replaced, which scan every vector for every coalition."""
+
+    @pytest.mark.parametrize("case", range(len(EQUIVALENCE_CASES)))
+    def test_equals_reference_phases(self, case):
+        inst = EQUIVALENCE_CASES[case]
+        m = inst.num_players
+        first = _first_by_vector(inst, DEFAULT_CAP)
+        ref_first = first_by_vector_reference(inst, DEFAULT_CAP)
+        assert list(first.items()) == list(ref_first.items())
+        ref_tables = list(coalition_maxima_reference(ref_first, m))
+        assert list(_coalition_maxima(first, m)) == ref_tables
+        for kind in ("weak", "strong"):
+            strong = kind == "weak"
+            blocked = _blocked(_coalition_maxima(first, m), first, strong)
+            ref_blocked = blocked_reference(
+                coalition_maxima_reference(ref_first, m), ref_first, strong
+            )
+            assert list(blocked.items()) == list(ref_blocked.items()), kind
+            res = oracle_core(inst, kind)
+            assert list(res.blocked.items()) == list(ref_blocked.items()), kind
+            assert res.in_core == tuple(v for v in sorted(ref_first) if v not in ref_blocked)
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: st.tuples(st.just(k), st.sets(st.tuples(*[st.integers(0, 3)] * k), max_size=30))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_recurrence_equals_scan(self, data):
+        # synthetic vectors with no graph behind them: the recurrence holds
+        # for any set, whether or not it holds the zero vector
+        k, vectors = data
+        first = {v: (sum(1 << i for i, x in enumerate(v) if x), ()) for v in vectors}
+        assert list(_coalition_maxima(first, k)) == list(coalition_maxima_reference(first, k))
+
+    def test_cap_counts_matchings(self):
+        # K4 split into two players: its 10 matchings cover 8 distinct
+        # vertex sets and reach 5 vectors, and the cap counts the 10
+        g = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        inst = Instance(g, (frozenset({0, 1}), frozenset({2, 3})))
+        total = count_matchings(g)
+        assert total == 10
+        assert len({m.covered for m in all_matchings(g)}) == 8
+        for kind in ("weak", "strong"):
+            assert len(oracle_core(inst, kind, cap=total).in_core) >= 1
+            with pytest.raises(ResourceLimitError):
+                oracle_core(inst, kind, cap=total - 1)
 
 
 class TestOracleDelta:
