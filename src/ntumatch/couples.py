@@ -12,7 +12,7 @@ The strong-core existence machinery works per cycle-free player: the
 Gallai–Edmonds context of the union without its edge comes from the
 kernel's reach sets, and contracting that context's odd components gives
 a component digraph.  Pair paths are lookups in it and ordered triples
-two-path flow questions on it; only the free-component and through-path
+lookups in its dominator tree; only the free-component and through-path
 pieces of the composite-structure test stay kernel queries.
 
 A real edge parallel to a player edge forms a two-edge alternating cycle
@@ -522,8 +522,8 @@ class _DeltaContext:
     adjacent to y's entry cut vertex.  Every odd component is
     factor-critical and is entered only by its entry edge, so alternating
     paths from the freed vertices are paths of this digraph, and
-    vertex-disjoint ones use disjoint components.  ``second`` keeps, per
-    target component, the answer of :func:`_second_reach`.
+    vertex-disjoint ones use disjoint components.  ``top`` is the
+    digraph's :func:`_tops` table.
     """
 
     comps: tuple[frozenset[int], ...]
@@ -532,7 +532,7 @@ class _DeltaContext:
     entry: dict[int, tuple[int, int]]
     reach: dict[int, frozenset[int]]
     arcs: tuple[frozenset[int], ...]
-    second: dict[int, frozenset[int]] = field(default_factory=dict, compare=False, repr=False)
+    top: tuple[int, ...]
 
 
 def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
@@ -576,7 +576,7 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
     if set(entry) != set(range(len(comps))) - {ca, cb}:
         raise InvariantError("every side component must have exactly one entry edge")
     ctx = cg.delta_contexts[a_pl] = _DeltaContext(
-        comps, comp_of, (ca, cb), entry, reach, tuple(map(frozenset, arcs))
+        comps, comp_of, (ca, cb), entry, reach, tuple(map(frozenset, arcs)), _tops(arcs, (ca, cb))
     )
     return ctx
 
@@ -593,65 +593,59 @@ def _component(cg: CouplesGame, ctx: _DeltaContext, pl: int) -> Optional[int]:
     return None
 
 
-def _second_reach(ctx: _DeltaContext, target: int) -> frozenset[int]:
-    """The components y for which the component digraph has two
-    vertex-disjoint paths from the two free components, one ending in
-    ``target`` and one in y (Menger: a unit-capacity flow of 2).
+def _tops(arcs, free: tuple[int, int]) -> tuple[int, ...]:
+    """Per component, its ancestor just below a super source s in the
+    dominator tree of the component digraph with s joined to both free
+    components, or -1 when no path reaches it.
 
-    Routes one unit from the free components to ``target`` with node
-    capacity 1 (each node split into an in- and an out-node), then
-    searches the residual network once: y qualifies exactly when its
-    out-node is reachable.  Empty when no path reaches ``target``.
+    By Menger, paths from s into i and j can be vertex-disjoint past s
+    exactly when no vertex but s dominates both, that is, when their tops
+    differ.  The tree is the iterative intersection of Cooper, Harvey and
+    Kennedy ("A Simple, Fast Dominance Algorithm", 2001) over a BFS
+    numbering from s: a dominator lies on every shortest path, so it gets
+    a smaller number.
     """
-    got = ctx.second.get(target)
-    if got is not None:
-        return got
-    prev: dict[int, Optional[int]] = {f: None for f in ctx.free}
-    queue = list(ctx.free)
-    for x in queue:
-        if x == target:
-            break
-        for y in ctx.arcs[x]:
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    seen_out: set[int] = set()
-    if target in prev:
-        # the unit's path, as flow arcs before[y] -> y and x -> after[x]
-        before: dict[int, int] = {}
-        y = target
-        while prev[y] is not None:
-            before[y] = prev[y]
-            y = prev[y]
-        start = y
-        after = {x: y for y, x in before.items()}
-        on_path = {start, *before}
-        seen_in = {f for f in ctx.free if f != start}
-        stack = [(f, False) for f in seen_in]
-        while stack:
-            v, out = stack.pop()
-            if out:
-                steps = [(y, False) for y in ctx.arcs[v] if after.get(v) != y]
-                if v in on_path:
-                    steps.append((v, False))  # back through v's saturated node
-            elif v in before:
-                steps = [(before[v], True)]  # back along the flow arc into v
-            else:
-                # off the path: no arc enters the path's free start
-                steps = [(v, True)]
-            for w, w_out in steps:
-                seen = seen_out if w_out else seen_in
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, w_out))
-    got = ctx.second[target] = frozenset(seen_out)
-    return got
+    s = len(arcs)
+    num = [-1] * s + [0]
+    num[free[0]], num[free[1]] = 1, 2
+    order = list(free)
+    preds: list[list[int]] = [[] for _ in arcs]
+    for x in order:
+        for y in arcs[x]:
+            preds[y].append(x)
+            if num[y] == -1:
+                order.append(y)
+                num[y] = len(order)
+    idom = [-1] * s + [s]
+    idom[free[0]] = idom[free[1]] = s
+    changed = True
+    while changed:
+        changed = False
+        for y in order[2:]:
+            new = -1
+            for x in preds[y]:
+                if idom[x] == -1:
+                    continue  # not reached by the pass yet
+                if new == -1:
+                    new = x
+                while x != new:  # their nearest common ancestor so far
+                    while num[x] > num[new]:
+                        x = idom[x]
+                    while num[new] > num[x]:
+                        new = idom[new]
+            if idom[y] != new:
+                idom[y] = new
+                changed = True
+    top = [-1] * s
+    for x in order:
+        top[x] = x if idom[x] == s else top[idom[x]]
+    return tuple(top)
 
 
 def _joined(ctx: _DeltaContext, i: Optional[int], j: Optional[int]) -> bool:
     """Whether the context player's two freed vertices have vertex-disjoint
     alternating paths into components ``i`` and ``j``."""
-    return i is not None and j is not None and i != j and j in _second_reach(ctx, i)
+    return i is not None and j is not None and -1 != ctx.top[i] != ctx.top[j] != -1
 
 
 def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
@@ -754,8 +748,9 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
 
     Two cycle-free players are joined by an alternating path iff one's
     edge holds or enters a component of the other's context, so pair
-    paths are lookups; ordered triples are two-path flow answers in the
-    middle player's digraph.  The kernel answers only the free-component
+    paths are lookups; ordered triples a...b...c are those whose a and c
+    hang below different tops of b's dominator tree, the only pairs the
+    delta-closed test visits.  The kernel answers only the free-component
     and through-path pieces of :func:`_delta_path_decide`.
     """
     kset = cg.cycle_free
@@ -770,21 +765,18 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
     )
     closed: set[int] = set()
     for b in korder:
-        ok = True
-        for a, c in combinations([p for p in korder if p != b], 2):
-            # an a...b...c path contains an alternating a...b path and an
-            # alternating b...c path, so pairs without one rule it out
-            if where[b][a] is None or where[b][c] is None:
-                continue
-            if not _joined(ctxs[b], where[b][a], where[b][c]):
-                continue  # no ordered triple path a...b...c
-            if not (
-                _delta_path_decide(cg, ctxs[a], a, b, c, where[a][b], where[a][c])
-                or _delta_path_decide(cg, ctxs[c], c, b, a, where[c][b], where[c][a])
-            ):
-                ok = False
-                break
-        if ok:
+        top = ctxs[b].top  # a...b...c exists iff a and c have different tops
+        groups: dict[int, list[int]] = {}
+        for p, j in where[b].items():
+            if j is not None and top[j] != -1:
+                groups.setdefault(top[j], []).append(p)
+        if all(
+            _delta_path_decide(cg, ctxs[a], a, b, c, where[a][b], where[a][c])
+            or _delta_path_decide(cg, ctxs[c], c, b, a, where[c][b], where[c][a])
+            for group, other in combinations(groups.values(), 2)
+            for a in group
+            for c in other
+        ):
             closed.add(b)
     pair_edges: set[tuple[int, int]] = set()
     for x, y in combinations(sorted(closed), 2):

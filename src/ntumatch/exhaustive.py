@@ -26,33 +26,48 @@ from .graphs import Graph, Matching
 DEFAULT_CAP = 10_000_000
 
 
-def _matching_masks(g: Graph, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every matching of ``g`` as ``(covered-vertex bitmask, chosen edge
-    indices)``, exactly once, with no recursion.
+def _disjoint(edges) -> list[int]:
+    """Per edge, the bitmask of the edges that share no vertex with it."""
+    return [sum(1 << k for k, f in enumerate(edges) if {u, v}.isdisjoint(f)) for u, v in edges]
 
-    The order is that of include/exclude over the sorted edges, exclude
-    first.  A stack frame ``(i, mask, chosen)`` stands for every matching
-    that extends ``chosen`` by edges from index ``i`` on: the first of them
-    adds nothing, and the rest include some later free edge ``j``, the
-    largest ``j`` first, which is why the frames are pushed in ascending
-    ``j``.  Raises a resource error as soon as more than ``cap`` matchings
-    would be emitted.
+
+def _matching_cells(g: Graph, cap: int) -> Iterator[Optional[tuple]]:
+    """Every matching of ``g``, exactly once, with no recursion, as its
+    edge indices in ``(j, parent)`` cells (see :func:`_chosen`); None is
+    the empty matching.
+
+    Include/exclude over the sorted edges, exclude first.  A frame
+    ``(free, cells)`` stands for every matching that extends ``cells`` by
+    edges from ``free``, the bitmask of later edges disjoint from it:
+    first ``cells`` itself, then those with some free edge ``j``, the
+    largest ``j`` first, so frames are pushed in ascending ``j``.  Raises
+    a resource error as soon as more than ``cap`` matchings would be
+    emitted.
     """
-    emask = [(1 << u) | (1 << v) for u, v in g.edges]
-    n_edges = len(emask)
-    stack = [(0, 0, ())]
+    disjoint = _disjoint(g.edges)
+    stack = [((1 << len(disjoint)) - 1, None)]
     pop, push = stack.pop, stack.append
     count = 0
     while stack:
-        i, mask, chosen = pop()
+        free, cells = pop()
         count += 1
         if count > cap:
             raise ResourceLimitError(f"matching enumeration exceeded cap of {cap}")
-        yield mask, chosen
-        for j in range(i, n_edges):
-            e = emask[j]
-            if not mask & e:
-                push((j + 1, mask | e, chosen + (j,)))
+        yield cells
+        while free:
+            low = free & -free
+            free ^= low
+            j = low.bit_length() - 1
+            push((free & disjoint[j], (j, cells)))
+
+
+def _chosen(cells: Optional[tuple]) -> tuple[int, ...]:
+    """The edge indices held in ``(j, parent)`` cells, ascending."""
+    path = []
+    while cells:
+        j, cells = cells
+        path.append(j)
+    return tuple(path[::-1])
 
 
 def _matching_of(g: Graph, chosen: tuple[int, ...]) -> Matching:
@@ -61,18 +76,15 @@ def _matching_of(g: Graph, chosen: tuple[int, ...]) -> Matching:
 
 
 def all_matchings(g: Graph, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
-    """Every matching of ``g`` (including the empty one), exactly once.
-
-    Include/exclude over edges in ascending order, exclude first; aborts
-    with a resource error as soon as more than ``cap`` matchings would be
-    emitted.
-    """
-    for _, chosen in _matching_masks(g, cap):
-        yield _matching_of(g, chosen)
+    """Every matching of ``g`` (including the empty one), exactly once, in
+    include/exclude order over the sorted edges, exclude first; more than
+    ``cap`` matchings raise a resource error."""
+    for cells in _matching_cells(g, cap):
+        yield _matching_of(g, _chosen(cells))
 
 
 def count_matchings(g: Graph, cap: int = DEFAULT_CAP) -> int:
-    return sum(1 for _ in _matching_masks(g, cap))
+    return sum(1 for _ in _matching_cells(g, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +110,15 @@ def _first_by_vector(inst, cap: int) -> dict[tuple[int, ...], tuple[int, tuple[i
     """The single pass: vector -> (touched-player bitmask, chosen edge
     indices of the first matching in ``all_matchings`` order with it).
 
-    The walk of :func:`_matching_masks`, inline: a frame holds its free
-    later edges as a bitmask, its vector as an integer whose base-(largest
-    player size + 1) digit ``i`` counts player ``i``'s matched vertices,
-    and its edges as ``(j, parent)`` cells.
+    The walk of :func:`_matching_cells`, inline: a frame also holds its
+    vector as an integer whose base-(largest player size + 1) digit ``i``
+    counts player ``i``'s matched vertices.
     """
     base = max(map(len, inst.players), default=0) + 1
     powers = [base**i for i in range(len(inst.players))]
     player_of, edges = inst.player_of, inst.graph.edges
     ecode = [powers[player_of[u]] + powers[player_of[v]] for u, v in edges]
-    disjoint = [sum(1 << k for k, f in enumerate(edges) if {u, v}.isdisjoint(f)) for u, v in edges]
+    disjoint = _disjoint(edges)
     stack = [((1 << len(edges)) - 1, 0, None)]
     pop, push = stack.pop, stack.append
     chosen_by_code: dict = {}
@@ -127,11 +138,7 @@ def _first_by_vector(inst, cap: int) -> dict[tuple[int, ...], tuple[int, tuple[i
     first = {}
     for code, chosen in chosen_by_code.items():
         vec = tuple([code // pw % base for pw in powers])
-        path = []
-        while chosen:
-            j, chosen = chosen
-            path.append(j)
-        first[vec] = (sum([1 << i for i, k in enumerate(vec) if k]), tuple(path[::-1]))
+        first[vec] = (sum([1 << i for i, k in enumerate(vec) if k]), _chosen(chosen))
     return first
 
 

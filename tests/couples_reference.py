@@ -7,6 +7,10 @@ once, on an explicit graph with two added vertices s and t joined to the
 end players' tips.  The library answers each triple from the middle
 player's component digraph instead.
 
+``second_reach_by_flow`` answers the two-disjoint-paths question of a
+component digraph by a node-split unit flow and one residual search; the
+library reads it off the digraph's dominator tree instead.
+
 ``delta_context_by_graph`` builds the union without one player's edge as
 an explicit ``Graph`` and decomposes it with ``gallai_edmonds``; the library
 reads the same decomposition off the kernel's reach sets instead.
@@ -20,7 +24,7 @@ place and undoes its changes instead.
 from __future__ import annotations
 
 from ntumatch import Graph, Matching, gallai_edmonds, max_matching
-from ntumatch.couples import CouplesGame, _require_cycle_free, _Union, _without
+from ntumatch.couples import CouplesGame, _DeltaContext, _require_cycle_free, _Union, _without
 from ntumatch.errors import InvariantError
 from ntumatch.graphs import _blossom_search, _Labels
 
@@ -136,3 +140,54 @@ def delta_context_by_graph(cg: CouplesGame, a: int):
     )
     ge = gallai_edmonds(g)
     return ge.odd_components, ge.cut_set
+
+
+def second_reach_by_flow(ctx: _DeltaContext, target: int) -> frozenset[int]:
+    """The components y for which the component digraph has two
+    vertex-disjoint paths from the two free components, one ending in
+    ``target`` and one in y (Menger: a unit-capacity flow of 2).
+
+    Routes one unit from the free components to ``target`` with node
+    capacity 1 (each node split into an in- and an out-node), then
+    searches the residual network once: y qualifies exactly when its
+    out-node is reachable.  Empty when no path reaches ``target``.
+    """
+    prev = {f: None for f in ctx.free}
+    queue = list(ctx.free)
+    for x in queue:
+        if x == target:
+            break
+        for y in ctx.arcs[x]:
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    seen_out: set[int] = set()
+    if target in prev:
+        # the unit's path, as flow arcs before[y] -> y and x -> after[x]
+        before: dict[int, int] = {}
+        y = target
+        while prev[y] is not None:
+            before[y] = prev[y]
+            y = prev[y]
+        start = y
+        after = {x: y for y, x in before.items()}
+        on_path = {start, *before}
+        seen_in = {f for f in ctx.free if f != start}
+        stack = [(f, False) for f in seen_in]
+        while stack:
+            v, out = stack.pop()
+            if out:
+                steps = [(y, False) for y in ctx.arcs[v] if after.get(v) != y]
+                if v in on_path:
+                    steps.append((v, False))  # back through v's saturated node
+            elif v in before:
+                steps = [(before[v], True)]  # back along the flow arc into v
+            else:
+                # off the path: no arc enters the path's free start
+                steps = [(v, True)]
+            for w, w_out in steps:
+                seen = seen_out if w_out else seen_in
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, w_out))
+    return frozenset(seen_out)

@@ -9,7 +9,8 @@ the algorithms the tests compare them against.  Hard caps raise
 const frontier's reference is the lattice walk that preceded its exact
 lower bounds, which recurses once per player.  The core oracle's
 references are its phases before the subset recurrence: a deduplicating
-walk over covered-vertex masks, every coalition's table scanned from all
+walk over covered-vertex masks (on the matching walk that scanned every
+later edge per frame and copied the chosen tuple per push), every coalition's table scanned from all
 achievable vectors, and the blocking pass that projected with a
 generator.
 """
@@ -20,7 +21,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from ntumatch.errors import InputError, ResourceLimitError
-from ntumatch.exhaustive import DEFAULT_CAP, _matching_masks, all_matchings
+from ntumatch.exhaustive import DEFAULT_CAP, all_matchings
 from ntumatch.games import Instance
 from ntumatch.graphs import Graph, Matching, _max_match
 from ntumatch.matroids import _union_ranks
@@ -259,6 +260,31 @@ def pareto_maximal_reference(vectors) -> list[tuple[int, ...]]:
     return maxima
 
 
+def matching_masks_reference(g: Graph, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every matching of ``g`` as ``(covered-vertex bitmask, chosen edge
+    indices)``, exactly once, in include/exclude order, exclude first.
+
+    A stack frame ``(i, mask, chosen)`` stands for every matching that
+    extends ``chosen`` by edges from index ``i`` on: the first of them
+    adds nothing, and the rest include some later free edge ``j``, the
+    largest ``j`` first, which is why the frames are pushed in ascending
+    ``j``.  Raises a resource error as soon as more than ``cap`` matchings
+    would be emitted.
+    """
+    emask = [(1 << u) | (1 << v) for u, v in g.edges]
+    stack = [(0, 0, ())]
+    count = 0
+    while stack:
+        i, mask, chosen = stack.pop()
+        count += 1
+        if count > cap:
+            raise ResourceLimitError(f"matching enumeration exceeded cap of {cap}")
+        yield mask, chosen
+        for j in range(i, len(emask)):
+            if not mask & emask[j]:
+                stack.append((j + 1, mask | emask[j], chosen + (j,)))
+
+
 def first_by_vector_reference(inst, cap: int) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
     """The single pass: utility vector -> (touched-player bitmask, chosen
     edge indices of the first matching in ``all_matchings`` order that
@@ -270,7 +296,7 @@ def first_by_vector_reference(inst, cap: int) -> dict[tuple[int, ...], tuple[int
     pmasks = [sum(1 << v for v in p) for p in inst.players]
     seen: set[int] = set()
     first: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    for mask, chosen in _matching_masks(inst.graph, cap):
+    for mask, chosen in matching_masks_reference(inst.graph, cap):
         if mask in seen:
             continue
         seen.add(mask)

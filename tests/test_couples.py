@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from ntumatch import (
     weak_membership,
 )
 from ntumatch import couples as couples_module
-from ntumatch.couples import _component, _delta_context, _joined, strong_core_quotas
+from ntumatch.couples import _component, _delta_context, _joined, _tops, strong_core_quotas
 from ntumatch.exhaustive import all_matchings, oracle_core
 from ntumatch.serialize import certificate_to_json, matching_to_json
 
@@ -43,6 +44,7 @@ from couples_reference import (
     ordered_triple_by_tips,
     ordered_triple_one_query,
     reach_by_copies,
+    second_reach_by_flow,
 )
 from exhaustive_reference import alternating_triples_brute, delta_triples_brute, oracle_delta_path
 
@@ -333,6 +335,49 @@ class TestComponentDigraph:
                     hits += want
         assert checked > 50000 and hits > 5000
 
+    def test_dominator_tops_agree_with_flow(self):
+        # every ordered pair of components, free ones included, in every
+        # cycle-free player's context
+        cases = [cg for _, cg in self.sweep()]
+        cases += [normalize(gen_random(n, 2, 1.5 / n, 3)) for n in (160, 480)]
+        pairs = hits = free = 0
+        for cg in cases:
+            for a in sorted(cg.cycle_free):
+                ctx = _delta_context(cg, a)
+                for i in range(len(ctx.comps)):
+                    second = second_reach_by_flow(ctx, i)
+                    for j in range(len(ctx.comps)):
+                        want = i != j and j in second
+                        assert _joined(ctx, i, j) == want, (a, i, j)
+                        pairs += 1
+                        hits += want
+                        free += i in ctx.free or j in ctx.free
+        assert pairs > 1_000_000 and hits > 50_000 and free > 50_000
+
+    def test_dominator_tops_agree_with_flow_on_random_digraphs(self):
+        # a context's components are all reached from its free ones, so
+        # unreachable components, and cycles through them, come from
+        # random digraphs whose two free nodes have no entering arcs
+        rng = random.Random(20)
+        pairs = hits = unreachable = 0
+        for _ in range(2000):
+            k = rng.randint(2, 12)
+            p = rng.choice((0.1, 0.2, 0.35))
+            free = (0, 1)
+            arcs = tuple(
+                frozenset(y for y in range(2, k) if y != x and rng.random() < p)
+                for x in range(k)
+            )
+            ctx = SimpleNamespace(free=free, arcs=arcs, top=_tops(arcs, free))
+            for i in range(k):
+                second = second_reach_by_flow(ctx, i)
+                for j in range(k):
+                    assert _joined(ctx, i, j) == (i != j and j in second), (arcs, i, j)
+                    pairs += 1
+                    hits += i != j and j in second
+                    unreachable += -1 in (ctx.top[i], ctx.top[j])
+        assert pairs > 50_000 and hits > 10_000 and unreachable > 10_000
+
     @pytest.mark.parametrize("n,seed", [(80, 1), (80, 3), (120, 2), (120, 3)])
     def test_ordered_triples_at_scale_agree_with_one_query(self, n, seed):
         # every ordered triple of cycle-free players; an a...b...c path
@@ -542,9 +587,15 @@ class TestStrongCoreSolve:
                 assert strong_membership(cg, got).in_core
 
     def test_characterization_vector_sets_match_oracle(self, rng):
-        for _ in range(25):
-            n = rng.choice([4, 6, 8])
-            inst = gen_random(n, 2, rng.choice([0.25, 0.45]), seed=rng.randint(0, 10**6))
+        instances = [
+            gen_random(n, 2, rng.choice([0.25, 0.45]), seed=rng.randint(0, 10**6))
+            for n in (rng.choice([4, 6, 8]) for _ in range(25))
+        ]
+        # few small random instances have pair edges at all; this seeded
+        # family has enough to check the cliques of the delta-closed set
+        family = [gen_random(8, 2, 0.3, seed) for seed in range(600)]
+        assert sum(bool(strong_core_structure(normalize(i)).pair_edges) for i in family) >= 20
+        for inst in instances + family:
             cg = normalize(inst)
             oracle = oracle_core(inst, "strong")
             pq = strong_core_quotas(cg)
