@@ -41,28 +41,13 @@ from .generators import (
     gen_x3c_strong,
     gen_x3c_weak,
 )
-from .graphs import (
-    GallaiEdmonds,
-    Graph,
-    Matching,
-    alternating_reach,
-    coverable,
-    coverage_rank,
-    gallai_edmonds,
-    max_matching,
-    perfect_matching_exists,
-)
-from .matroids import (
-    PartitionQuota,
-    matching_with_lower_bounds,
-    quota_feasible,
-)
+from .graphs import Graph, Matching, coverable, coverage_rank, max_matching
+from .matroids import PartitionQuota, matching_with_lower_bounds
 
 __all__ = [
     "AchievableFrontier",
     "BlockCertificate",
     "CouplesGame",
-    "GallaiEdmonds",
     "GeneratedInstance",
     "Graph",
     "InputError",
@@ -75,7 +60,6 @@ __all__ = [
     "StrongCoreStructure",
     "X3CInstance",
     "achievable",
-    "alternating_reach",
     "attach_special_edge",
     "core_empty",
     "core_membership_by_enumeration",
@@ -85,7 +69,6 @@ __all__ = [
     "delta_path_exists",
     "find_block_for_coalition",
     "frontier",
-    "gallai_edmonds",
     "gen_3sat_weak_emptiness",
     "gen_example1",
     "gen_random",
@@ -96,8 +79,6 @@ __all__ = [
     "normalize",
     "on_alternating_cycle",
     "ordered_triple_path_exists",
-    "perfect_matching_exists",
-    "quota_feasible",
     "strong_core_solve",
     "strong_core_structure",
     "strong_membership",

@@ -430,7 +430,6 @@ def weak_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
     """Weak-core test: with the fully covered players deleted, no player
     edge may lie on an alternating cycle, and no two uncovered players may
     be joined by an alternating path."""
-    m.validate_for(cg.inst.graph)
     u = utility(cg.inst, m)
     low = [i for i, ui in enumerate(u) if ui <= 1]
     view = cg.union.without(x for i, ui in enumerate(u) if ui == 2 for x in cg.pairs[i])
@@ -450,7 +449,6 @@ def strong_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
     most one covered vertex; (c) no alternating path carries three players
     with exactly one covered vertex.  (b) and (c) presuppose (a).
     """
-    m.validate_for(cg.inst.graph)
     u = utility(cg.inst, m)
     low = [i for i, ui in enumerate(u) if ui <= 1]
     ones = [i for i in low if u[i] == 1]

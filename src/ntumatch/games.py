@@ -17,8 +17,8 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .errors import InputError, InvariantError, ResourceLimitError
-from .graphs import Graph, Matching, _matching_number, induced_subgraph
-from .matroids import PartitionQuota, matching_with_lower_bounds
+from .graphs import Graph, Matching, _matching_number
+from .matroids import _quota_matching
 
 # coalition enumeration is exponential in the player count
 ENUMERATION_PLAYER_GUARD = 20
@@ -128,8 +128,8 @@ def find_block_for_coalition(
     A strong block needs every member above its current utility, realised
     as coverage quotas ``u_i + 1``.  A weak block is sought pivot by pivot:
     one member must improve strictly while the others keep their level.
-    The subgraph is built only when some quota vector fits the members'
-    sizes.
+    Each try whose quotas fit the members' sizes is one
+    :func:`~ntumatch.matroids._quota_matching` call on the members' vertices.
     """
     if kind not in ("strong", "weak"):
         raise InputError("kind must be 'strong' or 'weak'")
@@ -152,17 +152,12 @@ def find_block_for_coalition(
             for pivot in coalition
         ]
     tries = [q for q in tries if all(qi <= s for qi, s in zip(q, sizes))]
-    if not tries:
-        return None
-    sub, to_old = induced_subgraph(
-        inst.graph, set().union(*(inst.players[i] for i in coalition))
-    )
-    to_new = {v: i for i, v in enumerate(to_old)}
-    groups = tuple(frozenset(to_new[v] for v in inst.players[i]) for i in coalition)
+    groups = tuple(inst.players[i] for i in coalition)
+    within = frozenset().union(*groups)
     for quotas in tries:
-        found = matching_with_lower_bounds(sub, PartitionQuota(groups, quotas))
+        found = _quota_matching(inst.graph, within, groups, quotas)
         if found is not None:
-            return Matching((to_old[a], to_old[b]) for a, b in found.edges)
+            return found
     return None
 
 
@@ -176,7 +171,7 @@ class _BlockSearch:
     A connected (s+1)-set is a connected s-set plus a contact neighbour, so
     each level is grown once, from the one before, when a search first
     reaches it.  A matching of ``G[V_S]`` covers at most ``2ν(G[V_S])``
-    vertices (the ``T = S`` term of the duality ``quota_feasible`` checks),
+    vertices (the ``T = S`` term of the partition-matroid duality),
     so tries whose quotas sum to more never reach
     ``find_block_for_coalition``; every weak try sums to ``Σu_S + 1``.  ν is
     kept per coalition, each verdict per (coalition, projection of ``u``).

@@ -20,7 +20,6 @@ kernel keeps spare ones across queries (``couples._Union``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InputError, InvariantError
@@ -141,22 +140,6 @@ class Matching:
 
     def __repr__(self):
         return f"Matching({list(self.edges)})"
-
-
-@dataclass(frozen=True)
-class GallaiEdmonds:
-    """Structure of a graph relative to its maximum matchings.
-
-    ``cut_set`` separates the even part from the odd components; every
-    odd component is hypomatchable; every maximum matching exposes exactly
-    ``len(odd_components) - len(cut_set)`` vertices, all in distinct odd
-    components.
-    """
-
-    cut_set: frozenset[int]
-    even_part: frozenset[int]
-    odd_components: tuple[frozenset[int], ...]
-    witness: Matching
 
 
 def _match_array(n: int, m: Matching) -> list[int]:
@@ -305,77 +288,22 @@ def max_matching(g: Graph, seed_matching: Optional[Matching] = None) -> Matching
         match = _match_array(g.n, seed_matching)
     else:
         match = [-1] * g.n
-    labels = _Labels(g.n)
-    for root in range(g.n):
-        if match[root] == -1:
-            _blossom_search(g.adj, match, root, labels, augment=True)
-            labels.clear()
+    _augment(g.adj, match, range(g.n), _Labels(g.n))
     return Matching((v, match[v]) for v in range(g.n) if match[v] > v)
 
 
-def perfect_matching_exists(g: Graph) -> tuple[bool, Optional[Matching]]:
-    """Whether every vertex can be covered, with a witness when true."""
-    m = max_matching(g)
-    if 2 * m.size == g.n:
-        return True, m
-    return False, None
-
-
-def alternating_reach(g: Graph, m: Matching, root: int) -> frozenset[int]:
-    """The vertices reachable from the exposed ``root`` by alternating
-    paths that end with a matching edge, ``root`` itself included, with
-    blossom handling (correct on non-bipartite graphs)."""
-    m.validate_for(g)
-    match = _match_array(g.n, m)
-    if not (0 <= root < g.n):
-        raise InputError(f"root {root} out of range")
-    if match[root] != -1:
-        raise InputError(f"root {root} is covered by the matching")
-    return frozenset(_blossom_search(g.adj, match, root, _Labels(g.n), augment=False))
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``keep`` with dense relabeling.
-
-    Returns the subgraph and ``to_old`` such that ``to_old[new_id]`` is the
-    original id.
-    """
-    to_old = tuple(sorted(set(keep)))
-    for v in to_old:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range")
-    to_new = {v: i for i, v in enumerate(to_old)}
-    edges = [
-        (to_new[u], to_new[v])
-        for u, v in g.edges
-        if u in to_new and v in to_new
-    ]
-    return Graph(len(to_old), edges), to_old
-
-
-def gallai_edmonds(g: Graph) -> GallaiEdmonds:
-    """Decomposition into cut set, even part, and hypomatchable components.
-
-    The odd components collect exactly the vertices exposed by at least one
-    maximum matching; the cut set is their outside neighborhood.
-    """
-    m = max_matching(g)
-    match = _match_array(g.n, m)
-    exposable: set[int] = set()
-    labels = _Labels(g.n)
-    for root in range(g.n):
+def _augment(adj, match, roots, labels: _Labels, stop: bool = False) -> int:
+    """One augmenting search from each of ``roots``, in order, still exposed
+    when its turn comes; returns how many failed, stopping at the first
+    failure when ``stop`` is set."""
+    failed = 0
+    for root in roots:
         if match[root] == -1:
-            exposable.update(_blossom_search(g.adj, match, root, labels, augment=False))
+            failed += not _blossom_search(adj, match, root, labels, augment=True)
             labels.clear()
-    cut, comps = _cut_and_components(g.adj, exposable)
-    if len(comps) - len(cut) != g.n - 2 * m.size:
-        raise InvariantError("deficiency identity violated")
-    return GallaiEdmonds(
-        cut_set=cut,
-        even_part=frozenset(range(g.n)) - exposable - cut,
-        odd_components=comps,
-        witness=m,
-    )
+            if stop and failed:
+                break
+    return failed
 
 
 def _cut_and_components(adj, exposable) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
@@ -421,39 +349,28 @@ def _matching_number(g: Graph, keep: frozenset[int]) -> int:
         adj[v] = [w for w in g.adj[v] if w in keep]
         if seed[v] in keep:
             match[v] = seed[v]
-    labels = _Labels(g.n)
-    for root in keep:
-        if match[root] == -1 and adj[root]:
-            _blossom_search(adj, match, root, labels, augment=True)
-            labels.clear()
+    _augment(adj, match, keep, _Labels(g.n))
     return (g.n - match.count(-1)) // 2
 
 
-def _cover(g: Graph, y: frozenset[int], stop: bool) -> tuple[list[int], int]:
-    """The greedy of :func:`coverable`: its match array (pendants included)
-    and failed-root count, ending at the first failure if ``stop`` is set."""
+def _cover(adj, match: list[int], y: frozenset[int], stop: bool) -> int:
+    """The greedy of :func:`coverable` on rows ``adj`` from their maximum
+    matching ``match``, which it extends by the pendants and flips in
+    place; returns the failed-root count, ending at the first failure if
+    ``stop`` is set."""
     for v in y:
-        if not (0 <= v < g.n):
+        if not (0 <= v < len(adj)):
             raise InputError(f"vertex {v} out of range")
-    match = list(_max_match(g))
     roots = [v for v in sorted(y) if match[v] == -1]
     if not roots:
-        return match, 0
-    adj = list(g.adj)
-    for v in range(g.n):
-        if v not in y:
-            adj[v] += (len(adj),)
+        return 0
+    adj = list(adj)
+    for v in range(len(adj)):
+        if adj[v] and v not in y:  # no path reaches an edgeless vertex
+            adj[v] = (*adj[v], len(adj))
             adj.append((v,))
             match.append(-1)
-    labels = _Labels(len(adj))
-    failed = 0
-    for root in roots:
-        if not _blossom_search(adj, match, root, labels, augment=True):
-            failed += 1
-            if stop:
-                break
-        labels.clear()
-    return match, failed
+    return _augment(adj, match, roots, _Labels(len(adj)), stop)
 
 
 def coverable(g: Graph, x: Iterable[int]) -> Optional[Matching]:
@@ -472,8 +389,8 @@ def coverable(g: Graph, x: Iterable[int]) -> Optional[Matching]:
     root stays failed.  A seed that is not maximum breaks this.
     """
     xset = frozenset(x)
-    match, failed = _cover(g, xset, stop=True)
-    if failed:
+    match = list(_max_match(g))
+    if _cover(g.adj, match, xset, stop=True):
         return None
     witness = Matching((v, match[v]) for v in range(g.n) if v < match[v] < g.n)
     if not xset <= witness.covered:
@@ -486,7 +403,7 @@ def coverage_rank(g: Graph, y: Iterable[int]) -> int:
     rank in the matching matroid, ``|y|`` minus the roots that fail in the
     greedy of :func:`coverable`."""
     y = frozenset(y)
-    return len(y) - _cover(g, y, stop=False)[1]
+    return len(y) - _cover(g.adj, list(_max_match(g)), y, stop=False)
 
 
 def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:

@@ -1,13 +1,12 @@
 """Matchings with per-group coverage lower bounds.
 
 Every "matching with ``|V(M) ∩ V_i| >= q_i`` for all groups" query in the
-library is one :func:`~ntumatch.graphs.coverable` call on a padded graph:
-each group with a positive quota gains ``|V_i| - q_i`` fresh vertices joined
-to all of ``V_i``, and the quotas can be met exactly when some matching of
-the padded graph covers every grouped vertex (the deficiency gadget behind
-the Tutte–Berge formula; Lovász & Plummer, *Matching Theory*, ch. 3).
-:func:`quota_feasible` decides the same question by partition-matroid
-duality and serves as the independent reference.
+library is one greedy coverage search on padded adjacency rows, building no
+graph: each group with a positive quota gains ``|V_i| - q_i`` fresh vertices
+joined to all of ``V_i``, and the quotas can be met exactly when some
+matching of the padded rows covers every grouped vertex (the deficiency
+gadget behind the Tutte–Berge formula; Lovász & Plummer, *Matching Theory*,
+ch. 3).  The union coverage ranks of the groups feed the const frontier.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InputError
-from .graphs import Graph, Matching, _Labels, _blossom_search, _max_match, coverable
+from .errors import InputError, InvariantError
+from .graphs import Graph, Matching, _augment, _cover, _Labels, _max_match
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,7 @@ def _union_ranks(g: Graph, groups: tuple[frozenset[int], ...]) -> list[int]:
                 adj[v] = g.adj[v]
                 if match[v] == n + v:
                     match[v] = match[n + v] = -1
-            for v in rows[j]:
-                if match[v] == -1:
-                    ranks[child] -= not _blossom_search(adj, match, v, labels, augment=True)
-                    labels.clear()
+            ranks[child] -= _augment(adj, match, rows[j], labels)
             grow(child, j + 1)
             for v in rows[j]:
                 adj[v] = padded[v]
@@ -80,21 +76,40 @@ def _union_ranks(g: Graph, groups: tuple[frozenset[int], ...]) -> list[int]:
     return ranks
 
 
-def quota_feasible(g: Graph, pq: PartitionQuota) -> bool:
-    """Feasibility of the coverage lower bounds, without a witness.
+def _quota_matching(
+    g: Graph, within: frozenset[int], groups: tuple[frozenset[int], ...], quotas: tuple[int, ...]
+) -> Optional[Matching]:
+    """A matching of ``g[within]`` covering ``quotas[i]`` vertices of each
+    ``groups[i]`` (a subset of ``within``), or None.
 
-    By matroid-intersection duality specialised to a partition matroid, a
-    matching with ``|V(M) ∩ V_i| >= q_i`` exists iff every union of groups
-    can be covered to the extent of its summed quotas.  It reads all 2^k
-    union ranks, so it serves as the independent reference for
-    :func:`matching_with_lower_bounds`, which decides by a padded graph.
+    The padded graph of :func:`matching_with_lower_bounds` as rows: ``g``'s
+    rows cut to ``within``, then each group's padding vertices from
+    ``len(g.adj)`` upward.  A maximum matching of them, by searches from
+    ``within`` and the padding in ascending id order (no other id has an
+    edge), seeds the greedy of :func:`~ntumatch.graphs.coverable` over the
+    targets.
     """
-    if len(pq.groups) > 20:
-        raise InputError("quota_feasible supports at most 20 groups")
-    return all(
-        sum(q for i, q in enumerate(pq.quotas) if mask >> i & 1) <= rank
-        for mask, rank in enumerate(_union_ranks(g, pq.groups))
-    )
+    targets = frozenset().union(*(grp for grp, q in zip(groups, quotas) if q))
+    if not targets:
+        return Matching(())
+    n = len(g.adj)
+    adj: list = [()] * n
+    for v in within:
+        adj[v] = [w for w in g.adj[v] if w in within]
+    for grp, q in zip(groups, quotas):
+        if q:
+            row = sorted(grp)
+            for v in row:
+                adj[v] += range(len(adj), len(adj) + len(row) - q)
+            adj += [row] * (len(row) - q)
+    match = [-1] * len(adj)
+    _augment(adj, match, [*sorted(within), *range(n, len(adj))], _Labels(len(adj)))
+    if _cover(adj, match, targets, stop=True):
+        return None
+    if -1 in map(match.__getitem__, targets):
+        raise InvariantError("greedy witness does not cover the requested set")
+    # real vertices have the lowest ids, so an edge of two of them is low-high
+    return Matching((v, match[v]) for v in range(n) if v < match[v] < n)
 
 
 def matching_with_lower_bounds(g: Graph, pq: PartitionQuota) -> Optional[Matching]:
@@ -102,32 +117,16 @@ def matching_with_lower_bounds(g: Graph, pq: PartitionQuota) -> Optional[Matchin
 
     Vertices outside all groups are unconstrained.  Each group with a
     positive quota gets ``|V_i| - q_i`` fresh padding vertices joined to all
-    of ``V_i``, and one :func:`~ntumatch.graphs.coverable` call on that
-    padded graph asks for a matching covering every such group.  Forward,
-    a matching meeting the quotas leaves at most ``|V_i| - q_i`` vertices of
-    ``V_i`` exposed, and the padding vertices take them; backward, dropping
-    the padding edges from a covering matching leaves at most
-    ``|V_i| - q_i`` vertices of each ``V_i`` exposed.
+    of ``V_i``, and a matching of that padded graph covering every such
+    group is sought (:func:`_quota_matching`).  Forward, a matching meeting
+    the quotas leaves at most ``|V_i| - q_i`` vertices of ``V_i`` exposed,
+    and the padding vertices take them; backward, dropping the padding
+    edges from a covering matching leaves at most ``|V_i| - q_i`` vertices
+    of each ``V_i`` exposed.
     """
     for grp in pq.groups:
         for v in grp:
             # an out-of-range id would alias a padding vertex
             if not (0 <= v < g.n):
                 raise InputError(f"vertex {v} out of range")
-    edges = list(g.edges)
-    targets: set[int] = set()
-    n = g.n
-    for grp, q in zip(pq.groups, pq.quotas):
-        if q == 0:
-            continue
-        targets |= grp
-        for pad in range(n, n + len(grp) - q):
-            edges.extend((v, pad) for v in grp)
-        n += len(grp) - q
-    if not targets:
-        return Matching(())
-    witness = coverable(Graph(n, edges), targets)
-    if witness is None:
-        return None
-    # edges are stored as (low, high), so a padding vertex is always second
-    return Matching((u, v) for u, v in witness.edges if v < g.n)
+    return _quota_matching(g, frozenset(range(g.n)), pq.groups, pq.quotas)

@@ -83,13 +83,15 @@ def instance_from_json(text: str) -> Instance:
     if not isinstance(players_raw, list) or not players_raw:
         raise InputError("instance.players must be a non-empty array")
     players = []
-    for p in players_raw:  # a plain loop: this check runs on every vertex
+    for i, p in enumerate(players_raw):  # a plain loop: this check runs on every vertex
         if type(p) is list:
             for x in p:
                 if type(x) is not int:
                     break
             else:
                 players.append(frozenset(p))
+                if len(players[-1]) != len(p):
+                    raise InputError(f"player {i} lists a vertex twice")
                 continue
         raise InputError(f"player {p!r} must be an array of integers")
     # the players partition 0..n-1, so n is their vertex count; checked

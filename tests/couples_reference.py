@@ -23,10 +23,12 @@ place and undoes its changes instead.
 
 from __future__ import annotations
 
-from ntumatch import Graph, Matching, gallai_edmonds, max_matching
+from ntumatch import Graph, Matching, max_matching
 from ntumatch.couples import CouplesGame, _DeltaContext, _require_cycle_free, _Union, _without
 from ntumatch.errors import InvariantError
 from ntumatch.graphs import _blossom_search, _Labels
+
+from exhaustive_reference import gallai_edmonds
 
 
 def masked(view: _Union, drop_players=(), drop_vertices=(), extra_edges=()):

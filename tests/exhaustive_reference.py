@@ -1,6 +1,9 @@
 """Brute-force references for graph, coalition, frontier and couples
 structure tests.
 
+The graph helpers the library no longer calls live here as references:
+induced subgraphs, the perfect-matching test, alternating reach from one
+root and the Gallai–Edmonds decomposition.
 Alternating reach, coverable sets, connected coalitions, alternating-path
 triples and delta structures, each by enumerating matchings, subsets or
 simple alternating paths (explicit stacks, no recursion), independent of
@@ -17,14 +20,105 @@ generator.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from ntumatch.errors import InputError, ResourceLimitError
+from ntumatch.errors import InputError, InvariantError, ResourceLimitError
 from ntumatch.exhaustive import DEFAULT_CAP, all_matchings
 from ntumatch.games import Instance
-from ntumatch.graphs import Graph, Matching, _max_match
+from ntumatch.graphs import (
+    Graph,
+    Matching,
+    _blossom_search,
+    _cut_and_components,
+    _Labels,
+    _match_array,
+    _max_match,
+    max_matching,
+)
 from ntumatch.matroids import _union_ranks
+
+
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph on ``keep`` with dense relabeling.
+
+    Returns the subgraph and ``to_old`` such that ``to_old[new_id]`` is the
+    original id.
+    """
+    to_old = tuple(sorted(set(keep)))
+    for v in to_old:
+        if not (0 <= v < g.n):
+            raise InputError(f"vertex {v} out of range")
+    to_new = {v: i for i, v in enumerate(to_old)}
+    edges = [
+        (to_new[u], to_new[v])
+        for u, v in g.edges
+        if u in to_new and v in to_new
+    ]
+    return Graph(len(to_old), edges), to_old
+
+
+def perfect_matching_exists(g: Graph) -> tuple[bool, Optional[Matching]]:
+    """Whether every vertex can be covered, with a witness when true."""
+    m = max_matching(g)
+    if 2 * m.size == g.n:
+        return True, m
+    return False, None
+
+
+def alternating_reach(g: Graph, m: Matching, root: int) -> frozenset[int]:
+    """The vertices reachable from the exposed ``root`` by alternating
+    paths that end with a matching edge, ``root`` itself included, with
+    blossom handling (correct on non-bipartite graphs)."""
+    m.validate_for(g)
+    match = _match_array(g.n, m)
+    if not (0 <= root < g.n):
+        raise InputError(f"root {root} out of range")
+    if match[root] != -1:
+        raise InputError(f"root {root} is covered by the matching")
+    return frozenset(_blossom_search(g.adj, match, root, _Labels(g.n), augment=False))
+
+
+@dataclass(frozen=True)
+class GallaiEdmonds:
+    """Structure of a graph relative to its maximum matchings.
+
+    ``cut_set`` separates the even part from the odd components; every
+    odd component is hypomatchable; every maximum matching exposes exactly
+    ``len(odd_components) - len(cut_set)`` vertices, all in distinct odd
+    components.
+    """
+
+    cut_set: frozenset[int]
+    even_part: frozenset[int]
+    odd_components: tuple[frozenset[int], ...]
+    witness: Matching
+
+
+def gallai_edmonds(g: Graph) -> GallaiEdmonds:
+    """Decomposition into cut set, even part, and hypomatchable components.
+
+    The odd components collect exactly the vertices exposed by at least one
+    maximum matching; the cut set is their outside neighborhood.
+    """
+    m = max_matching(g)
+    match = _match_array(g.n, m)
+    exposable: set[int] = set()
+    labels = _Labels(g.n)
+    for root in range(g.n):
+        if match[root] == -1:
+            exposable.update(_blossom_search(g.adj, match, root, labels, augment=False))
+            labels.clear()
+    cut, comps = _cut_and_components(g.adj, exposable)
+    if len(comps) - len(cut) != g.n - 2 * m.size:
+        raise InvariantError("deficiency identity violated")
+    return GallaiEdmonds(
+        cut_set=cut,
+        even_part=frozenset(range(g.n)) - exposable - cut,
+        odd_components=comps,
+        witness=m,
+    )
 
 
 def coverable_sets_brute(g: Graph, cap: int = DEFAULT_CAP) -> set[frozenset[int]]:

@@ -1,10 +1,11 @@
 """Reference matroid intersection for the coverage-quota tests.
 
 A generic maximum common independent set of two matroids given by
-independence oracles, and the matching matroid (a vertex set is independent
-when some matching covers it).  The library decides coverage quotas with
-one padded-graph ``coverable`` call instead; these stay here as an
-independent algorithm that tests compare it against.
+independence oracles, the matching matroid (a vertex set is independent
+when some matching covers it), and the partition-matroid duality test of
+coverage quotas.  The library decides coverage quotas with one greedy
+coverage search on padded adjacency rows instead; these stay here as
+independent algorithms that tests compare it against.
 """
 
 from __future__ import annotations
@@ -14,6 +15,25 @@ from typing import Callable, Iterable, Optional
 
 from ntumatch.errors import InputError, InvariantError
 from ntumatch.graphs import Graph, coverage_rank
+from ntumatch.matroids import PartitionQuota, _union_ranks
+
+
+def quota_feasible(g: Graph, pq: PartitionQuota) -> bool:
+    """Feasibility of the coverage lower bounds, without a witness.
+
+    By matroid-intersection duality specialised to a partition matroid, a
+    matching with ``|V(M) ∩ V_i| >= q_i`` exists iff every union of groups
+    can be covered to the extent of its summed quotas.  It reads all 2^k
+    union ranks, so it serves as the independent reference for
+    :func:`~ntumatch.matroids.matching_with_lower_bounds`, which decides by
+    padded adjacency rows.
+    """
+    if len(pq.groups) > 20:
+        raise InputError("quota_feasible supports at most 20 groups")
+    return all(
+        sum(q for i, q in enumerate(pq.quotas) if mask >> i & 1) <= rank
+        for mask, rank in enumerate(_union_ranks(g, pq.groups))
+    )
 
 
 class MatchingMatroid:

@@ -77,6 +77,8 @@ MALFORMED = [
     ("instance", _inst(players="[[0, 1], [1, 2, 3]]"), "player 1 overlaps another player"),
     ("instance", _inst(players="[[0, 1], [2, 4]]"), "players must partition the vertex set"),
     ("instance", _inst(players="[[0, 1], [], [2, 3]]"), "player 1 is empty"),
+    ("instance", '{"n": 2, "edges": [[0, 1]], "players": [[0, 0, 1]]}', "player 0 lists a vertex twice"),
+    ("instance", _inst(players="[[0, 1], [2, 3, 2]]"), "player 1 lists a vertex twice"),
     ("matching", "[[0, 1]]", "matching must be a JSON object"),
     (
         "matching",

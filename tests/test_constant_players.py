@@ -21,18 +21,17 @@ from ntumatch import (
     gen_example1,
     gen_random,
     max_matching,
-    quota_feasible,
     utility,
 )
 from ntumatch import constant_players, games
 from ntumatch.constant_players import core_outcomes
 from ntumatch.exhaustive import all_matchings, oracle_core
-from ntumatch.graphs import induced_subgraph
 from ntumatch.matroids import _union_ranks
 from ntumatch.serialize import matching_to_json
 
 from conftest import random_matching
-from exhaustive_reference import frontier_walk_reference
+from exhaustive_reference import frontier_walk_reference, induced_subgraph
+from matroid_reference import quota_feasible
 
 # recorded with the per-mask prefix-sum frontier that preceded the
 # incremental load table
@@ -410,17 +409,30 @@ class TestCoreEmpty:
     def test_lower_bound_verdicts_match_duality_on_gadgets(self, monkeypatch):
         # every quota system the engine decides, and every try its
         # matching-number screen rejects, checked against the 2^k
-        # union-rank duality
-        real = constant_players.matching_with_lower_bounds
+        # union-rank duality; a block try is a quota system on the
+        # coalition's induced subgraph
+        real_bounds = constant_players.matching_with_lower_bounds
+        real_quota = games._quota_matching
         seen = {}
 
-        def recording(g, pq):
-            found = real(g, pq)
+        def bounds(g, pq):
+            found = real_bounds(g, pq)
             seen[g, pq] = found
             return found
 
-        monkeypatch.setattr(constant_players, "matching_with_lower_bounds", recording)
-        monkeypatch.setattr(games, "matching_with_lower_bounds", recording)
+        def quota(g, within, groups, quotas):
+            found = real_quota(g, within, groups, quotas)
+            sub, to_old = induced_subgraph(g, within)
+            to_new = {v: i for i, v in enumerate(to_old)}
+            pq = PartitionQuota(
+                tuple(frozenset(map(to_new.__getitem__, grp)) for grp in groups), quotas
+            )
+            seen[sub, pq] = found
+            assert found is None or found.covered <= within
+            return found
+
+        monkeypatch.setattr(constant_players, "matching_with_lower_bounds", bounds)
+        monkeypatch.setattr(games, "_quota_matching", quota)
         screened = record_screen(monkeypatch)
         for inst in GADGETS:
             for kind in ("weak", "strong"):

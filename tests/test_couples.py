@@ -18,14 +18,12 @@ from ntumatch import (
     Instance,
     InvariantError,
     Matching,
-    alternating_reach,
     delta_path_exists,
     gen_random,
     max_matching,
     normalize,
     on_alternating_cycle,
     ordered_triple_path_exists,
-    perfect_matching_exists,
     strong_core_solve,
     strong_core_structure,
     strong_membership,
@@ -46,7 +44,13 @@ from couples_reference import (
     reach_by_copies,
     second_reach_by_flow,
 )
-from exhaustive_reference import alternating_triples_brute, delta_triples_brute, oracle_delta_path
+from exhaustive_reference import (
+    alternating_reach,
+    alternating_triples_brute,
+    delta_triples_brute,
+    oracle_delta_path,
+    perfect_matching_exists,
+)
 
 
 def _copies(match, base):
@@ -171,6 +175,17 @@ class TestWeakMembership:
                 assert res.in_core == (u in oracle.in_core), (inst, u)
                 if res.certificate is not None:
                     res.certificate.validate(cg.inst, u)
+
+
+class TestMembershipInput:
+    @pytest.mark.parametrize("membership", (weak_membership, strong_membership))
+    def test_rejects_non_edge(self, membership):
+        # a player's own pair is no graph edge either
+        cg = normalize(two_couples_square())
+        for e in ((0, 3), (0, 1)):
+            with pytest.raises(InputError) as exc:
+                membership(cg, Matching([e]))
+            assert str(exc.value) == f"matching edge {e} is not a graph edge"
 
 
 class TestWeakConstruct:

@@ -24,7 +24,6 @@ from ntumatch.exhaustive import (
     oracle_core,
 )
 from ntumatch.couples import normalize
-from ntumatch.graphs import induced_subgraph
 
 from conftest import cycle_graph, path_graph, random_graph
 from exhaustive_reference import (
@@ -32,6 +31,7 @@ from exhaustive_reference import (
     coalition_maxima_reference,
     even_reach_brute,
     first_by_vector_reference,
+    induced_subgraph,
     oracle_delta_path,
 )
 

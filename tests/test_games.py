@@ -127,9 +127,9 @@ class TestFindBlock:
 
     def test_early_exit_builds_no_subgraph(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("coalition subgraph built without a quota to try")
+            raise AssertionError("quota solved without a try that fits")
 
-        monkeypatch.setattr(ntumatch.games, "induced_subgraph", refuse)
+        monkeypatch.setattr(ntumatch.games, "_quota_matching", refuse)
         inst = Instance(
             Graph(4, [(0, 1), (1, 2), (2, 3)]),
             (frozenset({0, 1}), frozenset({2, 3})),

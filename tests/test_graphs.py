@@ -13,25 +13,29 @@ from ntumatch import (
     Graph,
     InputError,
     Matching,
-    alternating_reach,
     coverable,
     coverage_rank,
-    gallai_edmonds,
     max_matching,
-    perfect_matching_exists,
 )
 from ntumatch.exhaustive import all_matchings
 from ntumatch.graphs import (
+    _augment,
     _blossom_search,
     _Labels,
     _match_array,
     _matching_number,
     bipartition,
-    induced_subgraph,
 )
 
 from conftest import cycle_graph, path_graph, random_graph, random_matching
-from exhaustive_reference import coverable_sets_brute, even_reach_brute
+from exhaustive_reference import (
+    alternating_reach,
+    coverable_sets_brute,
+    even_reach_brute,
+    gallai_edmonds,
+    induced_subgraph,
+    perfect_matching_exists,
+)
 
 
 def small_graphs(max_n=9):
@@ -421,6 +425,20 @@ class TestLabelReuse:
         labels.clear()  # 11 + odd vertices of 35: fresh arrays
         assert not any(a is b for a, b in zip((labels.parent, labels.base, labels.used), arrays))
         assert_blank(labels, g.n)
+
+
+class TestAugment:
+    def test_roots_in_order_and_stop(self):
+        # 0-1 matched, 2 isolated, 3-4 a free edge
+        g = Graph(5, [(0, 1), (3, 4)])
+        for stop, after in ((True, -1), (False, 4)):
+            match = [1, 0, -1, -1, -1]
+            assert _augment(g.adj, match, [2, 3], _Labels(g.n), stop) == 1
+            assert match[3] == after
+        # 4 is covered by the time its turn comes, so it is not searched
+        match = [1, 0, -1, -1, -1]
+        assert _augment(g.adj, match, [3, 4, 0], _Labels(g.n)) == 0
+        assert match == [1, 0, -1, 4, 3]
 
 
 def coverage_sweep():

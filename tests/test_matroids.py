@@ -8,14 +8,13 @@ from ntumatch import (
     PartitionQuota,
     coverage_rank,
     matching_with_lower_bounds,
-    quota_feasible,
 )
 from ntumatch.exhaustive import all_matchings
-from ntumatch.matroids import _union_ranks
+from ntumatch.matroids import _quota_matching, _union_ranks
 
 from conftest import path_graph, random_graph
-from exhaustive_reference import coverable_sets_brute
-from matroid_reference import MatchingMatroid, matroid_intersection_max
+from exhaustive_reference import coverable_sets_brute, induced_subgraph
+from matroid_reference import MatchingMatroid, matroid_intersection_max, quota_feasible
 
 
 def partition_indep(groups, quotas):
@@ -199,6 +198,30 @@ class TestLowerBounds:
         pq = PartitionQuota((frozenset({0, 1}), frozenset({2})), (1, 1))
         with pytest.raises(InputError, match="vertex 2 out of range"):
             matching_with_lower_bounds(g, pq)
+
+    def test_quota_matching_within_equals_induced_subgraph(self, rng):
+        # rows cut to a vertex set give the induced subgraph's answer edge
+        # for edge: relabelling to its ids keeps every search's order
+        for _ in range(150):
+            n = rng.randint(2, 14)
+            g = random_graph(rng, n, rng.choice([0.2, 0.4, 0.7]))
+            within = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            order = sorted(within, key=lambda v: rng.random())
+            cuts = sorted(rng.sample(range(1, len(order)), rng.randint(0, len(order) - 1)))
+            groups = tuple(
+                frozenset(order[a:b]) for a, b in zip([0, *cuts], [*cuts, len(order)])
+            )
+            quotas = tuple(rng.randint(0, len(grp)) for grp in groups)
+            sub, to_old = induced_subgraph(g, within)
+            to_new = {v: i for i, v in enumerate(to_old)}
+            pq = PartitionQuota(
+                tuple(frozenset(map(to_new.__getitem__, grp)) for grp in groups), quotas
+            )
+            want = matching_with_lower_bounds(sub, pq)
+            got = _quota_matching(g, within, groups, quotas)
+            assert (got is None) == (want is None) == (not quota_feasible(sub, pq))
+            if want is not None:
+                assert got.edges == tuple((to_old[u], to_old[v]) for u, v in want.edges)
 
     def test_union_ranks_against_brute_force(self, rng):
         for _ in range(40):
