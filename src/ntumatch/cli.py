@@ -23,6 +23,7 @@ from typing import Optional
 from . import constant_players, couples, exhaustive, generators, serialize
 from .errors import InputError, InvariantError, ResourceLimitError
 from .games import (
+    DEFAULT_BUDGET,
     BlockCertificate,
     Instance,
     core_membership_by_enumeration,
@@ -30,7 +31,11 @@ from .games import (
 )
 from .graphs import Matching
 
-AUTO_CONST_PLAYERS = 6
+BUDGET_HELP = (
+    "work cap, exit 3 past it: matchings the oracle enumerates; for const, lattice "
+    "nodes its frontier walk visits and coalitions its block search visits, each "
+    "phase on its own; couples ignores it"
+)
 
 
 def _read(path: str) -> str:
@@ -53,11 +58,7 @@ def _choose_method(inst: Instance, requested: str) -> str:
         if requested == "couples" and any(len(p) > 2 for p in inst.players):
             raise _MethodError("couples method needs all classes of size <= 2")
         return requested
-    if all(len(p) <= 2 for p in inst.players):
-        return "couples"
-    if inst.num_players <= AUTO_CONST_PLAYERS:
-        return "const"
-    return "oracle"
+    return "couples" if all(len(p) <= 2 for p in inst.players) else "const"
 
 
 class _MethodError(Exception):
@@ -69,35 +70,22 @@ def _verify(args) -> int:
     m = serialize.matching_from_json(_read(args.matching))
     m.validate_for(inst.graph)
     method = _choose_method(inst, args.method)
-    cert: Optional[BlockCertificate]
+    cert: Optional[BlockCertificate] = None  # None: in the core
     if method == "couples":
-        cg = couples.normalize(inst)
-        res = (
-            couples.weak_membership(cg, m)
-            if args.core == "weak"
-            else couples.strong_membership(cg, m)
-        )
-        in_core, cert = res.in_core, res.certificate
+        member = couples.weak_membership if args.core == "weak" else couples.strong_membership
+        cert = member(couples.normalize(inst), m).certificate
     elif method == "const":
-        res = core_membership_by_enumeration(inst, m, args.core)
-        in_core, cert = res.in_core, res.certificate
+        cert = core_membership_by_enumeration(inst, m, args.core, args.budget).certificate
     else:
-        result = exhaustive.oracle_core(inst, args.core, cap=args.cap)
+        result = exhaustive.oracle_core(inst, args.core, cap=args.budget)
         u = utility(inst, m)
         hit = result.blocked.get(u)
-        if hit is None:
-            in_core, cert = True, None
-        else:
-            in_core = False
-            coalition, witness = hit
-            cert = BlockCertificate(
-                coalition,
-                result.realize(witness),
-                "strong" if args.core == "weak" else "weak",
-            )
+        if hit is not None:
+            block_kind = "strong" if args.core == "weak" else "weak"
+            cert = BlockCertificate(hit[0], result.realize(hit[1]), block_kind)
             cert.validate(inst, u)
     _emit(serialize.certificate_to_json(args.core, cert), args.out)
-    return 0 if in_core else 1
+    return 0 if cert is None else 1
 
 
 def _solve(args) -> int:
@@ -105,16 +93,12 @@ def _solve(args) -> int:
     method = _choose_method(inst, args.method)
     found: Optional[Matching]
     if method == "couples":
-        cg = couples.normalize(inst)
-        found = (
-            couples.weak_construct(cg)
-            if args.core == "weak"
-            else couples.strong_core_solve(cg)
-        )
+        construct = couples.weak_construct if args.core == "weak" else couples.strong_core_solve
+        found = construct(couples.normalize(inst))
     elif method == "const":
         found = constant_players.core_empty(inst, args.core, budget=args.budget)
     else:
-        result = exhaustive.oracle_core(inst, args.core, cap=args.cap)
+        result = exhaustive.oracle_core(inst, args.core, cap=args.budget)
         found = result.realize(result.in_core[-1]) if result.in_core else None
     if found is None:
         sys.stderr.write(f"error: {args.core} core is empty\n")
@@ -160,14 +144,14 @@ def _gen(args) -> int:
 def _oracle(args) -> int:
     inst = serialize.instance_from_json(_read(args.instance))
     if args.what == "core":
-        result = exhaustive.oracle_core(inst, args.core, cap=args.cap)
+        result = exhaustive.oracle_core(inst, args.core, cap=args.budget)
         payload = {
             "kind": args.core,
             "in_core_vectors": [list(v) for v in result.in_core],
             "empty": result.empty,
         }
     else:
-        payload = {"matchings": exhaustive.count_matchings(inst.graph, cap=args.cap)}
+        payload = {"matchings": exhaustive.count_matchings(inst.graph, cap=args.budget)}
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
@@ -181,8 +165,7 @@ def _add_common(p, with_matching: bool) -> None:
         "--method", choices=("auto", "couples", "const", "oracle"), default="auto"
     )
     p.add_argument("--out", default=None)
-    p.add_argument("--budget", type=int, default=constant_players.DEFAULT_BUDGET)
-    p.add_argument("--cap", type=int, default=exhaustive.DEFAULT_CAP)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("what", choices=("core", "matchings"))
     p_oracle.add_argument("--instance", required=True)
     p_oracle.add_argument("--core", choices=("weak", "strong"), default="weak")
-    p_oracle.add_argument("--cap", type=int, default=exhaustive.DEFAULT_CAP)
     p_oracle.add_argument("--out", default=None)
+    p_oracle.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
     p_oracle.set_defaults(func=_oracle)
 
     return parser
@@ -242,10 +225,9 @@ def main(argv=None) -> int:
     parser = _parser
     try:
         args = parser.parse_args(argv)
-        for flag in ("cap", "budget"):  # work caps: a usage error, not a verdict
-            value = getattr(args, flag, 1)
-            if value < 1:
-                parser.error(f"argument --{flag}: must be at least 1, got {value}")
+        budget = getattr(args, "budget", 1)
+        if budget < 1:  # a work cap below one is a usage error, not a verdict
+            parser.error(f"argument --budget: must be at least 1, got {budget}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -19,6 +19,8 @@ from typing import Iterator, Optional
 
 from .errors import InvariantError, ResourceLimitError
 from .games import (
+    DEFAULT_BUDGET,
+    ENUMERATION_PLAYER_GUARD,
     Instance,
     MembershipResult,
     _BlockSearch,
@@ -26,8 +28,6 @@ from .games import (
 )
 from .graphs import Matching, _max_match
 from .matroids import PartitionQuota, _union_ranks, matching_with_lower_bounds
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,13 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
     whose highest player is i against ``load[mask]``, the prefix's sum over
     ``mask``, which one slice per child extends.  Exact bounds leave no dead
     end, force the last coordinate to ``2ν`` minus the prefix sum, and let
-    ascending coordinates emit the vectors in order.
+    ascending coordinates emit the vectors in order.  Every prefix the walk
+    visits counts against ``budget``; the player guard bounds the 2^m rank
+    table.
     """
-    lattice = 1
-    for p in inst.players:
-        lattice *= len(p) + 1
-        if lattice > budget:
-            raise ResourceLimitError(
-                f"utility lattice of size > {budget} exceeds the budget"
-            )
     m = inst.num_players
+    if m > ENUMERATION_PLAYER_GUARD:
+        raise ResourceLimitError(f"{m} players exceeds the guard ({ENUMERATION_PLAYER_GUARD})")
     if m == 0:
         return AchievableFrontier(((),))
     total = sum(w != -1 for w in _max_match(inst.graph))
@@ -75,8 +72,13 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
     load = [0] * (1 << m)
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
+    visited = 0
 
     def rec(acc: int):
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise ResourceLimitError(f"frontier walk visited more than {budget} lattice nodes")
         i = len(prefix)
         if i == m - 1:
             out.append((*prefix, total - acc))
@@ -110,11 +112,12 @@ def core_outcomes(
 
     Membership reads only the vector, so none is realized here; a caller
     that wants a matching asks :func:`achievable` for it.  Vectors come in
-    lexicographically decreasing order.  ``kind``, the player guard and the
-    lattice budget are checked, and the frontier computed, before this
-    returns; the verdicts come lazily.
+    lexicographically decreasing order.  ``kind`` and the player guard are
+    checked, and the frontier computed, before this returns; the verdicts
+    come lazily.  The frontier walk and the block search each have
+    ``budget`` units of work: one per lattice node, one per coalition.
     """
-    search = _BlockSearch(inst, kind)
+    search = _BlockSearch(inst, kind, budget)
     fr = frontier(inst, budget)
     return (CoreOutcome(x, search(x)) for x in reversed(fr.maximal_vectors))
 

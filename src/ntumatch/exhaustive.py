@@ -21,6 +21,7 @@ from operator import ge, gt, itemgetter
 from typing import Iterator, Optional
 
 from .errors import InputError, ResourceLimitError
+from .games import ENUMERATION_PLAYER_GUARD
 from .graphs import Graph, Matching
 
 DEFAULT_CAP = 10_000_000
@@ -241,8 +242,8 @@ def oracle_core(inst, kind: str, cap: int = DEFAULT_CAP) -> OracleCoreResult:
     """
     if kind not in ("weak", "strong"):
         raise InputError("kind must be 'weak' or 'strong'")
-    if len(inst.players) > 20:
-        raise ResourceLimitError("oracle_core guard: more than 20 players")
+    if len(inst.players) > ENUMERATION_PLAYER_GUARD:
+        raise ResourceLimitError(f"oracle_core guard: more than {ENUMERATION_PLAYER_GUARD} players")
     first = _first_by_vector(inst, cap)
     maxima = _coalition_maxima(first, len(inst.players))
     blocked = _blocked(maxima, first, strong=kind == "weak")

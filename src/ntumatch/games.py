@@ -22,6 +22,8 @@ from .matroids import _quota_matching
 
 # coalition enumeration is exponential in the player count
 ENUMERATION_PLAYER_GUARD = 20
+# default work cap: units of work a phase may spend before it gives up
+DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -175,17 +177,20 @@ class _BlockSearch:
     so tries whose quotas sum to more never reach
     ``find_block_for_coalition``; every weak try sums to ``Σu_S + 1``.  ν is
     kept per coalition, each verdict per (coalition, projection of ``u``).
+    Every coalition a search visits counts against ``budget``, over all the
+    searches of one instance.
     """
 
-    def __init__(self, inst: Instance, kind: str):
+    def __init__(self, inst: Instance, kind: str, budget: int = DEFAULT_BUDGET):
         if kind not in ("weak", "strong"):
             raise InputError("kind must be 'weak' or 'strong'")
         if inst.num_players > ENUMERATION_PLAYER_GUARD:
             raise ResourceLimitError(
                 f"{inst.num_players} players exceeds the enumeration guard "
-                f"({ENUMERATION_PLAYER_GUARD}); use the couples solver or the oracle"
+                f"({ENUMERATION_PLAYER_GUARD}); use the couples solver"
             )
         self.inst = inst
+        self.budget, self.visited = budget, 0
         # the weak core forbids strong blocks, the strong core weak ones
         self.block_kind = "strong" if kind == "weak" else "weak"
         owner = inst.player_of
@@ -231,6 +236,9 @@ class _BlockSearch:
         strong = self.block_kind == "strong"
         full = sum(1 << i for i, p in enumerate(inst.players) if u[i] >= len(p))
         for coalition, mask, _ in self.coalitions():
+            self.visited += 1
+            if self.visited > self.budget:
+                raise ResourceLimitError(f"block search visited more than {self.budget} coalitions")
             # a strong try lifts every member, a weak one some member,
             # and none lifts a player at its size
             if mask & full and (strong or mask & full == mask):
@@ -249,7 +257,9 @@ class _BlockSearch:
         return MembershipResult(True, None)
 
 
-def core_membership_by_enumeration(inst: Instance, m: Matching, kind: str) -> MembershipResult:
+def core_membership_by_enumeration(
+    inst: Instance, m: Matching, kind: str, budget: int = DEFAULT_BUDGET
+) -> MembershipResult:
     """Definitional core test: try every coalition, smallest first.
 
     ``kind`` selects the core: the weak core forbids strongly blocking
@@ -257,7 +267,8 @@ def core_membership_by_enumeration(inst: Instance, m: Matching, kind: str) -> Me
     are enumerated by size then lexicographically, so the returned
     certificate is deterministic; coalitions that are disconnected in the
     player contact graph are skipped, which leaves the first blocking
-    coalition unchanged.
+    coalition unchanged.  More than ``budget`` coalitions raise a resource
+    error.
     """
-    search = _BlockSearch(inst, kind)
+    search = _BlockSearch(inst, kind, budget)
     return search(utility(inst, m))

@@ -415,7 +415,7 @@ class TestCli:
             assert main(["gen", "example1", "--out", str(inst)]) == 0
         assert main(["verify", "--core", "weak"]) == 2
         assert main(["oracle", "matchings", "--instance", str(inst)]) == 0
-        assert main(["solve", "--core", "weak", "--instance", str(inst), "--cap", "0"]) == 2
+        assert main(["solve", "--core", "weak", "--instance", str(inst), "--budget", "0"]) == 2
         assert len(built) == 1
         capsys.readouterr()
 
@@ -442,10 +442,10 @@ class TestCli:
         assert run(verify, fresh=True) == after_error
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
-    @pytest.mark.parametrize("flag,method", [("--cap", "oracle"), ("--budget", "const")])
+    @pytest.mark.parametrize("method", ["oracle", "const"])
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_work_cap_below_one_is_usage_error(
-        self, tmp_path, capsys, monkeypatch, command, flag, method, value
+        self, tmp_path, capsys, monkeypatch, command, method, value
     ):
         inst = tmp_path / "inst.json"
         mat = tmp_path / "m.json"
@@ -456,13 +456,74 @@ class TestCli:
             raise AssertionError("instance read before the arguments were checked")
 
         monkeypatch.setattr(ntumatch.cli.serialize, "instance_from_json", unread)
-        argv = [command, "--core", "weak", "--instance", str(inst), "--method", method, flag, value]
+        argv = [command, "--core", "weak", "--instance", str(inst), "--method", method, "--budget", value]
         if command == "verify":
             argv += ["--matching", str(mat)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flag}: must be at least 1, got {int(value)}" in captured.err
+        assert f"argument --budget: must be at least 1, got {int(value)}" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "solve", "core-empty", "oracle"])
+    def test_cap_flag_is_gone(self, tmp_path, capsys, command):
+        # --budget is the one work cap of every command
+        inst = tmp_path / "inst.json"
+        mat = tmp_path / "m.json"
+        main(["gen", "example1", "--out", str(inst), "--matching-out", str(mat)])
+        capsys.readouterr()
+        argv = [command, "--core", "weak", "--instance", str(inst), "--cap", "5"]
+        if command == "oracle":
+            argv.insert(1, "core")
+        if command == "verify":
+            argv += ["--matching", str(mat)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --cap 5" in captured.err
+
+    def test_auto_sends_three_vertex_players_to_const(self, tmp_path, capsys, monkeypatch):
+        # eight players of three vertices: auto used to pick the oracle,
+        # which exited 3 on its matching cap after seconds
+        inst = tmp_path / "inst.json"
+        main(["gen", "random", "--n", "24", "--class-cap", "3", "--seed", "5", "--out", str(inst)])
+        capsys.readouterr()
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("auto ran the oracle")
+
+        monkeypatch.setattr(exhaustive, "oracle_core", no_oracle)
+        for command in ("solve", "core-empty"):
+            for core in ("weak", "strong"):
+                assert main([command, "--core", core, "--instance", str(inst)]) == 0
+                matching_from_json(capsys.readouterr().out).validate_for(
+                    instance_from_json(inst.read_text()).graph
+                )
+
+    def test_const_verify_honours_budget(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        mat = tmp_path / "m.json"
+        main(["gen", "example1", "--out", str(inst), "--matching-out", str(mat)])
+        capsys.readouterr()
+        argv = ["verify", "--core", "weak", "--method", "const",
+                "--instance", str(inst), "--matching", str(mat)]
+        assert main(argv) == 1
+        capsys.readouterr()
+        assert main([*argv, "--budget", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: resource: block search visited more than 1 coalitions\n"
+
+    def test_lattice_above_default_budget_is_answered(self, tmp_path, capsys):
+        # twelve players of three vertices: a lattice of 4**12 > 10**7
+        # points, which the old up-front budget check refused; the frontier
+        # is one vector, and the block search visits 4,090 coalitions
+        inst = tmp_path / "inst.json"
+        main(["gen", "random", "--n", "36", "--class-cap", "3", "--seed", "5", "--out", str(inst)])
+        capsys.readouterr()
+        players = instance_from_json(inst.read_text()).players
+        assert len(players) == 12 and all(len(p) == 3 for p in players)
+        for core in ("weak", "strong"):
+            assert main(["core-empty", "--core", core, "--instance", str(inst)]) == 0
+            assert capsys.readouterr().err == ""
 
     def test_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -572,7 +633,7 @@ class TestCli:
                 }
             )
         )
-        rc = main(["oracle", "matchings", "--instance", str(inst), "--cap", "1000"])
+        rc = main(["oracle", "matchings", "--instance", str(inst), "--budget", "1000"])
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: resource:")

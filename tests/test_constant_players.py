@@ -150,9 +150,19 @@ class TestFrontier:
         assert all(sum(v) == 16 for v in fr.maximal_vectors)
 
     def test_budget_guard(self):
-        inst = gen_random(60, 12, 0.2, seed=3)
+        # the budget counts the prefixes the walk visits, not the lattice:
+        # with no dead end they are the prefixes of the maximal vectors
+        for inst, nodes in ((gen_random(60, 12, 0.2, seed=3), 5), (gen_example1().instance, 28)):
+            vectors = frontier(inst).maximal_vectors
+            assert len({v[:j] for v in vectors for j in range(len(v))}) == nodes
+            assert frontier(inst, budget=nodes).maximal_vectors == vectors
+            with pytest.raises(ResourceLimitError):
+                frontier(inst, budget=nodes - 1)
+        # a lattice of 13**5 points, walked in five nodes
+        assert len(frontier(gen_random(60, 12, 0.2, seed=3), budget=1000).maximal_vectors) == 1
+        many = Instance(Graph(21), tuple(frozenset({v}) for v in range(21)))
         with pytest.raises(ResourceLimitError):
-            frontier(inst, budget=1000)
+            frontier(many)  # the player guard bounds the union-rank table
 
     def test_random_against_oracle(self, rng):
         for _ in range(40):

@@ -24,6 +24,7 @@ from ntumatch.exhaustive import (
     oracle_core,
 )
 from ntumatch.couples import normalize
+from ntumatch.games import ENUMERATION_PLAYER_GUARD
 
 from conftest import cycle_graph, path_graph, random_graph
 from exhaustive_reference import (
@@ -184,6 +185,12 @@ class TestOracleCore:
     def test_example1_weak_core_empty(self):
         gen = gen_example1()
         assert oracle_core(gen.instance, "weak").empty
+
+    def test_player_guard_is_the_enumeration_guard(self):
+        guard = ENUMERATION_PLAYER_GUARD
+        many = Instance(Graph(guard + 1), tuple(frozenset({v}) for v in range(guard + 1)))
+        with pytest.raises(ResourceLimitError, match=f"more than {guard} players"):
+            oracle_core(many, "weak")
 
     def test_certificates_validate(self, rng):
         from ntumatch import BlockCertificate

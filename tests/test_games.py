@@ -267,6 +267,26 @@ class TestMembership:
         with pytest.raises(ResourceLimitError):
             core_membership_by_enumeration(inst, m, "weak")
 
+    def test_budget_counts_visited_coalitions(self):
+        gen = gen_example1()
+        inst, m = gen.instance, gen.matching
+        search = ntumatch.games._BlockSearch(inst, "weak")
+        coalition = search(utility(inst, m)).certificate.coalition
+        # a search visits the coalitions in order up to the first blocking one
+        order = [c for c, _, _ in search.coalitions()]
+        assert search.visited == order.index(coalition) + 1
+        res = core_membership_by_enumeration(inst, m, "weak", budget=search.visited)
+        assert res.certificate.coalition == coalition
+        with pytest.raises(ResourceLimitError):
+            core_membership_by_enumeration(inst, m, "weak", budget=search.visited - 1)
+        # an unblocked vector visits both connected coalitions, and the
+        # budget spans every search of one instance
+        pair = Instance(Graph(4, [(0, 1), (2, 3)]), (frozenset({0, 1}), frozenset({2, 3})))
+        search = ntumatch.games._BlockSearch(pair, "strong", budget=3)
+        assert search((2, 2)).in_core and search.visited == 2
+        with pytest.raises(ResourceLimitError):
+            search((2, 2))
+
     def test_random_verdicts_match_oracle(self, rng):
         for _ in range(20):
             inst = small_instance(rng, n_max=8, m_max=4)
