@@ -23,6 +23,7 @@ from typing import Optional
 from . import constant_players, couples, exhaustive, generators, serialize
 from .errors import InputError, InvariantError, ResourceLimitError
 from .games import (
+    BLOCK_KIND,
     DEFAULT_BUDGET,
     BlockCertificate,
     Instance,
@@ -81,8 +82,7 @@ def _verify(args) -> int:
         u = utility(inst, m)
         hit = result.blocked.get(u)
         if hit is not None:
-            block_kind = "strong" if args.core == "weak" else "weak"
-            cert = BlockCertificate(hit[0], result.realize(hit[1]), block_kind)
+            cert = BlockCertificate(hit[0], result.realize(hit[1]), BLOCK_KIND[args.core])
             cert.validate(inst, u)
     _emit(serialize.certificate_to_json(args.core, cert), args.out)
     return 0 if cert is None else 1

@@ -30,7 +30,7 @@ from itertools import chain, combinations
 from typing import Optional
 
 from .errors import InputError, InvariantError
-from .games import BlockCertificate, Instance, MembershipResult, utility
+from .games import BLOCK_KIND, BlockCertificate, Instance, MembershipResult, utility
 from .graphs import Graph, Matching, _blossom_search, _cut_and_components, _Labels, max_matching
 from .matroids import PartitionQuota, matching_with_lower_bounds
 
@@ -135,9 +135,9 @@ class _Union:
     """The union of real and player edges on original vertex ids, with the
     player edges as the base matching, minus the vertices of ``gone``.
 
-    Built once per game.  A query applies its deletions and extra edges in
-    place to working copies of the adjacency and base matching, logging
-    every row and entry it changes, and augments from the base matching
+    Built once per game.  A query applies its deletions in place to
+    working copies of the adjacency and base matching, logging every row
+    and entry it changes, and augments from the base matching
     without the deleted player edges, one blossom search per exposed root;
     it stops at the first root that cannot be matched.  When it is done,
     the logged rows and entries, and the entries its augmenting paths
@@ -190,7 +190,7 @@ class _Union:
                 self.cg, tuple(adj), tuple(match), self.gone | verts, tuple(exposed), self.spare
             )
 
-        return self._query((), verts, (), keep)
+        return self._query((), verts, keep)
 
     def has(self, v: int) -> bool:
         return v not in self.gone
@@ -201,13 +201,13 @@ class _Union:
         except IndexError:
             return _Labels(len(self.adj))
 
-    def _query(self, drop_players, drop_vertices, extra_edges, run):
+    def _query(self, drop_players, drop_vertices, run):
         """``run(adj, match, base, exposed, flipped)`` on a working triple
-        with the deletions and extra edges applied; ``exposed`` lists the
-        masked base's exposed vertices in ascending order, and ``run``
-        appends to ``flipped`` every vertex whose ``match`` entry it may
-        have changed.  The triple is reset and pooled again whatever
-        ``run`` returns or raises."""
+        with the deletions applied; ``exposed`` lists the masked base's
+        exposed vertices in ascending order, and ``run`` appends to
+        ``flipped`` every vertex whose ``match`` entry it may have changed.
+        The triple is reset and pooled again whatever ``run`` returns or
+        raises."""
         try:
             work = self.pool.pop()
         except IndexError:
@@ -216,9 +216,7 @@ class _Union:
         rows: list[int] = []
         entries: list[int] = []
         try:
-            exposed = self._mask(
-                adj, base, rows, entries, drop_players, drop_vertices, extra_edges
-            )
+            exposed = self._mask(adj, base, rows, entries, drop_players, drop_vertices)
             for v in entries:
                 match[v] = base[v]
             return run(adj, match, base, exposed, entries)
@@ -229,12 +227,10 @@ class _Union:
                 match[v] = base[v] = self.base[v]
             self.pool.append(work)
 
-    def _mask(self, adj, base, rows, entries, drop_players, drop_vertices, extra_edges):
-        """Applies the deletions and extra edges to ``adj`` and ``base`` in
-        place, logging changed rows in ``rows`` and changed base entries in
-        ``entries`` before it changes them; returns the exposed vertices,
-        ascending."""
-        n = len(adj)
+    def _mask(self, adj, base, rows, entries, drop_players, drop_vertices):
+        """Applies the deletions to ``adj`` and ``base`` in place, logging
+        changed rows in ``rows`` and changed base entries in ``entries``
+        before it changes them; returns the exposed vertices, ascending."""
         exposed = set(self.exposed)
         real = self.cg.inst.graph.edge_set
         for p in drop_players:
@@ -248,6 +244,9 @@ class _Union:
                 rows += (u, v)
                 adj[u] = _without(adj[u], v)
                 adj[v] = _without(adj[v], u)
+        for x in drop_vertices:
+            if not 0 <= x < len(adj):
+                raise InvariantError(f"deleted vertex {x} is outside the graph")
         gone = {x for x in drop_vertices if self.has(x)}
         touched = set()
         for x in gone:
@@ -263,20 +262,12 @@ class _Union:
         for w in touched - gone:
             rows.append(w)
             adj[w] = tuple(z for z in adj[w] if z not in gone)
-        for a, b in extra_edges:
-            for v in (a, b):
-                if not (0 <= v < n and self.has(v)) or v in gone:
-                    raise InvariantError("extra edge endpoint outside the view")
-            if b not in adj[a]:
-                rows += (a, b)
-                adj[a] = tuple(sorted((*adj[a], b)))
-                adj[b] = tuple(sorted((*adj[b], a)))
         return sorted(exposed)
 
-    def augment(self, drop_players=(), drop_vertices=(), extra_edges=(), missing=0, read=None):
-        """Delete players' edges and vertices, add the extra edges, and
-        augment the surviving player edges until at most ``missing``
-        vertices of the view stay exposed.
+    def augment(self, drop_players=(), drop_vertices=(), missing=0, read=None):
+        """Delete players' edges and vertices, and augment the surviving
+        player edges until at most ``missing`` vertices of the view stay
+        exposed.
 
         Returns None when no matching of the view leaves at most
         ``missing`` vertices exposed.  Otherwise returns True, or, given
@@ -318,14 +309,14 @@ class _Union:
                 return None
             return True if read is None else read(match, base)
 
-        return self._query(drop_players, drop_vertices, extra_edges, run)
+        return self._query(drop_players, drop_vertices, run)
 
     def reach(self, root: int, drop_players=()) -> frozenset[int]:
         """Vertices even-reachable from the exposed ``root`` by alternating
         paths over the base matching without the given players' edges."""
 
         def run(adj, match, base, exposed, flipped):
-            if not self.has(root) or match[root] != -1:
+            if not (0 <= root < len(adj) and self.has(root)) or match[root] != -1:
                 raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
             labels = self._labels()
             even = frozenset(_blossom_search(adj, match, root, labels, augment=False))
@@ -333,7 +324,7 @@ class _Union:
             self.spare.append(labels)
             return even
 
-        return self._query(drop_players, (), (), run)
+        return self._query(drop_players, (), run)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +429,7 @@ def weak_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
         (_structure(cg, (i,), view, 0) for i in low),
         (_structure(cg, pair, view, 2) for pair in combinations(zero, 2)),
     )
-    return _verdict(cg, structures, "strong", u)
+    return _verdict(cg, structures, BLOCK_KIND["weak"], u)
 
 
 def strong_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
@@ -461,7 +452,7 @@ def strong_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
         ),
         (_structure(cg, triple, cg.union, 2) for triple in combinations(ones, 3)),
     )
-    return _verdict(cg, structures, "weak", u)
+    return _verdict(cg, structures, BLOCK_KIND["strong"], u)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +537,7 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
     au, av = cg.pairs[a_pl]
     reach = {x: cg.union.reach(x, drop_players=(a_pl,)) for x in (au, av)}
     cut, comps = cg.union._query(
-        (a_pl,), (), (), lambda adj, *_: _cut_and_components(adj, reach[au] | reach[av])
+        (a_pl,), (), lambda adj, *_: _cut_and_components(adj, reach[au] | reach[av])
     )
     if len(comps) - len(cut) != 2:
         raise InvariantError("deleting a cycle-free player edge must leave deficiency 2")
@@ -667,52 +658,54 @@ def delta_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
 
     Implements the two-case decision: delete ``a``'s player edge, take the
     decomposition of the rest, and test path pieces with ``a``'s component
-    digraph and modified-graph perfect-matching and reachability queries.
-    The roles of ``a`` and ``b`` are exchangeable.
+    digraph and one modified-graph perfect-matching query.  The roles of
+    ``a`` and ``b`` are exchangeable.
     """
     _require_cycle_free(cg, (a, b, c))
     ctx = _delta_context(cg, a)
-    return _delta_path_decide(cg, ctx, a, b, c, _component(cg, ctx, b), _component(cg, ctx, c))
+    return _delta_path_decide(cg, ctx, a, b, _component(cg, ctx, b), _component(cg, ctx, c))
 
 
 def _delta_path_decide(
-    cg: CouplesGame, ctx: _DeltaContext, a: int, b: int, c: int, i: Optional[int], j: Optional[int]
+    cg: CouplesGame, ctx: _DeltaContext, a: int, b: int, i: Optional[int], j: Optional[int]
 ) -> bool:
     """:func:`delta_path_exists` for cycle-free players, given ``a``'s
-    context and the components ``i`` and ``j`` of ``b`` and ``c`` in it."""
+    context and the components ``i`` and ``j`` of ``b`` and of any ``c``
+    whose edge holds or enters side component ``j``.
+
+    Only the entry edge enters a side component, so a reach set holds it
+    whole or misses it, and the answer depends on ``c`` only through
+    ``j``.  Each piece is one perfect-matching query on deletions: joining
+    the two vertices left exposed besides ``b``'s by an edge would never
+    help, since deleting them instead leaves only ``b``'s two vertices
+    exposed, and matching those would close an alternating cycle through
+    the cycle-free ``b``.
+    """
     if i is None or j is None or i == j or j in ctx.free:
         return False
     au, av = cg.pairs[a]
     sj, sj_in = ctx.entry[j]
-    sj_pl = cg.player_of[sj]
     if i in ctx.free:
         # the cycle closes inside the component freed by one of a's
         # vertices; the path to c leaves from the other vertex
-        a_near = au if ctx.comp_of[au] == i else av
-        a_far = av if a_near == au else au
-        if ctx.reach[a_far].isdisjoint(cg.pairs[c]):
+        a_far = av if ctx.comp_of[au] == i else au
+        if sj_in not in ctx.reach[a_far]:
             return False
-        return cg.union.augment(
-            drop_players=(a, b, sj_pl),
-            drop_vertices=(a_far, sj_in),
-            extra_edges=((a_near, sj),),
-        ) is not None
-    # both b and c sit in side components: need two disjoint alternating
-    # paths from a's vertices to the two entries and a through-path across
-    # b's component; the tail to c inside c's component always exists,
-    # because an odd Gallai–Edmonds component is factor-critical, so its
-    # entry vertex reaches all of it, c's edge included
-    if not _joined(ctx, i, j):
-        return False
-    si, si_in = ctx.entry[i]
-    si_pl = cg.player_of[si]
-    if b == si_pl:
-        return si in cg.union.reach(sj, drop_players=(a, sj_pl))
-    return cg.union.augment(
-        drop_players=(a, b, si_pl, sj_pl),
-        drop_vertices=(au, av, si, sj_in),
-        extra_edges=((si_in, sj),),
-    ) is not None
+        players, verts = (a, b, cg.player_of[sj]), (a_far, sj_in)
+    else:
+        # both b and c sit in side components: need two disjoint
+        # alternating paths from a's vertices to the two entries and a
+        # through-path across b's component; the tail to c inside c's
+        # component always exists, because an odd Gallai–Edmonds component
+        # is factor-critical, so its entry vertex reaches all of it
+        if not _joined(ctx, i, j):
+            return False
+        # when b's edge is i's entry edge, si is b's own vertex, and the
+        # query asks for an alternating path from sj ending in b's edge
+        si = ctx.entry[i][0]
+        players = (a, b, cg.player_of[si], cg.player_of[sj])
+        verts = (au, av, si, sj_in)
+    return cg.union.augment(drop_players=players, drop_vertices=verts) is not None
 
 
 @dataclass(frozen=True)
@@ -749,7 +742,9 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
     paths are lookups; ordered triples a...b...c are those whose a and c
     hang below different tops of b's dominator tree, the only pairs the
     delta-closed test visits.  The kernel answers only the free-component
-    and through-path pieces of :func:`_delta_path_decide`.
+    and through-path pieces of :func:`_delta_path_decide`, which depend
+    on the third player only through its component, so the pair-edge
+    test tries each component once.
     """
     kset = cg.cycle_free
     korder = sorted(kset)
@@ -769,21 +764,19 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
             if j is not None and top[j] != -1:
                 groups.setdefault(top[j], []).append(p)
         if all(
-            _delta_path_decide(cg, ctxs[a], a, b, c, where[a][b], where[a][c])
-            or _delta_path_decide(cg, ctxs[c], c, b, a, where[c][b], where[c][a])
+            _delta_path_decide(cg, ctxs[a], a, b, where[a][b], where[a][c])
+            or _delta_path_decide(cg, ctxs[c], c, b, where[c][b], where[c][a])
             for group, other in combinations(groups.values(), 2)
             for a in group
             for c in other
         ):
             closed.add(b)
+    # the components x's cycle-free partners hold or enter; y's own one
+    # fails the decision, so listing it for y's pairs changes nothing
+    held = {x: sorted({j for j in where[x].values() if j is not None}) for x in closed}
     pair_edges: set[tuple[int, int]] = set()
     for x, y in combinations(sorted(closed), 2):
-        wx = where[x]
-        if any(
-            _delta_path_decide(cg, ctxs[x], x, y, z, wx[y], wx[z])
-            for z in korder
-            if z not in (x, y) and wx[z] is not None
-        ):
+        if any(_delta_path_decide(cg, ctxs[x], x, y, where[x][y], j) for j in held[x]):
             pair_edges.add((x, y))
     mates: dict[int, set[int]] = {p: set() for p in closed}
     for x, y in pair_edges:

@@ -21,10 +21,8 @@ from operator import ge, gt, itemgetter
 from typing import Iterator, Optional
 
 from .errors import InputError, ResourceLimitError
-from .games import ENUMERATION_PLAYER_GUARD
+from .games import BLOCK_KIND, DEFAULT_BUDGET, ENUMERATION_PLAYER_GUARD
 from .graphs import Graph, Matching
-
-DEFAULT_CAP = 10_000_000
 
 
 def _disjoint(edges) -> list[int]:
@@ -76,7 +74,7 @@ def _matching_of(g: Graph, chosen: tuple[int, ...]) -> Matching:
     return Matching([edges[j] for j in chosen])
 
 
-def all_matchings(g: Graph, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
+def all_matchings(g: Graph, cap: int = DEFAULT_BUDGET) -> Iterator[Matching]:
     """Every matching of ``g`` (including the empty one), exactly once, in
     include/exclude order over the sorted edges, exclude first; more than
     ``cap`` matchings raise a resource error."""
@@ -84,7 +82,7 @@ def all_matchings(g: Graph, cap: int = DEFAULT_CAP) -> Iterator[Matching]:
         yield _matching_of(g, _chosen(cells))
 
 
-def count_matchings(g: Graph, cap: int = DEFAULT_CAP) -> int:
+def count_matchings(g: Graph, cap: int = DEFAULT_BUDGET) -> int:
     return sum(1 for _ in _matching_cells(g, cap))
 
 
@@ -230,7 +228,7 @@ class OracleCoreResult:
         return _matching_of(self._graph, self._first[vec][1])
 
 
-def oracle_core(inst, kind: str, cap: int = DEFAULT_CAP) -> OracleCoreResult:
+def oracle_core(inst, kind: str, cap: int = DEFAULT_BUDGET) -> OracleCoreResult:
     """Every achievable utility vector, in the core or blocked, by full
     enumeration.
 
@@ -240,12 +238,12 @@ def oracle_core(inst, kind: str, cap: int = DEFAULT_CAP) -> OracleCoreResult:
     over the matchings of the whole graph yields every coalition's table;
     ``cap`` bounds the number of matchings in that pass.
     """
-    if kind not in ("weak", "strong"):
+    if kind not in BLOCK_KIND:
         raise InputError("kind must be 'weak' or 'strong'")
     if len(inst.players) > ENUMERATION_PLAYER_GUARD:
         raise ResourceLimitError(f"oracle_core guard: more than {ENUMERATION_PLAYER_GUARD} players")
     first = _first_by_vector(inst, cap)
     maxima = _coalition_maxima(first, len(inst.players))
-    blocked = _blocked(maxima, first, strong=kind == "weak")
+    blocked = _blocked(maxima, first, strong=BLOCK_KIND[kind] == "strong")
     in_core = tuple(vec for vec in sorted(first) if vec not in blocked)
     return OracleCoreResult(kind, in_core, blocked, inst.graph, first)

@@ -24,6 +24,9 @@ from .matroids import _quota_matching
 ENUMERATION_PLAYER_GUARD = 20
 # default work cap: units of work a phase may spend before it gives up
 DEFAULT_BUDGET = 10_000_000
+# the kind of block each core forbids: the weak core forbids strong
+# blocks, the strong core weak ones
+BLOCK_KIND = {"weak": "strong", "strong": "weak"}
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,7 @@ class _BlockSearch:
     """
 
     def __init__(self, inst: Instance, kind: str, budget: int = DEFAULT_BUDGET):
-        if kind not in ("weak", "strong"):
+        if kind not in BLOCK_KIND:
             raise InputError("kind must be 'weak' or 'strong'")
         if inst.num_players > ENUMERATION_PLAYER_GUARD:
             raise ResourceLimitError(
@@ -191,8 +194,7 @@ class _BlockSearch:
             )
         self.inst = inst
         self.budget, self.visited = budget, 0
-        # the weak core forbids strong blocks, the strong core weak ones
-        self.block_kind = "strong" if kind == "weak" else "weak"
+        self.block_kind = BLOCK_KIND[kind]
         owner = inst.player_of
         self.contacts = [1 << i for i in range(inst.num_players)]
         for a, b in inst.graph.edges:

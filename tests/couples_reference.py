@@ -18,13 +18,28 @@ reads the same decomposition off the kernel's reach sets instead.
 ``augment_by_copies`` and ``reach_by_copies`` answer kernel queries on full
 copies of a view's adjacency and base matching, masked by ``masked``, with
 fresh label arrays per query; the kernel masks pooled working arrays in
-place and undoes its changes instead.
+place and undoes its changes instead.  Only these copies can add edges.
+
+``delta_path_by_added_edges`` decides a composite structure per player c:
+it tests c's pair against a reach set, joins two exposed vertices by an
+added edge, and answers the case where b's edge enters b's component by
+a reach query from c's entry.  The library decides per component of c,
+with one deletion query and no added edge.
 """
 
 from __future__ import annotations
 
 from ntumatch import Graph, Matching, max_matching
-from ntumatch.couples import CouplesGame, _DeltaContext, _require_cycle_free, _Union, _without
+from ntumatch.couples import (
+    CouplesGame,
+    _component,
+    _delta_context,
+    _DeltaContext,
+    _joined,
+    _require_cycle_free,
+    _Union,
+    _without,
+)
 from ntumatch.errors import InvariantError
 from ntumatch.graphs import _blossom_search, _Labels
 
@@ -97,6 +112,60 @@ def reach_by_copies(view: _Union, root: int, drop_players=()) -> frozenset[int]:
     if not view.has(root) or match[root] != -1:
         raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
     return frozenset(_blossom_search(adj, match, root, _Labels(len(adj)), augment=False))
+
+
+def delta_path_by_added_edges(cg: CouplesGame, a: int, b: int, c: int, tally=None) -> bool:
+    """Whether an odd alternating cycle through players ``a`` and ``b``
+    extends, from a shared vertex, by an alternating path ending at ``c``.
+
+    ``tally``, a ``Counter`` when given, counts the queries made: "free"
+    and "side" for the added-edge queries, "entered" for the reach query
+    of the case where ``b``'s edge enters ``b``'s component.
+    """
+    _require_cycle_free(cg, (a, b, c))
+    ctx = _delta_context(cg, a)
+    i, j = _component(cg, ctx, b), _component(cg, ctx, c)
+    if i is None or j is None or i == j or j in ctx.free:
+        return False
+    au, av = cg.pairs[a]
+    sj, sj_in = ctx.entry[j]
+    sj_pl = cg.player_of[sj]
+    if i in ctx.free:
+        # the cycle closes inside the component freed by one of a's
+        # vertices; the path to c leaves from the other vertex
+        a_near = au if ctx.comp_of[au] == i else av
+        a_far = av if a_near == au else au
+        if ctx.reach[a_far].isdisjoint(cg.pairs[c]):
+            return False
+        _count(tally, "free")
+        return augment_by_copies(
+            cg.union,
+            drop_players=(a, b, sj_pl),
+            drop_vertices=(a_far, sj_in),
+            extra_edges=((a_near, sj),),
+        ) is not None
+    # both b and c sit in side components: two disjoint alternating paths
+    # from a's vertices to the two entries and a through-path across b's
+    # component; the tail to c inside its factor-critical component exists
+    if not _joined(ctx, i, j):
+        return False
+    si, si_in = ctx.entry[i]
+    si_pl = cg.player_of[si]
+    if b == si_pl:
+        _count(tally, "entered")
+        return si in reach_by_copies(cg.union, sj, drop_players=(a, sj_pl))
+    _count(tally, "side")
+    return augment_by_copies(
+        cg.union,
+        drop_players=(a, b, si_pl, sj_pl),
+        drop_vertices=(au, av, si, sj_in),
+        extra_edges=((si_in, sj),),
+    ) is not None
+
+
+def _count(tally, key: str) -> None:
+    if tally is not None:
+        tally[key] += 1
 
 
 def ordered_triple_by_tips(cg: CouplesGame, a: int, b: int, c: int) -> bool:

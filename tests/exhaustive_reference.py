@@ -25,8 +25,8 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from ntumatch.errors import InputError, InvariantError, ResourceLimitError
-from ntumatch.exhaustive import DEFAULT_CAP, all_matchings
-from ntumatch.games import Instance
+from ntumatch.exhaustive import all_matchings
+from ntumatch.games import DEFAULT_BUDGET, Instance
 from ntumatch.graphs import (
     Graph,
     Matching,
@@ -121,7 +121,7 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
     )
 
 
-def coverable_sets_brute(g: Graph, cap: int = DEFAULT_CAP) -> set[frozenset[int]]:
+def coverable_sets_brute(g: Graph, cap: int = DEFAULT_BUDGET) -> set[frozenset[int]]:
     """The covered vertex set of every matching, the empty matching's empty
     set included; a set is coverable when it lies inside one of them."""
     return {m.covered for m in all_matchings(g, cap)}

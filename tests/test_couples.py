@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -39,6 +40,7 @@ from ntumatch.serialize import certificate_to_json, matching_to_json
 from couples_reference import (
     augment_by_copies,
     delta_context_by_graph,
+    delta_path_by_added_edges,
     ordered_triple_by_tips,
     ordered_triple_one_query,
     reach_by_copies,
@@ -331,16 +333,17 @@ class TestComponentDigraph:
 
     def test_side_branch_flow_agrees_with_kernel(self):
         # disjoint alternating paths from a's two vertices to the entry cut
-        # vertices of side components i and j: the kernel deletes both
-        # entry partners, joins the two cut vertices and asks for a
-        # perfect matching
+        # vertices of side components i and j: the copying reference
+        # deletes both entry partners, joins the two cut vertices and asks
+        # for a perfect matching
         checked = hits = 0
         for seed, cg in self.sweep():
             for a in sorted(cg.cycle_free):
                 ctx = _delta_context(cg, a)
                 for i, j in permutations(sorted(ctx.entry), 2):
                     (si, si_in), (sj, sj_in) = ctx.entry[i], ctx.entry[j]
-                    want = cg.union.augment(
+                    want = augment_by_copies(
+                        cg.union,
                         drop_players=(a, cg.player_of[si], cg.player_of[sj]),
                         drop_vertices=(si_in, sj_in),
                         extra_edges=((si, sj),),
@@ -457,6 +460,35 @@ class TestDeltaPath:
         cg = normalize(gen_random(n, 2, p, seed))
         for a, b, c in permutations(sorted(cg.cycle_free), 3):
             assert delta_path_exists(cg, a, b, c) == oracle_delta_path(cg, a, b, c), (a, b, c)
+
+    def test_agrees_with_added_edge_reference(self, monkeypatch):
+        # every cycle-free ordered triple of five seeded families against
+        # the per-c decision that adds an edge or asks a reach query
+        calls = Counter()
+        augment = couples_module._Union.augment
+
+        def counted(self, *args, **kwargs):
+            calls["kernel"] += 1
+            return augment(self, *args, **kwargs)
+
+        monkeypatch.setattr(couples_module._Union, "augment", counted)
+        families = [(8, 0.35, 1500), (10, 0.3, 800), (12, 0.25, 500), (14, 0.2, 300), (16, 0.2, 150)]
+        tally = Counter()
+        triples = hits = 0
+        for n, p, seeds in families:
+            for seed in range(seeds):
+                cg = normalize(gen_random(n, 2, p, seed))
+                for a, b, c in permutations(sorted(cg.cycle_free), 3):
+                    before = calls["kernel"]
+                    got = delta_path_exists(cg, a, b, c)
+                    calls["decided"] += calls["kernel"] > before
+                    assert got == delta_path_by_added_edges(cg, a, b, c, tally), (n, p, seed, a, b, c)
+                    triples += 1
+                    hits += got
+        assert (triples, hits) == (5880, 534)
+        # the library asks the kernel exactly where the reference queries
+        assert calls["decided"] == sum(tally.values()) >= 1000
+        assert min(tally["free"], tally["side"]) > 0 and tally["entered"] >= 1000
 
 
 class TestDeltaContext:
@@ -646,7 +678,7 @@ class TestUnionKernel:
     maximum matching and alternating reach on an explicitly built graph."""
 
     @staticmethod
-    def explicit(cg, drop_players, drop_vertices, restrict, extra):
+    def explicit(cg, drop_players, drop_vertices, restrict):
         nv = cg.inst.graph.n
         verts = set(range(nv)) if restrict is None else set(restrict)
         verts -= set(drop_vertices)
@@ -656,14 +688,14 @@ class TestUnionKernel:
             for i, pr in enumerate(cg.pairs)
             if i not in drop_players and verts.issuperset(pr)
         ]
-        edges |= set(base) | {tuple(sorted(e)) for e in extra}
+        edges |= set(base)
         to_old = sorted(verts)
         to_new = {v: i for i, v in enumerate(to_old)}
         g = Graph(len(to_old), [(to_new[u], to_new[v]) for u, v in edges])
         return g, Matching((to_new[u], to_new[v]) for u, v in base), to_old
 
     def test_random_queries_against_explicit_subgraph(self, rng):
-        # 300 random queries with drops, restrictions and extra edges
+        # 300 random queries with drops and restrictions
         checked = 0
         for _ in range(300):
             n = rng.choice([4, 5, 6, 8, 9, 10, 12, 13, 14])  # odd n pads a player
@@ -676,13 +708,9 @@ class TestUnionKernel:
             view = cg.union if restrict is None else cg.union.without(set(range(nv)) - restrict)
             drop_players = set(rng.sample(range(cg.num_players), rng.randint(0, min(3, cg.num_players))))
             drop_vertices = set(rng.sample(range(nv), rng.randint(0, 2)))
-            alive = sorted(set(range(nv) if restrict is None else restrict) - drop_vertices)
-            extra = []
-            if len(alive) >= 2 and rng.random() < 0.5:
-                extra = [tuple(rng.sample(alive, 2)) for _ in range(rng.randint(1, 2))]
-            g, base, to_old = self.explicit(cg, drop_players, drop_vertices, restrict, extra)
+            g, base, to_old = self.explicit(cg, drop_players, drop_vertices, restrict)
             for missing in (0, 2):
-                found = view.augment(drop_players, drop_vertices, extra, missing=missing, read=_copies)
+                found = view.augment(drop_players, drop_vertices, missing=missing, read=_copies)
                 best = max_matching(g)
                 assert (found is not None) == (g.n - 2 * best.size <= missing)
                 if missing == 0:
@@ -695,7 +723,7 @@ class TestUnionKernel:
                     assert len(to_old) - len(got.covered) <= missing
                     for u, v in got.edges:
                         assert g.has_edge(to_old.index(u), to_old.index(v))
-            if not extra and not drop_vertices:
+            if not drop_vertices:
                 exposed = [v for v in range(g.n) if v not in base.covered]
                 if exposed:
                     root = rng.choice(exposed)
@@ -706,15 +734,22 @@ class TestUnionKernel:
         assert checked == 300
 
     def test_vertex_past_the_count_is_a_fault(self):
+        # a negative index would otherwise wrap round to the last vertex
         cg = normalize(three_couples_chain())
         for v in (6, 7, -1):
             with pytest.raises(InvariantError):
-                cg.union.augment(extra_edges=((v, 0),))
+                cg.union.augment(drop_vertices=(v,))
+            with pytest.raises(InvariantError):
+                cg.union.reach(v)
+            with pytest.raises(InvariantError):
+                cg.union.without({v})
         restricted = cg.union.without({4, 5})
         for v in (4, 6):
             with pytest.raises(InvariantError):
-                restricted.augment(extra_edges=((v, 2),))
-        assert restricted.augment(drop_players=(0,), extra_edges=((0, 3),))
+                restricted.reach(v)
+        assert restricted.augment(drop_players=(0,), drop_vertices=(4,), missing=2)
+        assert_pool_clean(cg.union)
+        assert_pool_clean(restricted)
 
     def test_kept_deletions_compose(self, rng):
         for _ in range(200):
@@ -727,11 +762,6 @@ class TestUnionKernel:
             once = cg.union.without(a | b)
             assert twice.gone == once.gone == a | b
             assert (twice.adj, twice.base, twice.exposed) == (once.adj, once.base, once.exposed)
-
-    def test_extra_edge_outside_view_is_a_fault(self):
-        cg = normalize(three_couples_chain())
-        with pytest.raises(InvariantError):
-            cg.union.augment(drop_vertices=(0,), extra_edges=((0, 3),))
 
     def test_threads_share_one_kernel(self):
         # the spare label list is shared by the union and its views: threads
@@ -781,8 +811,8 @@ class TestUnionKernel:
     def test_pooled_queries_match_copying_reference(self, data):
         # several queries in a row on one view, so later ones run on
         # working arrays that earlier ones masked, searched and reset;
-        # extra edges may leave the view and roots may be matched, so some
-        # queries raise InvariantError part-way through
+        # reach roots may be matched or outside the view, so some queries
+        # raise InvariantError part-way through
         n = data.draw(st.integers(2, 16), label="n")
         p = data.draw(st.sampled_from([0.15, 0.3, 0.6]), label="p")
         cg = normalize(gen_random(n, 2, p, seed=data.draw(st.integers(0, 10**6), label="seed")))
@@ -797,12 +827,9 @@ class TestUnionKernel:
             )
             if data.draw(st.booleans()):
                 drop_vertices = data.draw(st.lists(vertex, max_size=2))
-                extra = data.draw(
-                    st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=2)
-                )
                 missing = data.draw(st.sampled_from([0, 2]))
-                got = outcome(view.augment, drop_players, drop_vertices, extra, missing, _copies)
-                want = outcome(augment_by_copies, view, drop_players, drop_vertices, extra, missing)
+                got = outcome(view.augment, drop_players, drop_vertices, missing, _copies)
+                want = outcome(augment_by_copies, view, drop_players, drop_vertices, (), missing)
             else:
                 root = data.draw(vertex)
                 got = outcome(view.reach, root, drop_players)

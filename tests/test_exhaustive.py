@@ -14,7 +14,6 @@ from ntumatch import (
     utility,
 )
 from ntumatch.exhaustive import (
-    DEFAULT_CAP,
     _blocked,
     _coalition_maxima,
     _first_by_vector,
@@ -24,7 +23,7 @@ from ntumatch.exhaustive import (
     oracle_core,
 )
 from ntumatch.couples import normalize
-from ntumatch.games import ENUMERATION_PLAYER_GUARD
+from ntumatch.games import DEFAULT_BUDGET, ENUMERATION_PLAYER_GUARD
 
 from conftest import cycle_graph, path_graph, random_graph
 from exhaustive_reference import (
@@ -221,7 +220,7 @@ class TestOracleCore:
                     assert (coalition, res.realize(witness)) == blocked[vec], (seed, kind)
                 for vec in reps:
                     assert res.realize(vec) == reps[vec], (seed, kind)
-            got = list(_coalition_maxima(_first_by_vector(inst, DEFAULT_CAP), len(inst.players)))
+            got = list(_coalition_maxima(_first_by_vector(inst, DEFAULT_BUDGET), len(inst.players)))
             assert [coalition for coalition, _ in got] == [c for c, _, _ in expected]
             for (_, table), (coalition, maximal, vecs) in zip(got, expected):
                 assert [w for w, _ in table] == maximal, (seed, coalition)
@@ -263,8 +262,8 @@ class TestOracleAgainstReference:
     def test_equals_reference_phases(self, case):
         inst = EQUIVALENCE_CASES[case]
         m = inst.num_players
-        first = _first_by_vector(inst, DEFAULT_CAP)
-        ref_first = first_by_vector_reference(inst, DEFAULT_CAP)
+        first = _first_by_vector(inst, DEFAULT_BUDGET)
+        ref_first = first_by_vector_reference(inst, DEFAULT_BUDGET)
         assert list(first.items()) == list(ref_first.items())
         ref_tables = list(coalition_maxima_reference(ref_first, m))
         assert list(_coalition_maxima(first, m)) == ref_tables
