@@ -8,12 +8,13 @@ real and player edges, and one kernel, :class:`_Union`, answers them.  One
 extractor, :func:`_structure`, turns a kernel answer into the blocking
 cycle or path a certificate needs.
 
-The strong-core existence machinery works per cycle-free player: the
-Gallai–Edmonds context of the union without its edge comes from the
-kernel's reach sets, and contracting that context's odd components gives
-a component digraph.  Pair paths are lookups in it and ordered triples
-lookups in its dominator tree; only the free-component and through-path
-pieces of the composite-structure test stay kernel queries.
+The strong-core existence machinery works per cycle-free player: one scan
+finds these players with at most one kernel query each, and the search
+trees of a query that finds no cycle give the Gallai–Edmonds context of
+the union without that player's edge.  Contracting the context's odd
+components gives a component digraph.  Pair paths are lookups in it and
+ordered triples lookups in its dominator tree; only the free-component and
+through-path pieces of the composite-structure test stay kernel queries.
 
 A real edge parallel to a player edge forms a two-edge alternating cycle
 through that player.  The kernel keeps the real edge when a query deletes
@@ -25,13 +26,13 @@ used in the real-edge role, so the simple-graph union is faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, combinations
 from typing import Optional
 
 from .errors import InputError, InvariantError
 from .games import BLOCK_KIND, BlockCertificate, Instance, MembershipResult, utility
-from .graphs import Graph, Matching, _blossom_search, _cut_and_components, _Labels, max_matching
+from .graphs import Graph, Matching, _blossom_search, _Labels, max_matching
 from .matroids import PartitionQuota, matching_with_lower_bounds
 
 
@@ -42,7 +43,8 @@ class CouplesGame:
     ``inst`` is the (possibly padded) instance; ``original`` the input it
     came from.  Padding adds one isolated vertex to each size-1 player, so
     matchings and verdicts transfer back unchanged.  ``delta_contexts``
-    keeps the composite-structure test's per-player contexts.
+    keeps every cycle-free player's context, which the scan behind
+    ``cycle_free`` fills.
     """
 
     inst: Instance
@@ -71,10 +73,9 @@ class CouplesGame:
 
     @cached_property
     def cycle_free(self) -> frozenset[int]:
-        """Players whose edge lies on no alternating cycle."""
-        return frozenset(
-            p for p in range(self.num_players) if not on_alternating_cycle(self, p)
-        )
+        """Players whose edge lies on no alternating cycle, found by
+        :func:`_scan`, which also fills ``delta_contexts``."""
+        return _scan(self)
 
     @cached_property
     def structure(self) -> "StrongCoreStructure":
@@ -149,10 +150,10 @@ class _Union:
     as lists equal to ``adj``, ``base`` and ``base``.  The searches' label
     arrays belong to the kernel: ``spare`` holds blank
     :class:`~ntumatch.graphs._Labels` for all n vertices, shared by the
-    game's union and every view made from it.  A query pops a triple and a
-    label object (or makes them when none is idle), clears the labels after
+    game's union and every view made from it.  A query pops a triple and
+    label objects (or makes them when none is idle), clears the labels after
     each search (see :meth:`~ntumatch.graphs._Labels.clear`) and appends
-    both back when done.  ``list.pop`` and ``list.append`` are atomic, so
+    all back when done.  ``list.pop`` and ``list.append`` are atomic, so
     concurrent queries never share working arrays or labels.
     """
 
@@ -310,21 +311,6 @@ class _Union:
             return True if read is None else read(match, base)
 
         return self._query(drop_players, drop_vertices, run)
-
-    def reach(self, root: int, drop_players=()) -> frozenset[int]:
-        """Vertices even-reachable from the exposed ``root`` by alternating
-        paths over the base matching without the given players' edges."""
-
-        def run(adj, match, base, exposed, flipped):
-            if not (0 <= root < len(adj) and self.has(root)) or match[root] != -1:
-                raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
-            labels = self._labels()
-            even = frozenset(_blossom_search(adj, match, root, labels, augment=False))
-            labels.clear()
-            self.spare.append(labels)
-            return even
-
-        return self._query(drop_players, (), run)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +487,8 @@ def _require_cycle_free(cg: CouplesGame, players) -> None:
 @dataclass(frozen=True)
 class _DeltaContext:
     """The union without one cycle-free player's edge, by its
-    Gallai–Edmonds structure: the odd components and the one each of
+    Gallai–Edmonds structure as :func:`_trees` reads it off two search
+    trees: the odd components and the one each of
     their vertices lies in, the two free components that hold the
     player's freed vertices, the entry edge (cut vertex, its partner) of
     every side component, and the reach sets of the freed vertices, whose
@@ -524,21 +511,74 @@ class _DeltaContext:
     top: tuple[int, ...]
 
 
-def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
-    """Per-player context for the composite-structure tests.
+def _scan(cg: CouplesGame) -> frozenset[int]:
+    """The cycle-free players, each with its context put in
+    ``cg.delta_contexts``: one kernel query per player, in ascending order,
+    except those on a cycle an earlier query found.
 
-    ``a_pl`` is on no alternating cycle, so the other player edges are a
-    maximum matching of the union without its edge that exposes only its
-    two vertices, and the deficient part is what those two reach.
+    With p's edge deleted only p's two vertices are exposed, so the
+    augmenting search of :func:`_trees` finds an alternating cycle through
+    p and every player with a vertex on its path, or fails and p is
+    cycle-free.
     """
-    ctx = cg.delta_contexts.get(a_pl)
-    if ctx is not None:
-        return ctx
+    on_cycle = [False] * cg.num_players
+    for p, (au, av) in enumerate(cg.pairs):
+        if on_cycle[p]:
+            continue
+        found = cg.union._query((p,), (), partial(_trees, cg.union, au, av))
+        if isinstance(found, list):  # an augmenting path
+            for x in found:
+                on_cycle[cg.player_of[x]] = True
+        else:
+            cg.delta_contexts[p] = _context(cg, p, *found)
+    return frozenset(p for p, hit in enumerate(on_cycle) if not hit)
+
+
+def _trees(union: _Union, au: int, av: int, adj, match, base, exposed, flipped):
+    """A kernel run with the player edge ``au``–``av`` deleted: the
+    augmenting path from ``au`` when there is one, else the player's
+    Gallai–Edmonds decomposition as ``(reach, cut, comps)``.
+
+    A failed augmenting search met no exposed vertex, so its tree is the
+    reach tree of ``au``, and a reach search from ``av`` on the same arrays
+    grows the other.  A Hungarian tree has no edge between even vertices of
+    different blossoms, so the blossoms of the two trees are the odd
+    components, ordered by least vertex, and the odd vertices that no
+    blossom absorbed are the cut.
+    """
+    first = union._labels()
+    try:
+        path = _blossom_search(adj, match, au, first, augment=True)
+    except BaseException:
+        # a search cut short may have flipped part of its path
+        flipped += first.even
+        flipped += first.odd
+        raise
+    if path:
+        flipped += path
+        first.clear()
+        union.spare.append(first)
+        return path
+    second = union._labels()
+    _blossom_search(adj, match, av, second, augment=False)
+    reach = {au: frozenset(first.even), av: frozenset(second.even)}
+    comps: dict[int, frozenset[int]] = {}
+    cut: set[int] = set()
+    for labels in (first, second):
+        blossoms: dict[int, list[int]] = {}
+        for x in labels.even:
+            blossoms.setdefault(labels.base[x], []).append(x)
+        for members in blossoms.values():
+            comps[min(members)] = frozenset(members)
+        cut.update(x for x in labels.odd if not labels.used[x])
+        labels.clear()
+        union.spare.append(labels)
+    return reach, cut, tuple(comps[k] for k in sorted(comps))
+
+
+def _context(cg: CouplesGame, a_pl: int, reach, cut, comps) -> _DeltaContext:
+    """The context of the cycle-free ``a_pl`` from its decomposition."""
     au, av = cg.pairs[a_pl]
-    reach = {x: cg.union.reach(x, drop_players=(a_pl,)) for x in (au, av)}
-    cut, comps = cg.union._query(
-        (a_pl,), (), lambda adj, *_: _cut_and_components(adj, reach[au] | reach[av])
-    )
     if len(comps) - len(cut) != 2:
         raise InvariantError("deleting a cycle-free player edge must leave deficiency 2")
     comp_of: dict[int, int] = {}
@@ -564,10 +604,16 @@ def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
                 arcs[x].add(j)
     if set(entry) != set(range(len(comps))) - {ca, cb}:
         raise InvariantError("every side component must have exactly one entry edge")
-    ctx = cg.delta_contexts[a_pl] = _DeltaContext(
+    return _DeltaContext(
         comps, comp_of, (ca, cb), entry, reach, tuple(map(frozenset, arcs)), _tops(arcs, (ca, cb))
     )
-    return ctx
+
+
+def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
+    """The context of the cycle-free ``a_pl``, built by :func:`_scan`."""
+    if a_pl not in cg.cycle_free:
+        raise InvariantError(f"player {a_pl} lies on an alternating cycle and has no context")
+    return cg.delta_contexts[a_pl]
 
 
 def _component(cg: CouplesGame, ctx: _DeltaContext, pl: int) -> Optional[int]:
@@ -744,7 +790,7 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
     delta-closed test visits.  The kernel answers only the free-component
     and through-path pieces of :func:`_delta_path_decide`, which depend
     on the third player only through its component, so the pair-edge
-    test tries each component once.
+    test tries once each component that passes its reach-set or top check.
     """
     kset = cg.cycle_free
     korder = sorted(kset)
@@ -771,13 +817,32 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
             for c in other
         ):
             closed.add(b)
-    # the components x's cycle-free partners hold or enter; y's own one
-    # fails the decision, so listing it for y's pairs changes nothing
-    held = {x: sorted({j for j in where[x].values() if j is not None}) for x in closed}
     pair_edges: set[tuple[int, int]] = set()
-    for x, y in combinations(sorted(closed), 2):
-        if any(_delta_path_decide(cg, ctxs[x], x, y, where[x][y], j) for j in held[x]):
-            pair_edges.add((x, y))
+    order = sorted(closed)
+    for k, x in enumerate(order):
+        # of the side components x's cycle-free partners hold or enter,
+        # only those _delta_path_decide does not reject at once: for y in
+        # a free component, those whose entry x's far vertex reaches; for
+        # y in a side component, those under another top
+        ctx = ctxs[x]
+        sides = sorted({j for j in where[x].values() if j is not None} - set(ctx.free))
+        far = {  # the far vertex of the free component of x's u is x's v
+            i: [j for j in sides if ctx.entry[j][1] in ctx.reach[f]]
+            for i, f in zip(ctx.free, reversed(cg.pairs[x]))
+        }
+        groups: dict[int, list[int]] = {}
+        for j in sides:
+            if ctx.top[j] != -1:
+                groups.setdefault(ctx.top[j], []).append(j)
+        for y in order[k + 1 :]:
+            i = where[x][y]
+            if i is None or (i not in far and ctx.top[i] == -1):
+                continue
+            tries = far[i] if i in far else chain.from_iterable(
+                js for t, js in groups.items() if t != ctx.top[i]
+            )
+            if any(_delta_path_decide(cg, ctx, x, y, i, j) for j in tries):
+                pair_edges.add((x, y))
     mates: dict[int, set[int]] = {p: set() for p in closed}
     for x, y in pair_edges:
         mates[x].add(y)

@@ -306,31 +306,6 @@ def _augment(adj, match, roots, labels: _Labels, stop: bool = False) -> int:
     return failed
 
 
-def _cut_and_components(adj, exposable) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
-    """The cut set (outside neighbourhood) of the deficient part
-    ``exposable`` of a graph given by adjacency rows, and the odd
-    components the part induces, ordered by least vertex."""
-    cut = frozenset(u for v in exposable for u in adj[v] if u not in exposable)
-    comps: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for v in sorted(exposable):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in exposable and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        if len(comp) % 2 == 0:
-            raise InvariantError("even-sized component in the deficient part")
-        comps.append(frozenset(comp))
-    return cut, tuple(comps)
-
-
 def _max_match(g: Graph) -> tuple[int, ...]:
     """The match array of the maximum matching memoised on ``g``."""
     if g._match is None:

@@ -12,8 +12,15 @@ component digraph by a node-split unit flow and one residual search; the
 library reads it off the digraph's dominator tree instead.
 
 ``delta_context_by_graph`` builds the union without one player's edge as
-an explicit ``Graph`` and decomposes it with ``gallai_edmonds``; the library
-reads the same decomposition off the kernel's reach sets instead.
+an explicit ``Graph`` and decomposes it with ``gallai_edmonds``.
+``cycle_free_by_player`` asks the kernel one cycle query per player, and
+``delta_context_by_reach`` builds a cycle-free player's context from two
+``reach`` queries and a component search over their union.  The library
+reads the cycle-free set and every context off one scan, one kernel query
+per player at most, whose failed cycle search is the first reach tree.
+
+``reach`` is the kernel's alternating-reach query as a function over a
+view's ``_query``; the library no longer asks it.
 
 ``augment_by_copies`` and ``reach_by_copies`` answer kernel queries on full
 copies of a view's adjacency and base matching, masked by ``masked``, with
@@ -29,7 +36,7 @@ with one deletion query and no added edge.
 
 from __future__ import annotations
 
-from ntumatch import Graph, Matching, max_matching
+from ntumatch import Graph, Matching, max_matching, on_alternating_cycle
 from ntumatch.couples import (
     CouplesGame,
     _component,
@@ -37,13 +44,74 @@ from ntumatch.couples import (
     _DeltaContext,
     _joined,
     _require_cycle_free,
+    _tops,
     _Union,
     _without,
 )
 from ntumatch.errors import InvariantError
 from ntumatch.graphs import _blossom_search, _Labels
 
-from exhaustive_reference import gallai_edmonds
+from exhaustive_reference import cut_and_components, gallai_edmonds
+
+
+def reach(view: _Union, root: int, drop_players=()) -> frozenset[int]:
+    """Vertices even-reachable from the exposed ``root`` by alternating
+    paths over the view's base matching without the given players' edges,
+    searched on the kernel's pooled working arrays and spare labels."""
+
+    def run(adj, match, base, exposed, flipped):
+        if not (0 <= root < len(adj) and view.has(root)) or match[root] != -1:
+            raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
+        labels = view._labels()
+        even = frozenset(_blossom_search(adj, match, root, labels, augment=False))
+        labels.clear()
+        view.spare.append(labels)
+        return even
+
+    return view._query(drop_players, (), run)
+
+
+def cycle_free_by_player(cg: CouplesGame) -> frozenset[int]:
+    """Players whose edge lies on no alternating cycle, one kernel query
+    each."""
+    return frozenset(p for p in range(cg.num_players) if not on_alternating_cycle(cg, p))
+
+
+def delta_context_by_reach(cg: CouplesGame, a_pl: int) -> _DeltaContext:
+    """The context of the cycle-free ``a_pl``: the reach sets of its two
+    vertices with its edge deleted, whose union is the deficient part, and
+    the cut set and odd components of that part."""
+    au, av = cg.pairs[a_pl]
+    reached = {x: reach(cg.union, x, drop_players=(a_pl,)) for x in (au, av)}
+    cut, comps = cg.union._query(
+        (a_pl,), (), lambda adj, *_: cut_and_components(adj, reached[au] | reached[av])
+    )
+    if len(comps) - len(cut) != 2:
+        raise InvariantError("deleting a cycle-free player edge must leave deficiency 2")
+    comp_of: dict[int, int] = {}
+    for j, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = j
+    ca, cb = comp_of[au], comp_of[av]
+    if ca == cb:
+        raise InvariantError("freed vertices must land in distinct odd components")
+    entry: dict[int, tuple[int, int]] = {}
+    arcs: list[set[int]] = [set() for _ in comps]
+    for s in sorted(cut):
+        t = cg.partner[s]
+        j = comp_of.get(t)
+        if j is None or j in (ca, cb) or j in entry:
+            raise InvariantError("entry edges must pair cut vertices with distinct components")
+        entry[j] = (s, t)
+        for w in cg.union.adj[s]:
+            x = comp_of.get(w)
+            if x is not None and x != j:
+                arcs[x].add(j)
+    if set(entry) != set(range(len(comps))) - {ca, cb}:
+        raise InvariantError("every side component must have exactly one entry edge")
+    return _DeltaContext(
+        comps, comp_of, (ca, cb), entry, reached, tuple(map(frozenset, arcs)), _tops(arcs, (ca, cb))
+    )
 
 
 def masked(view: _Union, drop_players=(), drop_vertices=(), extra_edges=()):

@@ -3,7 +3,8 @@ structure tests.
 
 The graph helpers the library no longer calls live here as references:
 induced subgraphs, the perfect-matching test, alternating reach from one
-root and the Gallai–Edmonds decomposition.
+root, the cut set and odd components of a deficient part, and the
+Gallai–Edmonds decomposition.
 Alternating reach, coverable sets, connected coalitions, alternating-path
 triples and delta structures, each by enumerating matchings, subsets or
 simple alternating paths (explicit stacks, no recursion), independent of
@@ -31,7 +32,6 @@ from ntumatch.graphs import (
     Graph,
     Matching,
     _blossom_search,
-    _cut_and_components,
     _Labels,
     _match_array,
     _max_match,
@@ -80,6 +80,31 @@ def alternating_reach(g: Graph, m: Matching, root: int) -> frozenset[int]:
     return frozenset(_blossom_search(g.adj, match, root, _Labels(g.n), augment=False))
 
 
+def cut_and_components(adj, exposable) -> tuple[frozenset[int], tuple[frozenset[int], ...]]:
+    """The cut set (outside neighbourhood) of the deficient part
+    ``exposable`` of a graph given by adjacency rows, and the odd
+    components the part induces, ordered by least vertex."""
+    cut = frozenset(u for v in exposable for u in adj[v] if u not in exposable)
+    comps: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for v in sorted(exposable):
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in exposable and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        if len(comp) % 2 == 0:
+            raise InvariantError("even-sized component in the deficient part")
+        comps.append(frozenset(comp))
+    return cut, tuple(comps)
+
+
 @dataclass(frozen=True)
 class GallaiEdmonds:
     """Structure of a graph relative to its maximum matchings.
@@ -110,7 +135,7 @@ def gallai_edmonds(g: Graph) -> GallaiEdmonds:
         if match[root] == -1:
             exposable.update(_blossom_search(g.adj, match, root, labels, augment=False))
             labels.clear()
-    cut, comps = _cut_and_components(g.adj, exposable)
+    cut, comps = cut_and_components(g.adj, exposable)
     if len(comps) - len(cut) != g.n - 2 * m.size:
         raise InvariantError("deficiency identity violated")
     return GallaiEdmonds(

@@ -39,10 +39,13 @@ from ntumatch.serialize import certificate_to_json, matching_to_json
 
 from couples_reference import (
     augment_by_copies,
+    cycle_free_by_player,
     delta_context_by_graph,
+    delta_context_by_reach,
     delta_path_by_added_edges,
     ordered_triple_by_tips,
     ordered_triple_one_query,
+    reach,
     reach_by_copies,
     second_reach_by_flow,
 )
@@ -494,7 +497,7 @@ class TestDeltaPath:
 class TestDeltaContext:
     def test_kernel_context_matches_explicit_decomposition(self):
         # every cycle-free player of 600 seeded sparse instances, n 6-30:
-        # the context read off the kernel's reach sets has the odd
+        # the context read off the scan's two search trees has the odd
         # components and cut set of the explicitly built graph
         contexts = 0
         for seed in range(600):
@@ -508,9 +511,48 @@ class TestDeltaContext:
                 au, av = cg.pairs[a]
                 assert ctx.reach[au] | ctx.reach[av] == frozenset().union(*comps), (seed, a)
                 for x in (au, av):
-                    assert ctx.reach[x] == cg.union.reach(x, drop_players=(a,)), (seed, a)
+                    assert ctx.reach[x] == reach(cg.union, x, drop_players=(a,)), (seed, a)
                 contexts += 1
         assert contexts > 2500
+
+    def test_scan_matches_per_player_reference(self):
+        # the one-pass scan against one cycle query per player and a
+        # context from two reach queries per cycle-free player, on the
+        # sweep above and on the dense n=8 family
+        families = [(6 + seed % 25, (1.0, 1.5, 2.0)[seed % 3], seed) for seed in range(600)]
+        families += [(8, 4.0, seed) for seed in range(600)]
+        contexts = 0
+        for n, scale, seed in families:
+            cg = normalize(gen_random(n, 2, scale / n, seed=seed))
+            assert cg.cycle_free == cycle_free_by_player(cg), (n, seed)
+            for a in sorted(cg.cycle_free):
+                assert _delta_context(cg, a) == delta_context_by_reach(cg, a), (n, seed, a)
+                contexts += 1
+        assert contexts == 3788 + 56
+
+    def test_scan_skips_players_on_a_found_cycle(self, monkeypatch):
+        # one kernel query per player that no earlier cycle passes
+        # through, and none for a context once the scan has run
+        queries = Counter()
+        real = couples_module._Union._query
+
+        def counted(self, *args):
+            queries["kernel"] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(couples_module._Union, "_query", counted)
+        cg = normalize(gen_random(40, 2, 1.5 / 40, 1))
+        assert (cg.num_players, len(cg.cycle_free)) == (20, 13)
+        assert queries["kernel"] == 16
+        for a in cg.cycle_free:
+            _delta_context(cg, a)
+        assert queries["kernel"] == 16
+
+    def test_player_on_a_cycle_has_no_context(self):
+        cg = normalize(two_couples_square())
+        for p in range(2):
+            with pytest.raises(InvariantError):
+                _delta_context(cg, p)
 
     def test_side_components_are_reached_from_their_entry(self):
         # an odd component is factor-critical, so alone it is even-reached
@@ -525,7 +567,7 @@ class TestDeltaContext:
                 for j, (_, t) in ctx.entry.items():
                     comp = ctx.comps[j]
                     view = cg.union.without(v for v in everything if v not in comp)
-                    assert view.reach(t) == comp, (seed, a, j)
+                    assert reach(view, t) == comp, (seed, a, j)
                     sides += 1
         assert sides > 10000
 
@@ -728,7 +770,7 @@ class TestUnionKernel:
                 if exposed:
                     root = rng.choice(exposed)
                     want = alternating_reach(g, base, root)
-                    got = view.reach(to_old[root], drop_players)
+                    got = reach(view, to_old[root], drop_players)
                     assert got == {to_old[v] for v in want}
             checked += 1
         assert checked == 300
@@ -740,13 +782,13 @@ class TestUnionKernel:
             with pytest.raises(InvariantError):
                 cg.union.augment(drop_vertices=(v,))
             with pytest.raises(InvariantError):
-                cg.union.reach(v)
+                reach(cg.union, v)
             with pytest.raises(InvariantError):
                 cg.union.without({v})
         restricted = cg.union.without({4, 5})
         for v in (4, 6):
             with pytest.raises(InvariantError):
-                restricted.reach(v)
+                reach(restricted, v)
         assert restricted.augment(drop_players=(0,), drop_vertices=(4,), missing=2)
         assert_pool_clean(cg.union)
         assert_pool_clean(restricted)
@@ -775,7 +817,7 @@ class TestUnionKernel:
                 for p, (u, v) in enumerate(cg.pairs):
                     if view.has(u) and view.has(v):
                         out.append(view.augment(drop_players=(p,)))
-                        out.append(view.reach(u, drop_players=(p,)))
+                        out.append(reach(view, u, drop_players=(p,)))
             return out
 
         want = answers()
@@ -832,7 +874,7 @@ class TestUnionKernel:
                 want = outcome(augment_by_copies, view, drop_players, drop_vertices, (), missing)
             else:
                 root = data.draw(vertex)
-                got = outcome(view.reach, root, drop_players)
+                got = outcome(reach, view, root, drop_players)
                 want = outcome(reach_by_copies, view, root, drop_players)
             assert got == want
             assert_pool_clean(view)
@@ -857,6 +899,10 @@ class TestUnionKernel:
                 raised += 1
             assert_pool_clean(cg.union)
         assert raised
+        # the scan's first search finds player 0's cycle and raises
+        with pytest.raises(RuntimeError):
+            cg.cycle_free
+        assert_pool_clean(cg.union)
 
     def test_query_costs_its_deletions_not_the_graph(self):
         # one dropped player on an n=20,000 view with n/2 random real
