@@ -8,6 +8,12 @@ real and player edges, and one kernel, :class:`_Union`, answers them.  One
 extractor, :func:`_structure`, turns a kernel answer into the blocking
 cycle or path a certificate needs.
 
+Membership and the weak construction ask only the queries that can find
+something.  The degree-one rule (:class:`_Peel`) finds players whose edge
+every perfect matching of the view uses, and those lie on no alternating
+cycle; an alternating path never leaves a connected component, so pairs
+and triples spread over two components are never asked about.
+
 The strong-core existence machinery works per cycle-free player: one scan
 finds these players with at most one kernel query each, and the search
 trees of a query that finds no cycle give the Gallai–Edmonds context of
@@ -76,6 +82,13 @@ class CouplesGame:
         """Players whose edge lies on no alternating cycle, found by
         :func:`_scan`, which also fills ``delta_contexts``."""
         return _scan(self)
+
+    @cached_property
+    def forced(self) -> frozenset[int]:
+        """Players the degree-one rule peels off the union without a
+        parallel real edge; none lies on an alternating cycle
+        (:class:`_Peel`)."""
+        return frozenset(_Peel(self.union).forced)
 
     @cached_property
     def structure(self) -> "StrongCoreStructure":
@@ -313,6 +326,102 @@ class _Union:
         return self._query(drop_players, drop_vertices, run)
 
 
+class _Peel:
+    """The degree-one rule on a view whose base matching is perfect
+    (Karp & Sipser, "Maximum matchings in sparse random graphs", 1981;
+    Lovász & Plummer, *Matching Theory*, ch. 5).
+
+    A vertex whose only neighbour left is its partner is matched to it in
+    every perfect matching, so the pair is peeled off and the rule applied
+    again.  Unless the pair is also a real edge, deleting that player's
+    edge isolates the vertex once the pairs peeled before it are matched
+    to each other, so no alternating cycle passes through the player: it
+    is *forced*, and its cycle query would return None.  A leaf whose pair
+    is also a real edge sits on a two-edge cycle; it is peeled, not
+    forced.  Peeling only deletes, so what ends up peeled does not depend
+    on the order, and :meth:`drop` goes on from a smaller view to where a
+    fresh peel of it would end.
+
+    ``deg`` counts, per vertex, its neighbours that are neither deleted
+    nor peeled; it is 0 for deleted and peeled vertices.
+    """
+
+    __slots__ = ("cg", "adj", "base", "deg", "forced")
+
+    def __init__(self, view: _Union):
+        if view.exposed:
+            raise InvariantError("peeling needs a view whose base matching is perfect")
+        self.cg = view.cg
+        self.adj = view.adj
+        self.base = view.base
+        self.deg = [len(row) for row in view.adj]
+        self.forced: set[int] = set()
+        for x in range(len(self.deg)):
+            if self.deg[x] == 1:
+                self._remove([self._leaf(x)])
+
+    def drop(self, verts) -> None:
+        """Deletes the vertices of whole players, as :meth:`_Union.without`
+        does, and peels onward from their neighbours."""
+        live = [x for x in verts if self.deg[x]]
+        for x in live:
+            self.deg[x] = 0
+        self._remove(live)
+
+    def _leaf(self, x: int) -> int:
+        """Peels the leaf ``x`` and its partner, which it returns."""
+        y = self.base[x]
+        self.deg[x] = self.deg[y] = 0
+        p = self.cg.player_of[x]
+        if self.cg.pairs[p] not in self.cg.inst.graph.edge_set:
+            self.forced.add(p)
+        return y
+
+    def _remove(self, gone: list[int]) -> None:
+        """Takes the vertices in ``gone``, whose degrees are already 0,
+        off their neighbours' degrees, peeling every leaf that leaves."""
+        deg = self.deg
+        while gone:
+            for w in self.adj[gone.pop()]:
+                if deg[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        gone.append(self._leaf(w))
+
+
+def _in_one_component(cg: CouplesGame, view: _Union, players: list[int], size: int):
+    """The ``size``-subsets of ``players`` whose edges lie in one connected
+    component of the view, in the order of ``combinations(players, size)``.
+
+    An alternating path never leaves its component.  Cycle-free players
+    spread over two components leave at least two vertices exposed in
+    each, because neither component keeps a perfect matching without its
+    players' edges, so a query that allows two finds nothing.
+    One search of the view labels the components when the first subset is
+    asked for; each player is then combined with the later players of its
+    own component only.
+    """
+    label = [-1] * len(view.adj)
+    for s in range(len(view.adj)):
+        if label[s] == -1:
+            label[s] = s
+            stack = [s]
+            while stack:
+                for w in view.adj[stack.pop()]:
+                    if label[w] == -1:
+                        label[w] = s
+                        stack.append(w)
+    groups: dict[int, list[int]] = {}
+    for p in players:
+        groups.setdefault(label[cg.pairs[p][0]], []).append(p)
+    taken = dict.fromkeys(groups, 0)
+    for p in players:
+        c = label[cg.pairs[p][0]]
+        taken[c] += 1
+        for rest in combinations(groups[c][taken[c] :], size - 1):
+            yield (p, *rest)
+
+
 # ---------------------------------------------------------------------------
 # blocking structures
 
@@ -406,14 +515,18 @@ def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
 def weak_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
     """Weak-core test: with the fully covered players deleted, no player
     edge may lie on an alternating cycle, and no two uncovered players may
-    be joined by an alternating path."""
+    be joined by an alternating path.
+
+    The cycle query is skipped for players the view's peel forces, and the
+    path query for pairs in different components of the view."""
     u = utility(cg.inst, m)
     low = [i for i, ui in enumerate(u) if ui <= 1]
     view = cg.union.without(x for i, ui in enumerate(u) if ui == 2 for x in cg.pairs[i])
+    forced = _Peel(view).forced
     zero = [i for i in low if u[i] == 0]
     structures = chain(
-        (_structure(cg, (i,), view, 0) for i in low),
-        (_structure(cg, pair, view, 2) for pair in combinations(zero, 2)),
+        (_structure(cg, (i,), view, 0) for i in low if i not in forced),
+        (_structure(cg, pair, view, 2) for pair in _in_one_component(cg, view, zero, 2)),
     )
     return _verdict(cg, structures, BLOCK_KIND["weak"], u)
 
@@ -425,18 +538,24 @@ def strong_membership(cg: CouplesGame, m: Matching) -> MembershipResult:
     (b) no alternating path joins an uncovered player to a player with at
     most one covered vertex; (c) no alternating path carries three players
     with exactly one covered vertex.  (b) and (c) presuppose (a).
+
+    (a) skips the players the union's peel forces, and (b) and (c) the
+    groups that span two components of the union.
     """
     u = utility(cg.inst, m)
     low = [i for i, ui in enumerate(u) if ui <= 1]
     ones = [i for i in low if u[i] == 1]
     structures = chain(
-        (_structure(cg, (i,), cg.union, 0) for i in low),
+        (_structure(cg, (i,), cg.union, 0) for i in low if i not in cg.forced),
         (
             _structure(cg, (i, j), cg.union, 2)
-            for i, j in combinations(low, 2)
+            for i, j in _in_one_component(cg, cg.union, low, 2)
             if min(u[i], u[j]) == 0
         ),
-        (_structure(cg, triple, cg.union, 2) for triple in combinations(ones, 3)),
+        (
+            _structure(cg, triple, cg.union, 2)
+            for triple in _in_one_component(cg, cg.union, ones, 3)
+        ),
     )
     return _verdict(cg, structures, BLOCK_KIND["strong"], u)
 
@@ -452,18 +571,22 @@ def weak_construct(cg: CouplesGame) -> Matching:
     (scanning player edges in ascending index), keeps its real edges, and
     deletes its vertices; the result seeds a maximum matching that covers
     everything kept.  Deleting vertices never creates new alternating
-    cycles, so a single ascending scan suffices.
+    cycles, so a single ascending scan suffices.  One peel, kept up to date
+    as cycles are deleted, skips the query of every player it forces.
     """
     chosen: list[tuple[int, int]] = []
     view = cg.union
+    peel = _Peel(view)
     for p in range(cg.num_players):
-        if not view.has(cg.pairs[p][0]):
+        if not view.has(cg.pairs[p][0]) or p in peel.forced:
             continue
         labeled = _structure(cg, (p,), view, 0)
         if labeled is None:
             continue
         chosen.extend((a, b) for a, b, lab in labeled if lab == "e")
-        view = view.without(x for a, b, lab in labeled if lab == "p" for x in (a, b))
+        gone = [x for a, b, lab in labeled if lab == "p" for x in (a, b)]
+        view = view.without(gone)
+        peel.drop(gone)
     return max_matching(cg.inst.graph, seed_matching=Matching(chosen))
 
 

@@ -27,6 +27,12 @@ copies of a view's adjacency and base matching, masked by ``masked``, with
 fresh label arrays per query; the kernel masks pooled working arrays in
 place and undoes its changes instead.  Only these copies can add edges.
 
+``weak_construct_by_player``, ``weak_membership_by_query`` and
+``strong_membership_by_query`` ask the kernel one cycle query per player
+and one path query per pair or triple.  The library skips the cycle query
+of every player the degree-one peel forces, and the path query of every
+group whose players lie in different components of the view.
+
 ``delta_path_by_added_edges`` decides a composite structure per player c:
 it tests c's pair against a reach set, joins two exposed vertices by an
 added edge, and answers the case where b's edge enters b's component by
@@ -36,7 +42,9 @@ with one deletion query and no added edge.
 
 from __future__ import annotations
 
-from ntumatch import Graph, Matching, max_matching, on_alternating_cycle
+from itertools import chain, combinations
+
+from ntumatch import Graph, Matching, max_matching, on_alternating_cycle, utility
 from ntumatch.couples import (
     CouplesGame,
     _component,
@@ -44,11 +52,14 @@ from ntumatch.couples import (
     _DeltaContext,
     _joined,
     _require_cycle_free,
+    _structure,
     _tops,
     _Union,
+    _verdict,
     _without,
 )
 from ntumatch.errors import InvariantError
+from ntumatch.games import BLOCK_KIND
 from ntumatch.graphs import _blossom_search, _Labels
 
 from exhaustive_reference import cut_and_components, gallai_edmonds
@@ -75,6 +86,53 @@ def cycle_free_by_player(cg: CouplesGame) -> frozenset[int]:
     """Players whose edge lies on no alternating cycle, one kernel query
     each."""
     return frozenset(p for p in range(cg.num_players) if not on_alternating_cycle(cg, p))
+
+
+def weak_construct_by_player(cg: CouplesGame) -> Matching:
+    """``weak_construct`` with one cycle query per surviving player."""
+    chosen: list[tuple[int, int]] = []
+    view = cg.union
+    for p in range(cg.num_players):
+        if not view.has(cg.pairs[p][0]):
+            continue
+        labeled = _structure(cg, (p,), view, 0)
+        if labeled is None:
+            continue
+        chosen.extend((a, b) for a, b, lab in labeled if lab == "e")
+        view = view.without(x for a, b, lab in labeled if lab == "p" for x in (a, b))
+    return max_matching(cg.inst.graph, seed_matching=Matching(chosen))
+
+
+def weak_membership_by_query(cg: CouplesGame, m: Matching):
+    """``weak_membership`` with one cycle query per low player and one
+    path query per pair of uncovered players."""
+    u = utility(cg.inst, m)
+    low = [i for i, ui in enumerate(u) if ui <= 1]
+    view = cg.union.without(x for i, ui in enumerate(u) if ui == 2 for x in cg.pairs[i])
+    zero = [i for i in low if u[i] == 0]
+    structures = chain(
+        (_structure(cg, (i,), view, 0) for i in low),
+        (_structure(cg, pair, view, 2) for pair in combinations(zero, 2)),
+    )
+    return _verdict(cg, structures, BLOCK_KIND["weak"], u)
+
+
+def strong_membership_by_query(cg: CouplesGame, m: Matching):
+    """``strong_membership`` with one cycle query per low player and one
+    path query per candidate pair and triple."""
+    u = utility(cg.inst, m)
+    low = [i for i, ui in enumerate(u) if ui <= 1]
+    ones = [i for i in low if u[i] == 1]
+    structures = chain(
+        (_structure(cg, (i,), cg.union, 0) for i in low),
+        (
+            _structure(cg, (i, j), cg.union, 2)
+            for i, j in combinations(low, 2)
+            if min(u[i], u[j]) == 0
+        ),
+        (_structure(cg, triple, cg.union, 2) for triple in combinations(ones, 3)),
+    )
+    return _verdict(cg, structures, BLOCK_KIND["strong"], u)
 
 
 def delta_context_by_reach(cg: CouplesGame, a_pl: int) -> _DeltaContext:

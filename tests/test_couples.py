@@ -33,7 +33,15 @@ from ntumatch import (
     weak_membership,
 )
 from ntumatch import couples as couples_module
-from ntumatch.couples import _component, _delta_context, _joined, _tops, strong_core_quotas
+from ntumatch.couples import (
+    _component,
+    _delta_context,
+    _joined,
+    _Peel,
+    _structure,
+    _tops,
+    strong_core_quotas,
+)
 from ntumatch.exhaustive import all_matchings, oracle_core
 from ntumatch.serialize import certificate_to_json, matching_to_json
 
@@ -48,6 +56,9 @@ from couples_reference import (
     reach,
     reach_by_copies,
     second_reach_by_flow,
+    strong_membership_by_query,
+    weak_construct_by_player,
+    weak_membership_by_query,
 )
 from exhaustive_reference import (
     alternating_reach,
@@ -76,6 +87,19 @@ def assert_pool_clean(view):
     for adj, match, base in view.pool:
         assert adj == list(view.adj)
         assert match == base == list(view.base)
+
+
+def count_queries(monkeypatch):
+    """A counter of ``_Union._query`` calls from now on."""
+    queries = Counter()
+    real = couples_module._Union._query
+
+    def counted(self, *args):
+        queries["kernel"] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(couples_module._Union, "_query", counted)
+    return queries
 
 
 def couples_instance(n, edges):
@@ -246,6 +270,110 @@ class TestStrongMembership:
                 assert res.in_core == (u in oracle.in_core)
                 if res.certificate is not None:
                     res.certificate.validate(cg.inst, u)
+
+
+class TestPeel:
+    def test_forced_players_are_cycle_free(self, rng):
+        # in the union and in views that delete whole players, a forced
+        # player's cycle query finds nothing
+        forced = 0
+        for seed in range(300):
+            n = 6 + seed % 25
+            cg = normalize(gen_random(n, 2, (1.0, 1.5, 2.0, 4.0)[seed % 4] / n, seed=seed))
+            assert cg.forced <= cycle_free_by_player(cg), seed
+            forced += len(cg.forced)
+            kept = [p for p in range(cg.num_players) if rng.random() < 0.3]
+            view = cg.union.without(x for p in kept for x in cg.pairs[p])
+            for p in _Peel(view).forced:
+                assert p not in kept
+                assert view.augment(drop_players=(p,)) is None, (seed, p)
+        assert forced > 1000
+
+    def test_two_cycle_leaf_is_peeled_not_forced(self):
+        # A={0,1} and C={4,5} are also real edges, each with a leaf (0 and
+        # 5): two-edge cycles.  Peeling them leaves B={2,3} a leaf pair,
+        # though neither of B's vertices is a leaf in the union
+        cg = normalize(couples_instance(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+        assert {x for x in range(6) if len(cg.union.adj[x]) == 1} == {0, 5}
+        peel = _Peel(cg.union)
+        assert peel.forced == {1} == cycle_free_by_player(cg)
+        assert peel.deg == [0] * 6
+        assert cg.forced == {1}
+
+    def test_drop_after_a_kept_cycle_matches_a_fresh_peel(self):
+        # weak_construct's loop: after each kept cycle the incremental
+        # peel equals a peel of the new view from scratch
+        kept = 0
+        for seed in range(200):
+            n = 8 + seed % 33
+            cg = normalize(gen_random(n, 2, (1.5, 2.5, 4.0)[seed % 3] / n, seed=seed))
+            view = cg.union
+            peel = _Peel(view)
+            for p in range(cg.num_players):
+                if not view.has(cg.pairs[p][0]) or p in peel.forced:
+                    continue
+                labeled = _structure(cg, (p,), view, 0)
+                if labeled is None:
+                    continue
+                gone = [x for a, b, lab in labeled if lab == "p" for x in (a, b)]
+                view = view.without(gone)
+                peel.drop(gone)
+                fresh = _Peel(view)
+                assert (peel.deg, peel.forced) == (fresh.deg, fresh.forced), (seed, p)
+                kept += 1
+        assert kept > 300
+
+    def test_view_with_an_exposed_vertex_raises(self):
+        cg = normalize(three_couples_chain())
+        with pytest.raises(InvariantError):
+            _Peel(cg.union.without([2]))
+
+    def test_skips_match_the_per_query_reference(self):
+        # matchings and certificates equal those of one kernel query per
+        # player, pair and triple, on the sweep, n=160 and the benchmark's
+        # couples_verify sizes, each challenged by its weak construction,
+        # a maximum matching minus its first edge, and half of that
+        cases = [
+            (n, p, seed)
+            for n in (8, 12, 20, 40)
+            for p in (0.05, 0.15, 0.3, 0.5)
+            for seed in range(60)
+        ]
+        cases.append((160, 2.0 / 160, 1))
+        cases += [(n, 2.0 / n, 100 + 10 * n + j) for n in (300, 400, 500) for j in range(4)]
+        calls = blocked = 0
+        for n, p, seed in cases:
+            cg = normalize(gen_random(n, 2, p, seed))
+            built = weak_construct(cg)
+            assert built == weak_construct_by_player(cg), (n, p, seed)
+            best = max_matching(cg.inst.graph)
+            half = Matching(random.Random(seed).sample(best.edges, best.size // 2))
+            for m in (built, Matching(best.edges[1:]), half):
+                for test, reference in (
+                    (weak_membership, weak_membership_by_query),
+                    (strong_membership, strong_membership_by_query),
+                ):
+                    got, want = test(cg, m), reference(cg, m)
+                    assert got.in_core == want.in_core, (n, p, seed)
+                    if not got.in_core:
+                        assert got.certificate.coalition == want.certificate.coalition
+                        assert got.certificate.witness == want.certificate.witness
+                        assert got.certificate.kind == want.certificate.kind
+                        blocked += 1
+                    calls += 1
+        assert (calls, blocked) == (5838, 3756)
+
+    def test_weak_paths_skip_forced_players_and_split_pairs(self, monkeypatch):
+        # 150 players: eight cycle queries, seven of which find a cycle,
+        # and seven kept views, against 110 queries with one per surviving
+        # player; membership builds its view and asks nothing more,
+        # against 105 queries with one per low player and pair
+        queries = count_queries(monkeypatch)
+        cg = normalize(gen_random(300, 2, 2 / 300, 3100))
+        m = weak_construct(cg)
+        assert (cg.num_players, m.size, queries["kernel"]) == (150, 120, 15)
+        assert weak_membership(cg, m).in_core
+        assert queries["kernel"] == 15 + 1
 
 
 class TestOrderedTriplePath:
@@ -533,14 +661,7 @@ class TestDeltaContext:
     def test_scan_skips_players_on_a_found_cycle(self, monkeypatch):
         # one kernel query per player that no earlier cycle passes
         # through, and none for a context once the scan has run
-        queries = Counter()
-        real = couples_module._Union._query
-
-        def counted(self, *args):
-            queries["kernel"] += 1
-            return real(self, *args)
-
-        monkeypatch.setattr(couples_module._Union, "_query", counted)
+        queries = count_queries(monkeypatch)
         cg = normalize(gen_random(40, 2, 1.5 / 40, 1))
         assert (cg.num_players, len(cg.cycle_free)) == (20, 13)
         assert queries["kernel"] == 16
