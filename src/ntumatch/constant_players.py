@@ -7,9 +7,9 @@ vector is unblocked.
 
 The frontier walks the utility lattice one player at a time, bounding each
 coordinate from above and below by the union coverage ranks (the projection
-of a base polyhedron), so no branch is a dead end; the verdicts for the
-maximal vectors share one block search, with its coalition levels, matching
-numbers and blocking answers.
+of a base polyhedron), all read off one Gallai–Edmonds decomposition, so no
+branch is a dead end; the verdicts for the maximal vectors share one block
+search, with its coalition levels, matching numbers and blocking answers.
 """
 
 from __future__ import annotations
@@ -57,9 +57,11 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
     whose highest player is i against ``load[mask]``, the prefix's sum over
     ``mask``, which one slice per child extends.  Exact bounds leave no dead
     end, force the last coordinate to ``2ν`` minus the prefix sum, and let
-    ascending coordinates emit the vectors in order.  Every prefix the walk
-    visits counts against ``budget``; the player guard bounds the 2^m rank
-    table.
+    ascending coordinates emit the vectors in order.  The 2^m ranks come
+    from :func:`~ntumatch.matroids._union_ranks`, which reads them off one
+    Gallai–Edmonds decomposition of the graph instead of searching per
+    union.  Every prefix the walk visits counts against ``budget``; the
+    player guard bounds the rank table.
     """
     m = inst.num_players
     if m > ENUMERATION_PLAYER_GUARD:

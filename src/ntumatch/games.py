@@ -188,9 +188,11 @@ class _BlockSearch:
         if kind not in BLOCK_KIND:
             raise InputError("kind must be 'weak' or 'strong'")
         if inst.num_players > ENUMERATION_PLAYER_GUARD:
+            # the couples solver takes no class of three or more vertices
+            hint = "; use the couples solver" if all(len(p) <= 2 for p in inst.players) else ""
             raise ResourceLimitError(
                 f"{inst.num_players} players exceeds the enumeration guard "
-                f"({ENUMERATION_PLAYER_GUARD}); use the couples solver"
+                f"({ENUMERATION_PLAYER_GUARD}){hint}"
             )
         self.inst = inst
         self.budget, self.visited = budget, 0

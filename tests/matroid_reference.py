@@ -5,7 +5,10 @@ independence oracles, the matching matroid (a vertex set is independent
 when some matching covers it), and the partition-matroid duality test of
 coverage quotas.  The library decides coverage quotas with one greedy
 coverage search on padded adjacency rows instead; these stay here as
-independent algorithms that tests compare it against.
+independent algorithms that tests compare it against.  The union-rank
+table by augmenting searches, depth first over the masks, is the
+reference for the one the library reads off a Gallai–Edmonds
+decomposition.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import deque
 from typing import Callable, Iterable, Optional
 
 from ntumatch.errors import InputError, InvariantError
-from ntumatch.graphs import Graph, coverage_rank
+from ntumatch.graphs import Graph, _augment, _Labels, _max_match, coverage_rank
 from ntumatch.matroids import PartitionQuota, _union_ranks
 
 
@@ -34,6 +37,45 @@ def quota_feasible(g: Graph, pq: PartitionQuota) -> bool:
         sum(q for i, q in enumerate(pq.quotas) if mask >> i & 1) <= rank
         for mask, rank in enumerate(_union_ranks(g, pq.groups))
     )
+
+
+def union_ranks_by_search(g: Graph, groups: tuple[frozenset[int], ...]) -> list[int]:
+    """Coverage rank of every union of groups, indexed by bitmask.
+
+    The greedy of :func:`~ntumatch.graphs.coverage_rank`, depth first over
+    the masks: a vertex outside the union has a pendant ``n + v``, and a
+    mask searches only from the joining group's exposed vertices, starting
+    from the match array its parent's subtree left (a basis of ``y``
+    extends greedily to one of ``y ∪ V_j``).  That array covers a basis of
+    the parent's union, as augmenting paths end at pendants and uncover no
+    vertex of a union; only the pendant rows are restored on the way back.
+    """
+    n = g.n
+    bad = [v for grp in groups for v in grp if not 0 <= v < n]
+    if bad:
+        raise InputError(f"vertex {bad[0]} out of range")
+    padded = [row + (n + v,) for v, row in enumerate(g.adj)] + [(v,) for v in range(n)]
+    adj = list(padded)
+    match = list(_max_match(g)) + [-1] * n
+    labels = _Labels(2 * n)
+    rows = [sorted(grp) for grp in groups]
+    ranks = [0] * (1 << len(groups))
+
+    def grow(mask: int, low: int) -> None:
+        for j in range(low, len(rows)):
+            child = mask | 1 << j
+            ranks[child] = ranks[mask] + len(rows[j])
+            for v in rows[j]:
+                adj[v] = g.adj[v]
+                if match[v] == n + v:
+                    match[v] = match[n + v] = -1
+            ranks[child] -= _augment(adj, match, rows[j], labels)
+            grow(child, j + 1)
+            for v in rows[j]:
+                adj[v] = padded[v]
+
+    grow(0, 0)
+    return ranks
 
 
 class MatchingMatroid:

@@ -264,8 +264,14 @@ class TestMembership:
     def test_guard(self):
         inst = gen_random(42, 2, 0.1, seed=1)
         m = Matching()
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match=r"guard \(20\); use the couples solver$"):
             core_membership_by_enumeration(inst, m, "weak")
+
+    def test_guard_suggests_couples_only_for_classes_of_at_most_two(self):
+        # 21 players, one of three vertices, which the couples solver refuses
+        inst = Instance(Graph(23), (frozenset({0, 1, 2}), *(frozenset({v}) for v in range(3, 23))))
+        with pytest.raises(ResourceLimitError, match=r"guard \(20\)$"):
+            core_membership_by_enumeration(inst, Matching(), "weak")
 
     def test_budget_counts_visited_coalitions(self):
         gen = gen_example1()

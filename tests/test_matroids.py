@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import pytest
@@ -6,15 +7,36 @@ from ntumatch import (
     Graph,
     InputError,
     PartitionQuota,
+    X3CInstance,
+    attach_special_edge,
     coverage_rank,
+    gen_3sat_weak_emptiness,
+    gen_example1,
+    gen_random,
+    gen_x3c_strong,
+    gen_x3c_weak,
     matching_with_lower_bounds,
 )
 from ntumatch.exhaustive import all_matchings
-from ntumatch.matroids import _quota_matching, _union_ranks
+from ntumatch.matroids import _odd_components, _quota_matching, _union_ranks
 
 from conftest import path_graph, random_graph
-from exhaustive_reference import coverable_sets_brute, induced_subgraph
-from matroid_reference import MatchingMatroid, matroid_intersection_max, quota_feasible
+from exhaustive_reference import coverable_sets_brute, gallai_edmonds, induced_subgraph
+from matroid_reference import (
+    MatchingMatroid,
+    matroid_intersection_max,
+    quota_feasible,
+    union_ranks_by_search,
+)
+
+
+def random_groups(rng, n, k_max):
+    """Disjoint groups cut from a random sample of ``0..n-1``; the rest of
+    the vertices stay ungrouped."""
+    verts = rng.sample(range(n), rng.randint(1, n))
+    k = rng.randint(1, min(k_max, len(verts)))
+    cuts = sorted(rng.sample(range(1, len(verts)), k - 1))
+    return tuple(frozenset(verts[a:b]) for a, b in zip([0, *cuts], [*cuts, len(verts)]))
 
 
 def partition_indep(groups, quotas):
@@ -250,21 +272,101 @@ class TestLowerBounds:
         for _ in range(200):
             n = rng.randint(1, 16)
             g = random_graph(rng, n, rng.choice([0.1, 0.25, 0.5]))
-            verts = rng.sample(range(n), rng.randint(1, n))
-            k = rng.randint(1, min(6, len(verts)))
-            cuts = sorted(rng.sample(range(1, len(verts)), k - 1))
-            groups = tuple(
-                frozenset(verts[a:b]) for a, b in zip([0, *cuts], [*cuts, len(verts)])
-            )
+            groups = random_groups(rng, n, 6)
             ranks = _union_ranks(g, groups)
             for mask, rank in enumerate(ranks):
                 union = frozenset().union(
                     *(grp for i, grp in enumerate(groups) if mask >> i & 1)
                 )
                 assert rank == coverage_rank(g, union)
-            ungrouped += len(verts) < n
+            ungrouped += sum(map(len, groups)) < n
         assert ungrouped
 
     def test_union_ranks_reject_out_of_range_vertices(self):
         with pytest.raises(InputError, match="vertex 2 out of range"):
             _union_ranks(Graph(2, [(0, 1)]), (frozenset({0}), frozenset({2})))
+
+
+class TestUnionRanksByDecomposition:
+    def test_equal_to_search_reference_on_random_graphs(self, rng):
+        kinds = {"edgeless": 0, "perfect": 0, "ungrouped in a component": 0}
+        for i in range(2400):
+            n = rng.randint(1, 18)
+            if i % 4 == 0:
+                g = Graph(n)
+            elif i % 4 == 1:
+                # a perfect matching on a random pairing: D is empty, so
+                # every rank is the plain size of the union
+                n += n % 2
+                order = rng.sample(range(n), n)
+                extra = random_graph(rng, n, rng.choice([0.1, 0.3])).edges
+                g = Graph(n, [*zip(order[::2], order[1::2]), *extra])
+            else:
+                g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6]))
+            groups = random_groups(rng, n, 7)
+            assert _union_ranks(g, groups) == union_ranks_by_search(g, groups)
+            comps = _odd_components(g)
+            grouped = frozenset().union(*groups)
+            kinds["edgeless"] += not g.edges and n > 1
+            kinds["perfect"] += not comps
+            kinds["ungrouped in a component"] += any(
+                len(members) > 1 and not grouped >= set(members) for members, _ in comps
+            )
+        assert min(kinds.values()) >= 200, kinds
+
+    def test_equal_to_search_reference_on_gadgets(self):
+        e1 = gen_example1()
+        yes = X3CInstance(6, ((1, 2, 3), (2, 3, 4), (4, 5, 6)))
+        no = X3CInstance(6, ((1, 2, 3), (2, 5, 6), (3, 4, 5)))
+        insts = [
+            e1.instance,
+            attach_special_edge(e1.instance, e1.name_map["a1"], e1.name_map["b1"]).instance,
+            *(gen_3sat_weak_emptiness([c]).instance for c in ((1, 2, 3), (1, -2, 3), (1, 1, 2))),
+            *(gen(x).instance for gen in (gen_x3c_weak, gen_x3c_strong) for x in (yes, no)),
+        ]
+        for inst in insts:
+            assert _union_ranks(inst.graph, inst.players) == union_ranks_by_search(
+                inst.graph, inst.players
+            )
+
+    @pytest.mark.parametrize(
+        "n, k, seed", [(400, 13, 1), (400, 14, 2), (800, 13, 3), (800, 14, 4)]
+    )
+    def test_equal_to_search_reference_at_scale(self, n, k, seed):
+        # k players of n // k vertices and one of the rest, average degree 2.4
+        inst = gen_random(n, n // k, 2.4 / n, seed)
+        assert _union_ranks(inst.graph, inst.players) == union_ranks_by_search(
+            inst.graph, inst.players
+        )
+
+    def test_odd_components_are_the_gallai_edmonds_decomposition(self, rng):
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(1, 16), rng.choice([0.1, 0.2, 0.35, 0.6]))
+            ge = gallai_edmonds(g)
+            comps = _odd_components(g)
+            assert tuple(frozenset(m) for m, _ in comps) == ge.odd_components
+            for members, cut in comps:
+                assert members == sorted(members)
+                assert cut == sorted({w for v in members for w in g.adj[v]} - set(members))
+            assert frozenset().union(*(cut for _, cut in comps)) == ge.cut_set
+
+    def test_long_augmenting_chain_runs_without_recursion(self):
+        # the path c0 a1 c1 a2 ... ct a(t+1) c(t+1): the c's are the odd
+        # components and the a's the cut set.  c1..ct take a1..at first, so
+        # c0 reaches the free a(t+1) only through all of them
+        t = 3000
+        g = path_graph(2 * t + 3)
+        groups = (frozenset(range(2, 2 * t + 1, 2)), frozenset({0}), frozenset({2 * t + 2}))
+        assert len(_odd_components(g)) == t + 2
+        want = union_ranks_by_search(g, groups)
+        assert want == [0, t, 1, t + 1, 1, t + 1, 2, t + 1]
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            got = _union_ranks(Graph(g.n, g.edges), groups)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == want
