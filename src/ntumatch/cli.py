@@ -2,8 +2,10 @@
 
 Exit codes: 0 = in core / core non-empty (result written), 1 = blocked /
 core empty (certificate written for verify), 2 = usage or format error,
-3 = method inapplicable or a resource cap was exceeded, 4 = internal
-fault (a broken invariant or the recursion limit; never a verdict).
+or an input file that cannot be read or an output file that cannot be
+written, 3 = method inapplicable or a resource cap was exceeded, 4 =
+internal fault (a broken invariant or the recursion limit; never a
+verdict).
 Result JSON goes to stdout (and ``--out`` when given); diagnostics go to
 stderr as a single ``error: <reason>`` line.
 
@@ -47,11 +49,20 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    sys.stdout.write(text)
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    """``text`` to ``out``, when given, then to stdout: an unwritable
+    ``out`` exits 2 with nothing on stdout."""
+    if out:
+        _write(out, text)
+    sys.stdout.write(text)
 
 
 def _choose_method(inst: Instance, requested: str) -> str:
@@ -133,11 +144,9 @@ def _gen(args) -> int:
     if args.matching_out:
         if gen.matching is None:
             raise InputError(f"generator {args.kind} does not produce a matching")
-        with open(args.matching_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(serialize.matching_to_json(gen.matching))
+        _write(args.matching_out, serialize.matching_to_json(gen.matching))
     if args.map_out:
-        with open(args.map_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(serialize.name_map_to_json(gen.name_map))
+        _write(args.map_out, serialize.name_map_to_json(gen.name_map))
     return 0
 
 

@@ -104,31 +104,30 @@ def normalize(inst: Instance) -> CouplesGame:
 
     Players of size three or more are out of this solver's scope.
     """
+    g = inst.graph
+    n = g.n
+    pairs: list[tuple[int, int]] = []
+    padded: list[int] = []
     for i, p in enumerate(inst.players):
-        if len(p) > 2:
+        if len(p) == 2:
+            u, v = p
+            pairs.append((u, v) if u < v else (v, u))
+        elif len(p) == 1:
+            pairs.append((*p, n))  # the fresh vertex is the largest id
+            padded.append(n)
+            n += 1
+        else:
             raise InputError(
                 f"player {i} has {len(p)} vertices; the couples solver needs "
                 "sizes at most 2 (use the enumeration or oracle paths)"
             )
-    n = inst.graph.n
-    players: list[frozenset[int]] = []
-    padded: list[int] = []
-    for p in inst.players:
-        if len(p) == 2:
-            players.append(p)
-        else:
-            players.append(p | {n})
-            padded.append(n)
-            n += 1
     if padded:
-        graph = Graph(n, inst.graph.edges)
-        padded_inst = Instance(graph, tuple(players))
+        # the same edges on more vertices: the checked parts carry over
+        graph = Graph._trusted(n, g.edges, g.adj + ((),) * len(padded), g.edge_set)
+        players = tuple(p if len(p) == 2 else frozenset(e) for p, e in zip(inst.players, pairs))
+        padded_inst = Instance._trusted(graph, players)
     else:
         padded_inst = inst
-    pairs = []
-    for p in padded_inst.players:
-        u, v = sorted(p)
-        pairs.append((u, v))
     return CouplesGame(
         inst=padded_inst,
         original=inst,
@@ -184,15 +183,14 @@ class _Union:
     @classmethod
     def of_game(cls, cg: "CouplesGame") -> "_Union":
         g = cg.inst.graph
-        rows = [list(r) for r in g.adj]
+        adj = list(g.adj)
         base = [-1] * g.n
         for u, v in cg.pairs:
             base[u], base[v] = v, u
-            if (u, v) not in g.edge_set:
-                rows[u].append(v)
-                rows[v].append(u)
-        adj = tuple(tuple(sorted(r)) for r in rows)
-        return cls(cg, adj, tuple(base), frozenset(), (), [])
+            if (u, v) not in g.edge_set:  # only these rows gain an entry
+                adj[u] = tuple(sorted((*adj[u], v)))
+                adj[v] = tuple(sorted((*adj[v], u)))
+        return cls(cg, tuple(adj), tuple(base), frozenset(), (), [])
 
     def without(self, verts) -> "_Union":
         """The same union with ``verts`` deleted too, as a query deletes
@@ -918,37 +916,45 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
     kset = cg.cycle_free
     korder = sorted(kset)
     ctxs = {b: _delta_context(cg, b) for b in korder}
-    # where[b][p] == _component(cg, ctxs[b], p)
-    where = {
-        b: {p: _component(cg, ctx, p) for p in korder if p != b} for b, ctx in ctxs.items()
-    }
-    isolated = frozenset(
-        p for p in korder if all(j is None for j in where[p].values())
-    )
+    # where[b][p] == _component(cg, ctxs[b], p) for every cycle-free p != b
+    # whose component is not None, in ascending p.  Such a p has a vertex
+    # t in one of b's components, so one pass over those vertices finds
+    # them all: p's edge holds t's component or enters it at t.  b's own
+    # vertices lie in the two distinct free components, so b is never one.
+    partner, player_of = cg.partner, cg.player_of
+    where: dict[int, dict[int, int]] = {}
+    for b, ctx in ctxs.items():
+        comp_of, entry = ctx.comp_of, ctx.entry
+        row = {}
+        for t, j in comp_of.items():
+            s = partner[t]
+            if comp_of.get(s) == j or entry.get(j) == (s, t):
+                row[player_of[t]] = j
+        where[b] = {p: row[p] for p in sorted(kset.intersection(row))}
+    isolated = frozenset(p for p in korder if not where[p])
     closed: set[int] = set()
     for b in korder:
         top = ctxs[b].top  # a...b...c exists iff a and c have different tops
         groups: dict[int, list[int]] = {}
         for p, j in where[b].items():
-            if j is not None and top[j] != -1:
+            if top[j] != -1:
                 groups.setdefault(top[j], []).append(p)
         if all(
-            _delta_path_decide(cg, ctxs[a], a, b, where[a][b], where[a][c])
-            or _delta_path_decide(cg, ctxs[c], c, b, where[c][b], where[c][a])
+            _delta_path_decide(cg, ctxs[a], a, b, where[a].get(b), where[a].get(c))
+            or _delta_path_decide(cg, ctxs[c], c, b, where[c].get(b), where[c].get(a))
             for group, other in combinations(groups.values(), 2)
             for a in group
             for c in other
         ):
             closed.add(b)
     pair_edges: set[tuple[int, int]] = set()
-    order = sorted(closed)
-    for k, x in enumerate(order):
+    for x in sorted(closed):
         # of the side components x's cycle-free partners hold or enter,
         # only those _delta_path_decide does not reject at once: for y in
         # a free component, those whose entry x's far vertex reaches; for
         # y in a side component, those under another top
         ctx = ctxs[x]
-        sides = sorted({j for j in where[x].values() if j is not None} - set(ctx.free))
+        sides = sorted(set(where[x].values()) - set(ctx.free))
         far = {  # the far vertex of the free component of x's u is x's v
             i: [j for j in sides if ctx.entry[j][1] in ctx.reach[f]]
             for i, f in zip(ctx.free, reversed(cg.pairs[x]))
@@ -957,9 +963,8 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
         for j in sides:
             if ctx.top[j] != -1:
                 groups.setdefault(ctx.top[j], []).append(j)
-        for y in order[k + 1 :]:
-            i = where[x][y]
-            if i is None or (i not in far and ctx.top[i] == -1):
+        for y, i in where[x].items():
+            if y < x or y not in closed or (i not in far and ctx.top[i] == -1):
                 continue
             tries = far[i] if i in far else chain.from_iterable(
                 js for t, js in groups.items() if t != ctx.top[i]

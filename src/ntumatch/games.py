@@ -50,6 +50,19 @@ class Instance:
         if seen != set(range(self.graph.n)):
             raise InputError("players must partition the vertex set")
 
+    @classmethod
+    def _trusted(cls, graph: Graph, players: tuple, player_of=None) -> "Instance":
+        """The instance the public constructor would build from checked
+        parts: ``players`` a tuple of non-empty frozensets that partition
+        ``0..graph.n-1``, and ``player_of``, when given, the table
+        :attr:`player_of` would build.  Nothing is checked."""
+        inst = cls.__new__(cls)
+        object.__setattr__(inst, "graph", graph)
+        object.__setattr__(inst, "players", players)
+        if player_of is not None:
+            inst.__dict__["player_of"] = player_of
+        return inst
+
     @cached_property
     def player_of(self) -> dict[int, int]:
         d: dict[int, int] = {}

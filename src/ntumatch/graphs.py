@@ -3,7 +3,9 @@
 Vertices are dense ids ``0..n-1`` throughout.  The matching engine is an
 augmenting-path search with blossom contraction; vertices are scanned in
 ascending id order and adjacency lists are sorted, so every result is
-deterministic and reproducible.
+deterministic and reproducible.  The augmenting loop matches a root to an
+exposed neighbour without a search when it has one, with the result the
+search would give.
 
 All values are immutable after construction and safe to share across
 threads.  The module keeps no global state: a graph's maximum matching
@@ -71,6 +73,22 @@ class Graph:
         self.adj = tuple(map(tuple, adj))
         self._hash = hash((n, self.edges))
         self._match: Optional[tuple[int, ...]] = None
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple, adj: tuple, edge_set=None) -> "Graph":
+        """The graph the public constructor would build, from parts its
+        caller has checked and built: ``edges`` distinct in-range pairs,
+        smaller endpoint first, strictly ascending, as a tuple of tuples;
+        ``adj`` their rows, each a sorted tuple; ``edge_set`` their
+        frozenset, made here when not given.  Nothing is checked."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.edges = edges
+        g.edge_set = frozenset(edges) if edge_set is None else edge_set
+        g.adj = adj
+        g._hash = hash((n, edges))
+        g._match = None
+        return g
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge((u, v)) in self.edge_set
@@ -295,12 +313,30 @@ def max_matching(g: Graph, seed_matching: Optional[Matching] = None) -> Matching
 def _augment(adj, match, roots, labels: _Labels, stop: bool = False) -> int:
     """One augmenting search from each of ``roots``, in order, still exposed
     when its turn comes; returns how many failed, stopping at the first
-    failure when ``stop`` is set."""
+    failure when ``stop`` is set.
+
+    A root with an exposed neighbour is matched to the first one in its
+    row, and a root with an empty row fails, both without a search.  The
+    search would do the same: it scans the root's row first and augments
+    at the first exposed neighbour it meets, since no blossom formed in
+    that row relabels an exposed vertex.
+    """
     failed = 0
     for root in roots:
-        if match[root] == -1:
-            failed += not _blossom_search(adj, match, root, labels, augment=True)
-            labels.clear()
+        if match[root] != -1:
+            continue
+        row = adj[root]
+        for w in row:
+            if match[w] == -1:
+                match[root] = w
+                match[w] = root
+                break
+        else:
+            if row:
+                failed += not _blossom_search(adj, match, root, labels, augment=True)
+                labels.clear()
+            else:
+                failed += 1
             if stop and failed:
                 break
     return failed

@@ -3,7 +3,14 @@ the parsers of the reductions' exact-cover and clause inputs.
 
 All arrays are sorted ascending and every edge is written smaller-endpoint
 first, so serializing the same value always produces identical bytes
-(UTF-8, LF line endings).
+(UTF-8, LF line endings).  The writers lay out ``json.dumps(obj,
+indent=2)`` directly.
+
+A canonical instance, as the writer produces it, is checked in one pass
+per array that also builds what the trusted constructors take
+(``Graph._trusted``, ``Instance._trusted``).  Any other input goes
+through the public constructors, which check everything again and give
+every error message.
 """
 
 from __future__ import annotations
@@ -21,8 +28,37 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _edge_list(edges) -> list[list[int]]:
-    return [[u, v] for u, v in sorted(edges)]
+# The writers below lay out ``json.dumps(obj, indent=2) + "\n"`` directly
+# (the stdlib's indenting encoder is pure Python) for the one shape the
+# canonical formats use: an object whose values are integers, strings,
+# arrays of integers and arrays of integer arrays.
+_PAIR = "    [\n      %d,\n      %d\n    ]"
+
+
+def _ints(xs) -> str:
+    """An array of integers as a value of the top-level object."""
+    return "[\n    " + ",\n    ".join(map(str, xs)) + "\n  ]" if xs else "[]"
+
+
+def _pairs(edges) -> str:
+    """An array of integer pairs (tuples) as a value of the top-level
+    object."""
+    return "[\n" + ",\n".join(map(_PAIR.__mod__, edges)) + "\n  ]" if edges else "[]"
+
+
+def _rows(rows) -> str:
+    """An array of non-empty integer arrays as a value of the top-level
+    object."""
+    if not rows:
+        return "[]"
+    inner = ("    [\n      " + ",\n      ".join(map(str, r)) + "\n    ]" for r in rows)
+    return "[\n" + ",\n".join(inner) + "\n  ]"
+
+
+def _object(**values: str) -> str:
+    """The top-level object of already-written values, with the final
+    newline."""
+    return "{\n" + ",\n".join(f'  "{k}": {v}' for k, v in values.items()) + "\n}\n"
 
 
 def _is_int(x) -> bool:
@@ -65,17 +101,65 @@ def _parse_edges(raw, key: str, item: str) -> list[list[int]]:
 
 
 def instance_to_json(inst: Instance) -> str:
-    return _dump(
-        {
-            "n": inst.graph.n,
-            "edges": _edge_list(inst.graph.edges),
-            "players": sorted(sorted(p) for p in inst.players),
-        }
+    return _object(
+        n=str(inst.graph.n),
+        edges=_pairs(inst.graph.edges),
+        players=_rows(sorted(sorted(p) for p in inst.players)),
     )
+
+
+def _canonical_instance(n, raw_edges, raw_players) -> Optional[Instance]:
+    """The instance, through the trusted constructors, when the input is
+    valid and canonical: players of JSON integers that partition
+    ``0..n-1``, and edges strictly ascending, each smaller endpoint first.
+    None for any other input, which the checked path then reads and, if it
+    is invalid, rejects with its messages.
+
+    One pass over the players checks them and builds the vertex-to-player
+    table; one pass over the edges checks them and builds the adjacency
+    rows, which come out sorted because the edges are.  Nothing of size
+    ``n`` is made before ``n`` is known to be the players' vertex count.
+    """
+    if type(n) is not int or type(raw_edges) is not list:
+        return None
+    if type(raw_players) is not list or not raw_players:
+        return None
+    player_of: dict[int, int] = {}
+    listed = 0
+    for i, p in enumerate(raw_players):
+        if type(p) is not list or not p:
+            return None
+        listed += len(p)
+        for v in p:
+            if type(v) is not int:
+                return None
+            player_of[v] = i
+    # n listed ids, n distinct ones, all in 0..n-1: a partition
+    if listed != n or len(player_of) != n or min(player_of) < 0 or max(player_of) >= n:
+        return None
+    rows: list[list[int]] = [[] for _ in range(n)]
+    last = -1
+    try:
+        for u, v in raw_edges:
+            if type(u) is not int or type(v) is not int or not 0 <= u < v < n:
+                return None
+            key = u * n + v  # ascending in (u, v)
+            if key <= last:
+                return None
+            last = key
+            rows[u].append(v)
+            rows[v].append(u)
+    except (TypeError, ValueError):  # an edge that is no pair
+        return None
+    graph = Graph._trusted(n, tuple(map(tuple, raw_edges)), tuple(map(tuple, rows)))
+    return Instance._trusted(graph, tuple(map(frozenset, raw_players)), player_of)
 
 
 def instance_from_json(text: str) -> Instance:
     obj = _load(text, "instance")
+    inst = _canonical_instance(obj.get("n"), obj.get("edges"), obj.get("players"))
+    if inst is not None:
+        return inst
     if not _is_int(obj.get("n")):
         raise InputError("instance.n must be an integer")
     edges = _parse_edges(obj.get("edges"), "instance.edges", "instance edge")
@@ -105,7 +189,7 @@ def instance_from_json(text: str) -> Instance:
 
 
 def matching_to_json(m: Matching) -> str:
-    return _dump({"edges": _edge_list(m.edges)})
+    return _object(edges=_pairs(m.edges))
 
 
 def matching_from_json(text: str) -> Matching:
@@ -118,16 +202,14 @@ def certificate_to_json(
 ) -> str:
     """Verification outcome; ``kind`` names the core that was tested."""
     if cert is None:
-        return _dump(
-            {"verdict": "in_core", "kind": core_kind, "coalition": [], "witness": []}
-        )
-    return _dump(
-        {
-            "verdict": "blocked",
-            "kind": core_kind,
-            "coalition": sorted(cert.coalition),
-            "witness": _edge_list(cert.witness.edges),
-        }
+        verdict, coalition, witness = "in_core", (), ()
+    else:
+        verdict, coalition, witness = "blocked", sorted(cert.coalition), cert.witness.edges
+    return _object(
+        verdict=json.dumps(verdict),
+        kind=json.dumps(core_kind),
+        coalition=_ints(coalition),
+        witness=_pairs(witness),
     )
 
 

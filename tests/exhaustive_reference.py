@@ -3,8 +3,9 @@ structure tests.
 
 The graph helpers the library no longer calls live here as references:
 induced subgraphs, the perfect-matching test, alternating reach from one
-root, the cut set and odd components of a deficient part, and the
-Gallai–Edmonds decomposition.
+root, the cut set and odd components of a deficient part, the
+Gallai–Edmonds decomposition, and the augmenting loop that runs a blossom
+search from every exposed root, with no greedy first step.
 Alternating reach, coverable sets, connected coalitions, alternating-path
 triples and delta structures, each by enumerating matchings, subsets or
 simple alternating paths (explicit stacks, no recursion), independent of
@@ -38,6 +39,20 @@ from ntumatch.graphs import (
     max_matching,
 )
 from ntumatch.matroids import _union_ranks
+
+
+def augment_by_search(adj, match, roots, labels: _Labels, stop: bool = False) -> int:
+    """``graphs._augment`` as one augmenting search from each of ``roots``
+    still exposed when its turn comes, with no greedy step; returns how
+    many failed, stopping at the first failure when ``stop`` is set."""
+    failed = 0
+    for root in roots:
+        if match[root] == -1:
+            failed += not _blossom_search(adj, match, root, labels, augment=True)
+            labels.clear()
+            if stop and failed:
+                break
+    return failed
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

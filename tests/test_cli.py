@@ -639,6 +639,31 @@ class TestCli:
         assert captured.err.startswith("error: resource:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--out", "--matching-out", "--map-out"])
+    def test_gen_unwritable_output_exit_2(self, tmp_path, capsys, flag):
+        bad = str(tmp_path / "missing" / "x.json")
+        assert main(["gen", "example1", flag, bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: input: cannot write {bad}: ")
+        assert captured.err.count("\n") == 1
+        if flag == "--out":
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        inst, mat = tmp_path / "inst.json", tmp_path / "m.json"
+        main(["gen", "random", "--n", "8", "--seed", "3", "--out", str(inst)])
+        main(["solve", "--core", "weak", "--instance", str(inst), "--out", str(mat)])
+        capsys.readouterr()
+        bad = str(tmp_path / "missing" / "out.json")
+        argv = [command, "--core", "weak", "--instance", str(inst), "--out", bad]
+        if command == "verify":
+            argv += ["--matching", str(mat)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: input: cannot write {bad}: ")
+
     def test_boolean_ids_exit_2(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         inst.write_text('{"n": 2, "edges": [[0, true]], "players": [[0, 1]]}')

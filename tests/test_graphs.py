@@ -30,6 +30,7 @@ from ntumatch.graphs import (
 from conftest import cycle_graph, path_graph, random_graph, random_matching
 from exhaustive_reference import (
     alternating_reach,
+    augment_by_search,
     coverable_sets_brute,
     even_reach_brute,
     gallai_edmonds,
@@ -439,6 +440,34 @@ class TestAugment:
         match = [1, 0, -1, -1, -1]
         assert _augment(g.adj, match, [3, 4, 0], _Labels(g.n)) == 0
         assert match == [1, 0, -1, 4, 3]
+
+    @pytest.mark.parametrize("stop", [False, True])
+    def test_greedy_step_matches_search_only_loop(self, stop):
+        rng = random.Random(2718 + stop)
+        greedy = 0
+        for _ in range(400):
+            n = rng.randint(1, 16)
+            g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.6]))
+            seed = _match_array(n, random_matching(rng, g, rng.random()))
+            roots = rng.sample(range(n), rng.randint(0, n))
+            fast, slow = list(seed), list(seed)
+            failed = _augment(g.adj, fast, roots, _Labels(n), stop)
+            assert failed == augment_by_search(g.adj, slow, roots, _Labels(n), stop)
+            assert fast == slow
+            greedy += any(seed[r] == -1 and -1 in map(seed.__getitem__, g.adj[r]) for r in roots)
+        assert greedy > 100  # the sweep exercises the greedy step
+
+    def test_greedy_step_and_empty_row_run_no_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(ntumatch.graphs, "_blossom_search", no_search)
+        # 4 has no edge; 0 takes 2, the first of its exposed neighbours,
+        # and 1 takes 3, its one neighbour left exposed
+        g = Graph(5, [(0, 2), (0, 3), (1, 3)])
+        match = [-1] * 5
+        assert _augment(g.adj, match, [4, 0, 1], _Labels(g.n)) == 1
+        assert match == [2, 3, 0, 1, -1]
 
 
 def coverage_sweep():
