@@ -91,7 +91,7 @@ def _verify(args) -> int:
     else:
         result = exhaustive.oracle_core(inst, args.core, cap=args.budget)
         u = utility(inst, m)
-        hit = result.blocked.get(u)
+        hit = result.blocking(u)
         if hit is not None:
             cert = BlockCertificate(hit[0], result.realize(hit[1]), BLOCK_KIND[args.core])
             cert.validate(inst, u)

@@ -7,17 +7,15 @@ enumerator recurses, so none depends on Python's recursion limit.
 
 Matchings are enumerated by iterative include/exclude walks; ``Matching``
 objects are built only where a caller asks for one.  The core oracle walks
-the whole graph's matchings once, coding each utility vector as an integer,
-and ``cap`` counts every matching of that walk.  Coalition C's table is the
-maxima of the vectors touching exactly C and of every C - {i}'s table.  The
-oracle decides on vectors and builds a matching only in ``OracleCoreResult.realize``.
+the whole graph's matchings once, ``cap`` counting each, and codes their
+utility vectors as integers; :class:`OracleCoreResult` scans those vectors
+over the groups that touch the same players, in coalition order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from operator import ge, gt, itemgetter
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import InputError, ResourceLimitError
@@ -90,33 +88,19 @@ def count_matchings(g: Graph, cap: int = DEFAULT_BUDGET) -> int:
 # cores by definition
 
 
-def _pareto_maximal(vectors) -> list[tuple[int, ...]]:
-    """Pareto-maximal members of a set of equal-length vectors, ascending.
-
-    A vector can only be dominated by one that is lexicographically
-    larger, and then by a maximal one; so in descending order each vector
-    is checked against the maxima found so far.
+def _first_by_code(inst, cap: int) -> tuple[int, dict]:
+    """The single pass: the codes' field width, and code -> ``(j, parent)``
+    cells of the first matching in ``all_matchings`` order with that
+    vector.  The walk of :func:`_matching_cells`, inline; a frame's vector
+    is an integer in which player ``i``'s count fills a ``width``-bit
+    field, player 0 most significant, whose top bit (guard) it never
+    reaches, so integer order is tuple order.
     """
-    maxima: list[tuple[int, ...]] = []
-    for v in sorted(vectors, reverse=True):
-        if not any(all(map(ge, w, v)) for w in maxima):
-            maxima.append(v)
-    maxima.reverse()
-    return maxima
-
-
-def _first_by_vector(inst, cap: int) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
-    """The single pass: vector -> (touched-player bitmask, chosen edge
-    indices of the first matching in ``all_matchings`` order with it).
-
-    The walk of :func:`_matching_cells`, inline: a frame also holds its
-    vector as an integer whose base-(largest player size + 1) digit ``i``
-    counts player ``i``'s matched vertices.
-    """
-    base = max(map(len, inst.players), default=0) + 1
-    powers = [base**i for i in range(len(inst.players))]
+    m = len(inst.players)
+    width = max(map(len, inst.players), default=0).bit_length() + 1
+    unit = [1 << (m - 1 - i) * width for i in range(m)]
     player_of, edges = inst.player_of, inst.graph.edges
-    ecode = [powers[player_of[u]] + powers[player_of[v]] for u, v in edges]
+    ecode = [unit[player_of[u]] + unit[player_of[v]] for u, v in edges]
     disjoint = _disjoint(edges)
     stack = [((1 << len(edges)) - 1, 0, None)]
     pop, push = stack.pop, stack.append
@@ -134,98 +118,139 @@ def _first_by_vector(inst, cap: int) -> dict[tuple[int, ...], tuple[int, tuple[i
             free ^= low
             j = low.bit_length() - 1
             push((free & disjoint[j], code + ecode[j], (j, chosen)))
-    first = {}
-    for code, chosen in chosen_by_code.items():
-        vec = tuple([code // pw % base for pw in powers])
-        first[vec] = (sum([1 << i for i, k in enumerate(vec) if k]), _chosen(chosen))
-    return first
+    return width, chosen_by_code
 
 
-def _coalition_maxima(first: dict, m_players: int) -> Iterator[tuple[tuple[int, ...], list]]:
-    """``(coalition, its Pareto-maximal vectors)`` per coalition, smallest
-    coalitions first, then lexicographically; each maximal vector is
-    projected onto the coalition (ascending) and paired with the full
-    utility vector it projects from.
+def _maxima(codes, guards: int) -> list[int]:
+    """Pareto-maximal members of a set of vector codes, ascending.
 
-    A matching lies in the coalition's induced subgraph iff the players it
-    touches are a subset of the coalition; its vector is zero outside, so
-    projecting keeps dominance and order.  One touching less than C lies
-    under some C - {i}, so max(C) is the maxima of every max(C - {i}) and
-    of the vectors touching exactly C; only one size's tables are kept.
+    ``w`` dominates ``v`` iff ``((w | guards) - v) & guards == guards``: a
+    field computes guard + w_i - v_i, which keeps its guard bit iff w_i >=
+    v_i and borrows from no other field.  Only a larger code, and then a
+    maximal one, can dominate, so codes are checked in descending order.
     """
-    own: dict[int, list] = {}
-    for vec, (touched, _) in first.items():
-        own.setdefault(touched, []).append(vec)
-    prev = {0: own.get(0, [])}
-    for size in range(1, m_players + 1):
-        level = {}
-        for coalition in combinations(range(m_players), size):
-            cmask = sum(1 << i for i in coalition)
-            found = set(own.get(cmask, ())).union(*[prev[cmask ^ 1 << i] for i in coalition])
-            level[cmask] = maximal = _pareto_maximal(found)
-            yield coalition, [(tuple(vec[i] for i in coalition), vec) for vec in maximal]
-        prev = level
+    out: list[int] = []
+    for v in sorted(codes, reverse=True):
+        if all(((w | guards) - v) & guards != guards for w in out):
+            out.append(v)
+    out.reverse()
+    return out
 
 
-def _witness(table: list, proj: tuple[int, ...], strong: bool) -> Optional[tuple[int, ...]]:
-    """Full vector of the first maximal vector in ``table`` that blocks the
-    projected utility ``proj``; strong blocks need every member strictly
-    better, weak ones need nobody worse and somebody better.
-
-    Comparing against maximal vectors only is exhaustive: any blocking
-    vector is dominated by a maximal one, which then blocks too.
-    """
-    for w, vec in table:
-        if strong:
-            if all(map(gt, w, proj)):
-                return vec
-        elif w != proj and all(map(ge, w, proj)):
-            return vec
-    return None
-
-
-def _blocked(maxima, vectors, strong: bool) -> dict:
-    """Utility vector -> (first coalition in ``maxima`` order that blocks
-    it, its witness vector), for every blocked vector.
-
-    Coalitions go in order over the vectors not blocked yet, and none is
-    built once every vector is blocked; vectors with the same projection
-    onto a coalition share its verdict.
-    """
-    hits: dict[tuple[int, ...], tuple] = {}
-    pending = list(vectors)
-    for coalition, table in maxima:
-        get = itemgetter(*coalition)
-        projs = list(map(get, pending)) if len(coalition) > 1 else [(get(u),) for u in pending]
-        verdict = {proj: _witness(table, proj, strong) for proj in set(projs)}
-        found = [verdict[proj] for proj in projs]
-        hits.update((u, (coalition, w)) for u, w in zip(pending, found) if w is not None)
-        pending = [u for u, w in zip(pending, found) if w is None]
-        if not pending:
-            break
-    return hits
-
-
-@dataclass(frozen=True)
 class OracleCoreResult:
-    """Definitional core computation on a small instance, on utility
-    vectors: membership only depends on the vector, so a matching is built
-    only when :meth:`realize` is asked for one."""
+    """Definitional core computation on a small instance, on vector codes
+    (see :func:`_first_by_code`): membership only depends on the vector,
+    so a matching is built only when :meth:`realize` asks for one.
 
-    kind: str  # which core was tested: "weak" or "strong"
-    in_core: tuple  # unblocked utility vectors, ascending
-    blocked: dict  # utility vector -> (coalition, witness vector)
-    _graph: Graph = field(repr=False, compare=False)
-    _first: dict = field(repr=False, compare=False)  # see _first_by_vector
+    A matching with vector ``w`` touches T(w), the players with a nonzero
+    field, and lies in coalition C's induced subgraph iff T(w) ⊆ C.
+
+    Fact 1: the first coalition in (size, lex) order that blocks ``u`` is
+    the first T(w) over achievable ``w`` with w > u on T(w) (strong
+    blocks), or w >= u on T(w) and w != u there (weak blocks), as such a
+    T(w) blocks ``u`` with ``w``.  If C blocks ``u`` strongly with ``w``,
+    every w_i > u_i >= 0 on C, so T(w) = C.  If weakly, w_i = 0 >= u_i on
+    C - T(w), so ``w`` differs from ``u`` only on T(w) ⊆ C, and T(w), no
+    later than C, blocks ``u`` with ``w``.
+    Fact 2: under weak blocks (the strong core) only Pareto-maximal
+    vectors can be unblocked, as the grand coalition blocks any other.
+
+    So a vector is scanned over the groups of codes by touched set, in
+    coalition order, up to its first block; a group blocks iff one of its
+    maxima does, and verdicts are kept per group and projection.  A strong
+    block compares with u + 1 on T, which fits each field.  A coalition's
+    table, its vectors' maxima, is built only for a witness.
+    """
+
+    def __init__(self, kind: str, graph: Optional[Graph], m: int, width: int, first: dict):
+        self.kind = kind  # which core was tested: "weak" or "strong"
+        self._graph, self._first, self._width = graph, first, width
+        self._strong = strong = BLOCK_KIND[kind] == "strong"
+        self._shifts = shifts = [(m - 1 - i) * width for i in range(m)]
+        ones = sum(1 << s for s in shifts)
+        self._guards = guards = ones << width - 1
+        groups: dict[int, list] = {}
+        for c in first:
+            groups.setdefault(((c | guards) - ones) & guards, []).append(c)
+        self._maxima = {t: _maxima(group, guards) for t, group in groups.items()}
+        members = {
+            t: tuple(i for i, s in enumerate(shifts) if t >> s + width - 1 & 1) for t in groups if t
+        }
+        # per touched set: players, ones, field mask, maxima, verdicts
+        self._scan = [
+            (members[t], t >> width - 1, (t >> width - 1) * ((1 << width) - 1), self._maxima[t], {})
+            for t in sorted(members, key=lambda t: (len(members[t]), members[t]))
+        ]
+        self._tables: dict[int, list] = {}
+        tried = first
+        if not strong:  # fact 2
+            tried = _maxima([w for ws in self._maxima.values() for w in ws], guards)
+        unblocked = sorted(u for u in tried if self._first_block(u) is None)
+        self.in_core = tuple(map(self._vector, unblocked))  # ascending
 
     @property
     def empty(self) -> bool:
         return not self.in_core
 
+    def _vector(self, code: int) -> tuple[int, ...]:
+        low = (1 << self._width) - 1
+        return tuple([code >> s & low for s in self._shifts])
+
+    def _code(self, vec) -> int:
+        """The code of ``vec``; a ``KeyError`` if no matching achieves it."""
+        code = sum(x << s for x, s in zip(vec, self._shifts))
+        if code not in self._first or self._vector(code) != tuple(vec):
+            raise KeyError(vec)
+        return code
+
+    def _first_block(self, u: int) -> Optional[int]:
+        """Index in the scan of the first coalition blocking ``u``, or None."""
+        guards, strong = self._guards, self._strong
+        for k, (_, ones, mask, maxima, memo) in enumerate(self._scan):
+            p = (u & mask) + ones if strong else u & mask
+            verdict = memo.get(p)
+            if verdict is None:
+                verdict = memo[p] = any(
+                    ((w | guards) - p) & guards == guards and (strong or w != p) for w in maxima
+                )
+            if verdict:
+                return k
+        return None
+
+    def _block(self, k: int, u: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The ``k``-th coalition and the first vector of its table,
+        ascending, that blocks ``u``; any blocking vector lies under a
+        maximal one."""
+        players, ones, mask, _, _ = self._scan[k]
+        guards, strong, t = self._guards, self._strong, mask & self._guards
+        p = (u & mask) + ones if strong else u & mask
+        if t not in self._tables:
+            inside = [w for s, ws in self._maxima.items() if not s & ~t for w in ws]
+            self._tables[t] = _maxima(inside, guards)
+        table = self._tables[t]
+        return players, self._vector(
+            next(w for w in table if ((w | guards) - p) & guards == guards and (strong or w != p))
+        )
+
+    def blocking(self, vec: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """``(first coalition that blocks vec, its witness vector)``, None
+        in the core; a ``KeyError`` if no matching achieves ``vec``."""
+        u = self._code(vec)
+        k = self._first_block(u)
+        return None if k is None else self._block(k, u)
+
+    @cached_property
+    def blocked(self) -> dict:
+        """Utility vector -> :meth:`blocking`, for every blocked vector,
+        by coalition in (size, lex) order, then in enumeration order."""
+        hits = [(k, u) for u in self._first if (k := self._first_block(u)) is not None]
+        hits.sort(key=itemgetter(0))  # stable: enumeration order within a coalition
+        return {self._vector(u): self._block(k, u) for k, u in hits}
+
     def realize(self, vec: tuple[int, ...]) -> Matching:
         """The first matching in :func:`all_matchings` order whose utility
         vector is ``vec``; a ``KeyError`` if no matching achieves it."""
-        return _matching_of(self._graph, self._first[vec][1])
+        return _matching_of(self._graph, _chosen(self._first[self._code(vec)]))
 
 
 def oracle_core(inst, kind: str, cap: int = DEFAULT_BUDGET) -> OracleCoreResult:
@@ -234,16 +259,12 @@ def oracle_core(inst, kind: str, cap: int = DEFAULT_BUDGET) -> OracleCoreResult:
 
     A matching is in the weak core when no coalition strongly blocks it and
     in the strong core when no coalition weakly blocks it; membership only
-    depends on the utility vector, so vectors are deduplicated.  One pass
-    over the matchings of the whole graph yields every coalition's table;
-    ``cap`` bounds the number of matchings in that pass.
+    depends on the utility vector.  ``cap`` bounds the number of matchings
+    in the one pass over the whole graph's matchings.
     """
     if kind not in BLOCK_KIND:
         raise InputError("kind must be 'weak' or 'strong'")
     if len(inst.players) > ENUMERATION_PLAYER_GUARD:
         raise ResourceLimitError(f"oracle_core guard: more than {ENUMERATION_PLAYER_GUARD} players")
-    first = _first_by_vector(inst, cap)
-    maxima = _coalition_maxima(first, len(inst.players))
-    blocked = _blocked(maxima, first, strong=BLOCK_KIND[kind] == "strong")
-    in_core = tuple(vec for vec in sorted(first) if vec not in blocked)
-    return OracleCoreResult(kind, in_core, blocked, inst.graph, first)
+    width, first = _first_by_code(inst, cap)
+    return OracleCoreResult(kind, inst.graph, len(inst.players), width, first)

@@ -13,11 +13,12 @@ the algorithms the tests compare them against.  Hard caps raise
 :class:`~ntumatch.errors.ResourceLimitError` instead of truncating.  The
 const frontier's reference is the lattice walk that preceded its exact
 lower bounds, which recurses once per player.  The core oracle's
-references are its phases before the subset recurrence: a deduplicating
-walk over covered-vertex masks (on the matching walk that scanned every
-later edge per frame and copied the chosen tuple per push), every coalition's table scanned from all
-achievable vectors, and the blocking pass that projected with a
-generator.
+references are its phases before the subset recurrence and the
+per-vector scan: a deduplicating walk over covered-vertex masks (on the
+matching walk that scanned every later edge per frame and copied the
+chosen tuple per push), every coalition's table scanned from all
+achievable vectors, and the blocking pass that tries every coalition in
+order against the vectors no earlier one blocked.
 """
 
 from __future__ import annotations

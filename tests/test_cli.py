@@ -5,7 +5,8 @@ import pytest
 import ntumatch.cli
 from ntumatch import InputError, InvariantError, Matching, couples, exhaustive, gen_random
 from ntumatch.cli import main
-from ntumatch.games import BlockCertificate
+from ntumatch.exhaustive import _matching_of
+from ntumatch.games import BLOCK_KIND, DEFAULT_BUDGET, BlockCertificate
 from ntumatch.serialize import (
     certificate_from_json,
     certificate_to_json,
@@ -14,6 +15,8 @@ from ntumatch.serialize import (
     matching_from_json,
     matching_to_json,
 )
+
+from exhaustive_reference import blocked_reference, coalition_maxima_reference, first_by_vector_reference
 
 
 def _inst(n="4", edges="[[0, 2]]", players="[[0, 1], [2, 3]]"):
@@ -610,6 +613,34 @@ class TestCli:
         assert realized("verify", "--core", "strong", *oracle, "--matching", str(mat)) == (1, 1)
         assert realized("oracle", "core", "--core", "weak") == (0, 0)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n, class_cap, p, seed", [(8, 2, 0.4, 41), (9, 3, 0.35, 42), (10, 2, 0.3, 43)])
+    def test_oracle_outputs_equal_reference(self, tmp_path, capsys, n, class_cap, p, seed):
+        # every output of the oracle method against the one built from the
+        # reference phases, which build every coalition's table: verify on
+        # each achievable vector's first matching, solve and oracle core
+        path, mat = tmp_path / "inst.json", tmp_path / "m.json"
+        path.write_text(instance_to_json(gen_random(n, class_cap, p, seed)))
+        inst = instance_from_json(path.read_text())  # players in the file's order
+        first = first_by_vector_reference(inst, DEFAULT_BUDGET)
+        realize = {vec: _matching_of(inst.graph, chosen) for vec, (_, chosen) in first.items()}
+        for core in ("weak", "strong"):
+            maxima = coalition_maxima_reference(first, inst.num_players)
+            blocked = blocked_reference(maxima, first, BLOCK_KIND[core] == "strong")
+            in_core = [vec for vec in sorted(first) if vec not in blocked]
+            payload = {"kind": core, "in_core_vectors": [list(v) for v in in_core], "empty": not in_core}
+            assert main(["oracle", "core", "--core", core, "--instance", str(path)]) == 0
+            assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+            rc = main(["solve", "--core", core, "--method", "oracle", "--instance", str(path)])
+            solved = matching_to_json(realize[in_core[-1]]) if in_core else ""
+            assert (rc, capsys.readouterr().out) == (0 if in_core else 1, solved), core
+            for vec, m in realize.items():
+                mat.write_text(matching_to_json(m))
+                argv = ["verify", "--core", core, "--method", "oracle", "--instance", str(path)]
+                rc = main([*argv, "--matching", str(mat)])
+                hit = blocked.get(vec)
+                cert = hit and BlockCertificate(hit[0], realize[hit[1]], BLOCK_KIND[core])
+                assert (rc, capsys.readouterr().out) == (int(bool(hit)), certificate_to_json(core, cert)), vec
 
     def test_missing_edges_exit_2(self, tmp_path, capsys):
         # read as "no edges", this matching would come out blocked (exit 1)

@@ -14,10 +14,9 @@ from ntumatch import (
     utility,
 )
 from ntumatch.exhaustive import (
-    _blocked,
-    _coalition_maxima,
-    _first_by_vector,
-    _pareto_maximal,
+    OracleCoreResult,
+    _matching_of,
+    _maxima,
     all_matchings,
     count_matchings,
     oracle_core,
@@ -155,20 +154,28 @@ class TestEvenReachBrute:
         assert reached == frozenset(range(0, n, 2))
 
 
+def encode(vec, width: int = 3) -> int:
+    """``vec`` in ``width``-bit fields, the first coordinate most significant."""
+    return sum(x << width * (len(vec) - 1 - i) for i, x in enumerate(vec))
+
+
 class TestParetoMaximal:
     @given(
         st.integers(1, 4).flatmap(
-            lambda k: st.sets(st.tuples(*[st.integers(0, 3)] * k), max_size=40)
+            lambda k: st.tuples(st.just(k), st.sets(st.tuples(*[st.integers(0, 3)] * k), max_size=40))
         )
     )
     @settings(max_examples=200, deadline=None)
-    def test_equals_quadratic_definition(self, vectors):
+    def test_equals_quadratic_definition(self, data):
+        k, vectors = data
         expected = sorted(
             v
             for v in vectors
             if not any(w != v and all(a >= b for a, b in zip(w, v)) for w in vectors)
         )
-        assert _pareto_maximal(vectors) == expected
+        # values up to 3 fit three-bit fields under their guard bits
+        got = _maxima(map(encode, vectors), int("4" * k, 8))
+        assert got == list(map(encode, expected))
 
 
 class TestOracleCore:
@@ -220,7 +227,8 @@ class TestOracleCore:
                     assert (coalition, res.realize(witness)) == blocked[vec], (seed, kind)
                 for vec in reps:
                     assert res.realize(vec) == reps[vec], (seed, kind)
-            got = list(_coalition_maxima(_first_by_vector(inst, DEFAULT_BUDGET), len(inst.players)))
+            ref_first = first_by_vector_reference(inst, DEFAULT_BUDGET)
+            got = list(coalition_maxima_reference(ref_first, len(inst.players)))
             assert [coalition for coalition, _ in got] == [c for c, _, _ in expected]
             for (_, table), (coalition, maximal, vecs) in zip(got, expected):
                 assert [w for w, _ in table] == maximal, (seed, coalition)
@@ -247,36 +255,77 @@ EQUIVALENCE_CASES = [
     Instance(Graph(3, [(0, 1), (1, 2)]), (frozenset({0, 1, 2}),)),  # one player
     # players 0, 2 and 4 have no edges: first, in the middle and last
     pairs_instance(5, [(2, 6), (3, 7), (2, 7), (6, 3)]),
-    # one player of 12 vertices on a 12-cycle, which can match all 12 and
-    # so fills its base-13 digit, next to three pairs it touches
+    # one player of 12 vertices on a 12-cycle, which can match all 12, a
+    # count of four bits under its field's guard, next to three pairs it
+    # touches
     pairs_instance(3, [(i, (i + 1) % 12) for i in range(12)] + [(0, 12), (5, 14), (11, 17)], 12),
     gen_random(18, 2, 0.3, 3),  # 9 players, 7,392 vectors
+    *(gen_random(3 * k, 3, p, 2900 + 10 * k + s) for k in (2, 3, 4) for p in (0.25, 0.4) for s in range(2)),
 ]
+
+# one player of 130 vertices, all but six of them isolated: its count
+# needs a field of eight bits and a guard, next to three pairs
+WIDE = pairs_instance(3, [(0, 130), (1, 132), (2, 134), (3, 4), (5, 131), (1, 2), (133, 135)], 130)
+
+
+def assert_equals_reference(inst: Instance) -> None:
+    """``oracle_core``'s in-core vectors, blocked table, per-vector lookup
+    and realized matchings, both kinds, against the reference phases."""
+    ref_first = first_by_vector_reference(inst, DEFAULT_BUDGET)
+    for kind in ("weak", "strong"):
+        strong = kind == "weak"  # the weak core forbids strong blocks
+        maxima = coalition_maxima_reference(ref_first, inst.num_players)
+        ref_blocked = blocked_reference(maxima, ref_first, strong)
+        res = oracle_core(inst, kind)
+        assert res.in_core == tuple(v for v in sorted(ref_first) if v not in ref_blocked), kind
+        for vec, (_, chosen) in ref_first.items():
+            assert res.blocking(vec) == ref_blocked.get(vec), (kind, vec)
+            assert res.realize(vec) == _matching_of(inst.graph, chosen), (kind, vec)
+        assert list(res.blocked.items()) == list(ref_blocked.items()), kind
 
 
 class TestOracleAgainstReference:
-    """The walk, the subset recurrence and the blocking pass against the
-    phases they replaced, which scan every vector for every coalition."""
+    """The walk and the per-vector scan against the phases they replaced,
+    which build every coalition's table and block coalition by coalition."""
 
     @pytest.mark.parametrize("case", range(len(EQUIVALENCE_CASES)))
     def test_equals_reference_phases(self, case):
-        inst = EQUIVALENCE_CASES[case]
-        m = inst.num_players
-        first = _first_by_vector(inst, DEFAULT_BUDGET)
-        ref_first = first_by_vector_reference(inst, DEFAULT_BUDGET)
-        assert list(first.items()) == list(ref_first.items())
-        ref_tables = list(coalition_maxima_reference(ref_first, m))
-        assert list(_coalition_maxima(first, m)) == ref_tables
+        assert_equals_reference(EQUIVALENCE_CASES[case])
+
+    def test_class_wider_than_small_fields(self):
+        assert_equals_reference(WIDE)
+        res = oracle_core(WIDE, "strong")
+        assert max(v[0] for v in res.blocked.keys() | set(res.in_core)) == 6
+
+    def test_no_edges(self):
+        inst = Instance(Graph(5), (frozenset({0, 1, 2}), frozenset({3}), frozenset({4})))
+        assert_equals_reference(inst)
         for kind in ("weak", "strong"):
-            strong = kind == "weak"
-            blocked = _blocked(_coalition_maxima(first, m), first, strong)
-            ref_blocked = blocked_reference(
-                coalition_maxima_reference(ref_first, m), ref_first, strong
-            )
-            assert list(blocked.items()) == list(ref_blocked.items()), kind
             res = oracle_core(inst, kind)
-            assert list(res.blocked.items()) == list(ref_blocked.items()), kind
-            assert res.in_core == tuple(v for v in sorted(ref_first) if v not in ref_blocked)
+            assert (res.in_core, res.blocked) == (((0, 0, 0),), {})
+
+    def test_empty_matching_vector(self):
+        for inst in EQUIVALENCE_CASES[:6] + [WIDE]:
+            zero = (0,) * inst.num_players
+            ref_first = first_by_vector_reference(inst, DEFAULT_BUDGET)
+            for kind in ("weak", "strong"):
+                ref = blocked_reference(
+                    coalition_maxima_reference(ref_first, inst.num_players), ref_first, kind == "weak"
+                )
+                res = oracle_core(inst, kind)
+                assert res.realize(zero) == Matching(())
+                assert res.blocking(zero) == ref.get(zero)
+
+    def test_unachievable_vectors_raise_key_error(self):
+        # two-vertex players get three-bit fields: 4 is a guard bit and 8
+        # the next field's low bit, neither an achievable count
+        inst = pairs_instance(3, [(0, 2), (1, 4), (3, 5)])
+        res = oracle_core(inst, "weak")
+        for vec in ((0, 0, 4), (0, 0, 8), (0, 0, -1), (0, 0), (0, 0, 0, 0), (2, 2, 1)):
+            with pytest.raises(KeyError):
+                res.realize(vec)
+            with pytest.raises(KeyError):
+                res.blocking(vec)
 
     @given(
         st.integers(1, 5).flatmap(
@@ -284,12 +333,17 @@ class TestOracleAgainstReference:
         )
     )
     @settings(max_examples=200, deadline=None)
-    def test_recurrence_equals_scan(self, data):
-        # synthetic vectors with no graph behind them: the recurrence holds
-        # for any set, whether or not it holds the zero vector
+    def test_blocking_equals_reference(self, data):
+        # synthetic vectors with no graph behind them: both facts the scan
+        # rests on hold for any set, whether or not it holds the zero vector
         k, vectors = data
         first = {v: (sum(1 << i for i, x in enumerate(v) if x), ()) for v in vectors}
-        assert list(_coalition_maxima(first, k)) == list(coalition_maxima_reference(first, k))
+        for kind in ("weak", "strong"):
+            ref = blocked_reference(coalition_maxima_reference(first, k), first, kind == "weak")
+            res = OracleCoreResult(kind, None, k, 3, {encode(v): None for v in vectors})
+            assert [res.blocking(v) for v in vectors] == [ref.get(v) for v in vectors], kind
+            assert list(res.blocked.items()) == list(ref.items()), kind
+            assert res.in_core == tuple(sorted(v for v in vectors if v not in ref)), kind
 
     def test_cap_counts_matchings(self):
         # K4 split into two players: its 10 matchings cover 8 distinct
