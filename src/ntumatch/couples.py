@@ -32,7 +32,7 @@ used in the real-edge role, so the simple-graph union is faithful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Optional
 
@@ -148,37 +148,25 @@ class _Union:
     """The union of real and player edges on original vertex ids, with the
     player edges as the base matching, minus the vertices of ``gone``.
 
-    Built once per game.  A query applies its deletions in place to
-    working copies of the adjacency and base matching, logging every row
-    and entry it changes, and augments from the base matching
-    without the deleted player edges, one blossom search per exposed root;
-    it stops at the first root that cannot be matched.  When it is done,
-    the logged rows and entries, and the entries its augmenting paths
-    flipped, are reset from ``adj`` and ``base``, so a query costs its
-    deletions and its searches, never a copy of the graph.  A kept view
-    (:meth:`without`) is such a mask with its vertex deletions kept.
-
-    ``pool`` holds the view's idle working triples ``[adj, match, base]``
-    as lists equal to ``adj``, ``base`` and ``base``.  The searches' label
-    arrays belong to the kernel: ``spare`` holds blank
-    :class:`~ntumatch.graphs._Labels` for all n vertices, shared by the
-    game's union and every view made from it.  A query pops a triple and
-    label objects (or makes them when none is idle), clears the labels after
-    each search (see :meth:`~ntumatch.graphs._Labels.clear`) and appends
-    all back when done.  ``list.pop`` and ``list.append`` are atomic, so
-    concurrent queries never share working arrays or labels.
+    Built once per game and never written after: a query (:meth:`_query`)
+    copies the adjacency and base matching, applies its deletions to the
+    copies and hands them to its caller, so queries share nothing and a
+    view may be queried from several threads at once.  :meth:`augment`
+    augments the copied base matching without the deleted player edges,
+    one blossom search per exposed root, clearing its labels after each
+    search so a search costs its tree; it stops at the first root that
+    cannot be matched.  A kept view (:meth:`without`) is such a copy with
+    its vertex deletions kept.
     """
 
-    __slots__ = ("cg", "adj", "base", "gone", "exposed", "spare", "pool")
+    __slots__ = ("cg", "adj", "base", "gone", "exposed")
 
-    def __init__(self, cg: "CouplesGame", adj, base, gone, exposed, spare):
+    def __init__(self, cg: "CouplesGame", adj, base, gone, exposed):
         self.cg = cg
         self.adj = adj
         self.base = base
         self.gone = gone
         self.exposed = exposed
-        self.spare = spare
-        self.pool: list[list] = []
 
     @classmethod
     def of_game(cls, cg: "CouplesGame") -> "_Union":
@@ -190,70 +178,34 @@ class _Union:
             if (u, v) not in g.edge_set:  # only these rows gain an entry
                 adj[u] = tuple(sorted((*adj[u], v)))
                 adj[v] = tuple(sorted((*adj[v], u)))
-        return cls(cg, tuple(adj), tuple(base), frozenset(), (), [])
+        return cls(cg, tuple(adj), tuple(base), frozenset(), ())
 
     def without(self, verts) -> "_Union":
         """The same union with ``verts`` deleted too, as a query deletes
         them: their partners become exposed."""
         verts = frozenset(verts)
-
-        def keep(adj, match, base, exposed, flipped):
-            return _Union(
-                self.cg, tuple(adj), tuple(match), self.gone | verts, tuple(exposed), self.spare
-            )
-
-        return self._query((), verts, keep)
+        adj, base, exposed = self._query((), verts)
+        return _Union(self.cg, tuple(adj), tuple(base), self.gone | verts, tuple(exposed))
 
     def has(self, v: int) -> bool:
         return v not in self.gone
 
-    def _labels(self) -> _Labels:
-        try:
-            return self.spare.pop()
-        except IndexError:
-            return _Labels(len(self.adj))
-
-    def _query(self, drop_players, drop_vertices, run):
-        """``run(adj, match, base, exposed, flipped)`` on a working triple
-        with the deletions applied; ``exposed`` lists the masked base's
-        exposed vertices in ascending order, and ``run`` appends to
-        ``flipped`` every vertex whose ``match`` entry it may have changed.
-        The triple is reset and pooled again whatever ``run`` returns or
-        raises."""
-        try:
-            work = self.pool.pop()
-        except IndexError:
-            work = [list(self.adj), list(self.base), list(self.base)]
-        adj, match, base = work
-        rows: list[int] = []
-        entries: list[int] = []
-        try:
-            exposed = self._mask(adj, base, rows, entries, drop_players, drop_vertices)
-            for v in entries:
-                match[v] = base[v]
-            return run(adj, match, base, exposed, entries)
-        finally:
-            for v in rows:
-                adj[v] = self.adj[v]
-            for v in entries:
-                match[v] = base[v] = self.base[v]
-            self.pool.append(work)
-
-    def _mask(self, adj, base, rows, entries, drop_players, drop_vertices):
-        """Applies the deletions to ``adj`` and ``base`` in place, logging
-        changed rows in ``rows`` and changed base entries in ``entries``
-        before it changes them; returns the exposed vertices, ascending."""
+    def _query(self, drop_players, drop_vertices):
+        """``(adj, base, exposed)``: copies of the view's rows and base
+        matching with the players' edges and the vertices deleted, and the
+        vertices the masked base leaves exposed, ascending.  The caller
+        owns all three."""
+        adj = list(self.adj)
+        base = list(self.base)
         exposed = set(self.exposed)
         real = self.cg.inst.graph.edge_set
         for p in drop_players:
             u, v = self.cg.pairs[p]
             if base[u] != v:
                 continue  # not inside the view
-            entries += (u, v)
             base[u] = base[v] = -1
             exposed.update((u, v))
             if (u, v) not in real:
-                rows += (u, v)
                 adj[u] = _without(adj[u], v)
                 adj[v] = _without(adj[v], u)
         for x in drop_vertices:
@@ -264,64 +216,45 @@ class _Union:
         for x in gone:
             y = base[x]
             if y != -1:
-                entries += (x, y)
                 base[x] = base[y] = -1
                 exposed.add(y)
             exposed.discard(x)
             touched.update(adj[x])
-            rows.append(x)
             adj[x] = ()
         for w in touched - gone:
-            rows.append(w)
             adj[w] = tuple(z for z in adj[w] if z not in gone)
-        return sorted(exposed)
+        return adj, base, sorted(exposed)
 
-    def augment(self, drop_players=(), drop_vertices=(), missing=0, read=None):
+    def augment(self, drop_players=(), drop_vertices=(), missing=0):
         """Delete players' edges and vertices, and augment the surviving
         player edges until at most ``missing`` vertices of the view stay
         exposed.
 
         Returns None when no matching of the view leaves at most
-        ``missing`` vertices exposed.  Otherwise returns True, or, given
-        ``read``, ``read(match, base)``: partner arrays (-1 for exposed) of
-        the matching found and of the masked base matching, whose symmetric
-        difference is the augmenting paths taken.  They are the kernel's
-        working arrays, valid only during the call.  A root whose search
-        fails stays exposed under every later augmentation, so each failure
-        is final.
+        ``missing`` vertices exposed, else ``(match, base)``: partner
+        arrays (-1 for exposed) of the matching found and of the masked
+        base matching, whose symmetric difference is the augmenting paths
+        taken.  A root whose search fails stays exposed under every later
+        augmentation, so each failure is final.
         """
-
-        def run(adj, match, base, exposed, flipped):
-            left = len(exposed)
-            failed = 0
-            labels = self._labels()
-            try:
-                for root in exposed:
-                    if left <= missing:
-                        break
-                    if match[root] != -1:
-                        continue
-                    path = _blossom_search(adj, match, root, labels, augment=True)
-                    labels.clear()
-                    if path:
-                        flipped += path
-                        left -= 2
-                    else:
-                        failed += 1
-                        if failed > missing:
-                            break
-            except BaseException:
-                # a search cut short may have flipped part of its path,
-                # which lies inside its tree
-                flipped += labels.even
-                flipped += labels.odd
-                raise
-            self.spare.append(labels)
-            if failed > missing:
-                return None
-            return True if read is None else read(match, base)
-
-        return self._query(drop_players, drop_vertices, run)
+        adj, base, exposed = self._query(drop_players, drop_vertices)
+        match = list(base)
+        labels = _Labels(len(adj))
+        left = len(exposed)
+        failed = 0
+        for root in exposed:
+            if left <= missing:
+                break
+            if match[root] != -1:
+                continue
+            if _blossom_search(adj, match, root, labels, augment=True):
+                left -= 2
+            else:
+                failed += 1
+                if failed > missing:
+                    return None
+            labels.clear()
+        return match, base
 
 
 class _Peel:
@@ -432,33 +365,31 @@ def _structure(cg: CouplesGame, players: tuple[int, ...], view: _Union, missing:
     vertices of the view stay exposed.  The augmenting paths start at the
     vertices the masked base matching leaves exposed (the view's own and
     the deleted player edges' ends), so walking from each of them finds
-    every piece; cycles of the difference never touch such a vertex.  With the deleted player edges added back, one player
-    must give one alternating cycle and two or three players one
-    alternating path; anything else is a fault.  For two or three players
-    this holds only when none of their edges lies on an alternating cycle
-    in the view; callers establish that first.
+    every piece; cycles of the difference never touch such a vertex.
+    With the deleted player edges added back, one player must give one
+    alternating cycle and two or three players one alternating path;
+    anything else is a fault.  For two or three players this holds only
+    when none of their edges lies on an alternating cycle in the view;
+    callers establish that first.
     """
-
-    def walk(match, base):  # reads the working arrays before they are reset
-        labeled = [(*cg.pairs[p], "p") for p in players]
-        walked: set[int] = set()
-        for start in sorted({*view.exposed, *(x for p in players for x in cg.pairs[p])}):
-            if match[start] == -1 or start in walked:
-                continue
-            x = start
-            while True:
-                y = match[x]
-                labeled.append((x, y, "e"))
-                x = base[y]
-                if x == -1:
-                    break
-                labeled.append((y, x, "p"))
-            walked.add(y)
-        return labeled
-
-    labeled = view.augment(drop_players=players, missing=missing, read=walk)
-    if labeled is None:
+    found = view.augment(drop_players=players, missing=missing)
+    if found is None:
         return None
+    match, base = found
+    labeled = [(*cg.pairs[p], "p") for p in players]
+    walked: set[int] = set()
+    for start in sorted({*view.exposed, *(x for p in players for x in cg.pairs[p])}):
+        if match[start] == -1 or start in walked:
+            continue
+        x = start
+        while True:
+            y = match[x]
+            labeled.append((x, y, "e"))
+            x = base[y]
+            if x == -1:
+                break
+            labeled.append((y, x, "p"))
+        walked.add(y)
     nbrs: dict[int, list[int]] = {}
     for x, y, _ in labeled:
         nbrs.setdefault(x, []).append(y)
@@ -646,7 +577,8 @@ def _scan(cg: CouplesGame) -> frozenset[int]:
     for p, (au, av) in enumerate(cg.pairs):
         if on_cycle[p]:
             continue
-        found = cg.union._query((p,), (), partial(_trees, cg.union, au, av))
+        adj, base, _ = cg.union._query((p,), ())
+        found = _trees(adj, base, au, av)
         if isinstance(found, list):  # an augmenting path
             for x in found:
                 on_cycle[cg.player_of[x]] = True
@@ -655,8 +587,8 @@ def _scan(cg: CouplesGame) -> frozenset[int]:
     return frozenset(p for p, hit in enumerate(on_cycle) if not hit)
 
 
-def _trees(union: _Union, au: int, av: int, adj, match, base, exposed, flipped):
-    """A kernel run with the player edge ``au``–``av`` deleted: the
+def _trees(adj, match, au: int, av: int):
+    """On a query's arrays with the player edge ``au``–``av`` deleted: the
     augmenting path from ``au`` when there is one, else the player's
     Gallai–Edmonds decomposition as ``(reach, cut, comps)``.
 
@@ -667,20 +599,11 @@ def _trees(union: _Union, au: int, av: int, adj, match, base, exposed, flipped):
     components, ordered by least vertex, and the odd vertices that no
     blossom absorbed are the cut.
     """
-    first = union._labels()
-    try:
-        path = _blossom_search(adj, match, au, first, augment=True)
-    except BaseException:
-        # a search cut short may have flipped part of its path
-        flipped += first.even
-        flipped += first.odd
-        raise
+    first = _Labels(len(adj))
+    path = _blossom_search(adj, match, au, first, augment=True)
     if path:
-        flipped += path
-        first.clear()
-        union.spare.append(first)
         return path
-    second = union._labels()
+    second = _Labels(len(adj))
     _blossom_search(adj, match, av, second, augment=False)
     reach = {au: frozenset(first.even), av: frozenset(second.even)}
     comps: dict[int, frozenset[int]] = {}
@@ -692,8 +615,6 @@ def _trees(union: _Union, au: int, av: int, adj, match, base, exposed, flipped):
         for members in blossoms.values():
             comps[min(members)] = frozenset(members)
         cut.update(x for x in labels.odd if not labels.used[x])
-        labels.clear()
-        union.spare.append(labels)
     return reach, cut, tuple(comps[k] for k in sorted(comps))
 
 

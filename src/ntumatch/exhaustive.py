@@ -15,7 +15,6 @@ over the groups that touch the same players, in coalition order.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import InputError, ResourceLimitError
@@ -157,9 +156,18 @@ class OracleCoreResult:
 
     So a vector is scanned over the groups of codes by touched set, in
     coalition order, up to its first block; a group blocks iff one of its
-    maxima does, and verdicts are kept per group and projection.  A strong
-    block compares with u + 1 on T, which fits each field.  A coalition's
-    table, its vectors' maxima, is built only for a witness.
+    maxima does.  A strong block compares with u + 1 on T, which fits each
+    field.
+    Fact 3: the witness, the first vector in ascending order of C's table
+    (the maxima of every achievable vector inside C) that blocks ``u``, is
+    the first of C's group's maxima that blocks ``u``.  Every table vector
+    ``w`` that blocks ``u`` has T(w) = C: a strong block lifts every member,
+    and a weak block by a smaller T(w) would make T(w) block ``u``, and a
+    maximum of T(w)'s group with it, so the scan would have stopped there.
+    Such a ``w`` is maximal in C's group, and every maximum of C's group is
+    maximal in the table, as a vector touching less of C is zero where it
+    is not.  So the first blocking maximum, ascending, is kept per group and
+    projection.
     """
 
     def __init__(self, kind: str, graph: Optional[Graph], m: int, width: int, first: dict):
@@ -172,19 +180,18 @@ class OracleCoreResult:
         groups: dict[int, list] = {}
         for c in first:
             groups.setdefault(((c | guards) - ones) & guards, []).append(c)
-        self._maxima = {t: _maxima(group, guards) for t, group in groups.items()}
+        maxima = {t: _maxima(group, guards) for t, group in groups.items()}
         members = {
             t: tuple(i for i, s in enumerate(shifts) if t >> s + width - 1 & 1) for t in groups if t
         }
-        # per touched set: players, ones, field mask, maxima, verdicts
+        # per touched set: players, ones, field mask, maxima, witnesses
         self._scan = [
-            (members[t], t >> width - 1, (t >> width - 1) * ((1 << width) - 1), self._maxima[t], {})
+            (members[t], t >> width - 1, (t >> width - 1) * ((1 << width) - 1), maxima[t], {})
             for t in sorted(members, key=lambda t: (len(members[t]), members[t]))
         ]
-        self._tables: dict[int, list] = {}
         tried = first
         if not strong:  # fact 2
-            tried = _maxima([w for ws in self._maxima.values() for w in ws], guards)
+            tried = _maxima([w for ws in maxima.values() for w in ws], guards)
         unblocked = sorted(u for u in tried if self._first_block(u) is None)
         self.in_core = tuple(map(self._vector, unblocked))  # ascending
 
@@ -203,49 +210,39 @@ class OracleCoreResult:
             raise KeyError(vec)
         return code
 
-    def _first_block(self, u: int) -> Optional[int]:
-        """Index in the scan of the first coalition blocking ``u``, or None."""
+    def _first_block(self, u: int) -> Optional[tuple[int, int]]:
+        """``(k, w)``: the index in the scan of the first coalition blocking
+        ``u`` and its witness code (fact 3), or None."""
         guards, strong = self._guards, self._strong
         for k, (_, ones, mask, maxima, memo) in enumerate(self._scan):
             p = (u & mask) + ones if strong else u & mask
-            verdict = memo.get(p)
-            if verdict is None:
-                verdict = memo[p] = any(
-                    ((w | guards) - p) & guards == guards and (strong or w != p) for w in maxima
+            w = memo.get(p)
+            if w is None:  # 0 when no maximum blocks: a witness lifts a field
+                w = memo[p] = next(
+                    (x for x in maxima if ((x | guards) - p) & guards == guards and (strong or x != p)),
+                    0,
                 )
-            if verdict:
-                return k
+            if w:
+                return k, w
         return None
 
-    def _block(self, k: int, u: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The ``k``-th coalition and the first vector of its table,
-        ascending, that blocks ``u``; any blocking vector lies under a
-        maximal one."""
-        players, ones, mask, _, _ = self._scan[k]
-        guards, strong, t = self._guards, self._strong, mask & self._guards
-        p = (u & mask) + ones if strong else u & mask
-        if t not in self._tables:
-            inside = [w for s, ws in self._maxima.items() if not s & ~t for w in ws]
-            self._tables[t] = _maxima(inside, guards)
-        table = self._tables[t]
-        return players, self._vector(
-            next(w for w in table if ((w | guards) - p) & guards == guards and (strong or w != p))
-        )
+    def _block(self, k: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The ``k``-th coalition and the witness vector of code ``w``."""
+        return self._scan[k][0], self._vector(w)
 
     def blocking(self, vec: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         """``(first coalition that blocks vec, its witness vector)``, None
         in the core; a ``KeyError`` if no matching achieves ``vec``."""
-        u = self._code(vec)
-        k = self._first_block(u)
-        return None if k is None else self._block(k, u)
+        hit = self._first_block(self._code(vec))
+        return None if hit is None else self._block(*hit)
 
     @cached_property
     def blocked(self) -> dict:
         """Utility vector -> :meth:`blocking`, for every blocked vector,
         by coalition in (size, lex) order, then in enumeration order."""
-        hits = [(k, u) for u in self._first if (k := self._first_block(u)) is not None]
-        hits.sort(key=itemgetter(0))  # stable: enumeration order within a coalition
-        return {self._vector(u): self._block(k, u) for k, u in hits}
+        hits = [(hit, u) for u in self._first if (hit := self._first_block(u)) is not None]
+        hits.sort(key=lambda h: h[0][0])  # stable: enumeration order within a coalition
+        return {self._vector(u): self._block(*hit) for hit, u in hits}
 
     def realize(self, vec: tuple[int, ...]) -> Matching:
         """The first matching in :func:`all_matchings` order whose utility

@@ -109,11 +109,14 @@ def attach_special_edge(inst: Instance, u: int, v: int) -> GeneratedInstance:
     """
     if not (0 <= u < inst.graph.n and 0 <= v < inst.graph.n):
         raise InputError("special-edge endpoints must be existing vertices")
-    b = _Builder()
-    b.n = inst.graph.n
-    b.edges = set(inst.graph.edges)
-    b.players = list(inst.players)
-    tag = f"se{inst.graph.n}."
+    b = _Builder(inst.graph.n, set(inst.graph.edges), list(inst.players))
+    _special_edge(b, u, v)
+    return GeneratedInstance(b.build(), dict(b.names))
+
+
+def _special_edge(b: _Builder, u: int, v: int) -> None:
+    """Appends the gadget of :func:`attach_special_edge` to ``b``."""
+    tag = f"se{b.n}."
     ids = _add_three_player_block(b, tag)
     s1, s2, s3, s4 = b.vertices(f"{tag}s1", f"{tag}s2", f"{tag}s3", f"{tag}s4")
     t1, t2 = b.vertices(f"{tag}t1", f"{tag}t2")
@@ -125,7 +128,6 @@ def attach_special_edge(inst: Instance, u: int, v: int) -> GeneratedInstance:
     b.edge(u, s1)
     b.edge(s4, v)
     b.edge(s2, s3)
-    return GeneratedInstance(b.build(), dict(b.names))
 
 
 @dataclass(frozen=True)
@@ -310,17 +312,11 @@ def gen_3sat_weak_emptiness(cnf) -> GeneratedInstance:
             for y in plist:
                 b.player([y])
             partners[var] = plist
-    inst = b.build()
     special_count = 0
     for var in sorted(variables):
         for y in pos_partners[var]:
             for ybar in neg_partners[var]:
-                gen = attach_special_edge(inst, y, ybar)
-                inst = gen.instance
-                b.players = list(inst.players)
-                b.n = inst.graph.n
-                b.edges = set(inst.graph.edges)
-                b.names.update(gen.name_map)
+                _special_edge(b, y, ybar)
                 special_count += 1
     for ci, cl in enumerate(clauses):
         ids = _add_three_player_block(b, f"cl{ci}.")

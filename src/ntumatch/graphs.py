@@ -14,9 +14,9 @@ lives and dies with it.  Concurrent first use may compute the same
 deterministic value twice, which is safe.
 
 A search labels vertices in a :class:`_Labels` its caller owns.  Each
-function here makes one per call and clears it after every search, so a
-search costs the tree it grows rather than the whole graph; the couples
-kernel keeps spare ones across queries (``couples._Union``).
+function here, and each couples kernel query (``couples._Union``), makes
+one per call and clears it after every search, so a search costs the tree
+it grows rather than the whole graph.
 """
 
 from __future__ import annotations

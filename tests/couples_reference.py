@@ -19,13 +19,14 @@ an explicit ``Graph`` and decomposes it with ``gallai_edmonds``.
 reads the cycle-free set and every context off one scan, one kernel query
 per player at most, whose failed cycle search is the first reach tree.
 
-``reach`` is the kernel's alternating-reach query as a function over a
-view's ``_query``; the library no longer asks it.
+``reach`` is the kernel's alternating-reach query, one search on the
+arrays a view's ``_query`` returns; the library no longer asks it.
 
-``augment_by_copies`` and ``reach_by_copies`` answer kernel queries on full
-copies of a view's adjacency and base matching, masked by ``masked``, with
-fresh label arrays per query; the kernel masks pooled working arrays in
-place and undoes its changes instead.  Only these copies can add edges.
+``augment_by_copies`` and ``reach_by_copies`` answer kernel queries on
+copies of a view's adjacency and base matching masked by ``masked``, with
+fresh label arrays per search, written apart from the kernel's own
+deletion code so the two check each other.  Only these copies can add
+edges.
 
 ``weak_construct_by_player``, ``weak_membership_by_query`` and
 ``strong_membership_by_query`` ask the kernel one cycle query per player
@@ -68,18 +69,11 @@ from exhaustive_reference import cut_and_components, gallai_edmonds
 def reach(view: _Union, root: int, drop_players=()) -> frozenset[int]:
     """Vertices even-reachable from the exposed ``root`` by alternating
     paths over the view's base matching without the given players' edges,
-    searched on the kernel's pooled working arrays and spare labels."""
-
-    def run(adj, match, base, exposed, flipped):
-        if not (0 <= root < len(adj) and view.has(root)) or match[root] != -1:
-            raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
-        labels = view._labels()
-        even = frozenset(_blossom_search(adj, match, root, labels, augment=False))
-        labels.clear()
-        view.spare.append(labels)
-        return even
-
-    return view._query(drop_players, (), run)
+    searched on the arrays of one kernel query."""
+    adj, base, _ = view._query(drop_players, ())
+    if not (0 <= root < len(adj) and view.has(root)) or base[root] != -1:
+        raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
+    return frozenset(_blossom_search(adj, base, root, _Labels(len(adj)), augment=False))
 
 
 def cycle_free_by_player(cg: CouplesGame) -> frozenset[int]:
@@ -141,9 +135,8 @@ def delta_context_by_reach(cg: CouplesGame, a_pl: int) -> _DeltaContext:
     the cut set and odd components of that part."""
     au, av = cg.pairs[a_pl]
     reached = {x: reach(cg.union, x, drop_players=(a_pl,)) for x in (au, av)}
-    cut, comps = cg.union._query(
-        (a_pl,), (), lambda adj, *_: cut_and_components(adj, reached[au] | reached[av])
-    )
+    adj, _, _ = cg.union._query((a_pl,), ())
+    cut, comps = cut_and_components(adj, reached[au] | reached[av])
     if len(comps) - len(cut) != 2:
         raise InvariantError("deleting a cycle-free player edge must leave deficiency 2")
     comp_of: dict[int, int] = {}

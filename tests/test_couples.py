@@ -69,24 +69,12 @@ from exhaustive_reference import (
 )
 
 
-def _copies(match, base):
-    """A kernel reader that keeps copies of the working arrays."""
-    return list(match), list(base)
-
-
 def outcome(query, *args):
     """A query's answer, or the type of the error it raised."""
     try:
         return query(*args)
     except InvariantError as exc:
         return type(exc)
-
-
-def assert_pool_clean(view):
-    """Every idle working triple of the view equals its adjacency and base."""
-    for adj, match, base in view.pool:
-        assert adj == list(view.adj)
-        assert match == base == list(view.base)
 
 
 def count_queries(monkeypatch):
@@ -873,7 +861,7 @@ class TestUnionKernel:
             drop_vertices = set(rng.sample(range(nv), rng.randint(0, 2)))
             g, base, to_old = self.explicit(cg, drop_players, drop_vertices, restrict)
             for missing in (0, 2):
-                found = view.augment(drop_players, drop_vertices, missing=missing, read=_copies)
+                found = view.augment(drop_players, drop_vertices, missing=missing)
                 best = max_matching(g)
                 assert (found is not None) == (g.n - 2 * best.size <= missing)
                 if missing == 0:
@@ -911,8 +899,6 @@ class TestUnionKernel:
             with pytest.raises(InvariantError):
                 reach(restricted, v)
         assert restricted.augment(drop_players=(0,), drop_vertices=(4,), missing=2)
-        assert_pool_clean(cg.union)
-        assert_pool_clean(restricted)
 
     def test_kept_deletions_compose(self, rng):
         for _ in range(200):
@@ -927,8 +913,8 @@ class TestUnionKernel:
             assert (twice.adj, twice.base, twice.exposed) == (once.adj, once.base, once.exposed)
 
     def test_threads_share_one_kernel(self):
-        # the spare label list is shared by the union and its views: threads
-        # that query them at once must each search over labels of their own
+        # views are never written after they are built: threads that
+        # query them at once must each get the answers of a lone thread
         cg = normalize(gen_random(80, 2, 2.0 / 80, 11))
         views = [cg.union, cg.union.without(range(0, 80, 7))]
 
@@ -962,20 +948,13 @@ class TestUnionKernel:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(got == want for got in results)
-        n = cg.inst.graph.n
-        for labels in cg.union.spare:
-            assert (labels.parent, labels.base, labels.used) == ([-1] * n, list(range(n)), [False] * n)
-        for view in views:
-            assert len(view.pool) >= 1
-            assert_pool_clean(view)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_pooled_queries_match_copying_reference(self, data):
-        # several queries in a row on one view, so later ones run on
-        # working arrays that earlier ones masked, searched and reset;
-        # reach roots may be matched or outside the view, so some queries
-        # raise InvariantError part-way through
+    def test_queries_match_copying_reference(self, data):
+        # several queries in a row on one view, so a query that wrote to
+        # the view would show in the later ones; reach roots may be
+        # matched or outside the view, so some queries raise InvariantError
         n = data.draw(st.integers(2, 16), label="n")
         p = data.draw(st.sampled_from([0.15, 0.3, 0.6]), label="p")
         cg = normalize(gen_random(n, 2, p, seed=data.draw(st.integers(0, 10**6), label="seed")))
@@ -991,18 +970,17 @@ class TestUnionKernel:
             if data.draw(st.booleans()):
                 drop_vertices = data.draw(st.lists(vertex, max_size=2))
                 missing = data.draw(st.sampled_from([0, 2]))
-                got = outcome(view.augment, drop_players, drop_vertices, missing, _copies)
+                got = outcome(view.augment, drop_players, drop_vertices, missing)
                 want = outcome(augment_by_copies, view, drop_players, drop_vertices, (), missing)
             else:
                 root = data.draw(vertex)
                 got = outcome(reach, view, root, drop_players)
                 want = outcome(reach_by_copies, view, root, drop_players)
             assert got == want
-            assert_pool_clean(view)
 
-    def test_search_that_raises_leaves_the_pool_clean(self, monkeypatch):
+    def test_search_that_raises_leaves_the_view_unchanged(self, monkeypatch):
         # an exception from inside a search that has already flipped its
-        # path must not leave the flip in the pooled arrays
+        # path must leave the view as built, and later queries exact
         cg = normalize(gen_random(30, 2, 0.15, 5))
         real = couples_module._blossom_search
 
@@ -1011,37 +989,44 @@ class TestUnionKernel:
                 raise RuntimeError("interrupted after flipping")
             return False
 
-        monkeypatch.setattr(couples_module, "_blossom_search", flip_then_fail)
-        raised = 0
+        fresh = couples_module._Union.of_game(cg)
+        with monkeypatch.context() as patch:
+            patch.setattr(couples_module, "_blossom_search", flip_then_fail)
+            raised = 0
+            for p in range(cg.num_players):
+                try:
+                    cg.union.augment(drop_players=(p,))
+                except RuntimeError:
+                    raised += 1
+            assert raised
+            # the scan's first search finds player 0's cycle and raises
+            with pytest.raises(RuntimeError):
+                cg.cycle_free
+        assert (cg.union.adj, cg.union.base) == (fresh.adj, fresh.base)
         for p in range(cg.num_players):
-            try:
-                cg.union.augment(drop_players=(p,))
-            except RuntimeError:
-                raised += 1
-            assert_pool_clean(cg.union)
-        assert raised
-        # the scan's first search finds player 0's cycle and raises
-        with pytest.raises(RuntimeError):
-            cg.cycle_free
-        assert_pool_clean(cg.union)
+            assert cg.union.augment(drop_players=(p,)) == augment_by_copies(cg.union, (p,)), p
 
-    def test_query_costs_its_deletions_not_the_graph(self):
+    def test_query_copies_arrays_but_builds_no_graph(self, monkeypatch):
         # one dropped player on an n=20,000 view with n/2 random real
-        # edges: a copy of the adjacency or of the base matching alone
-        # takes 160 kB, and copying both plus the matching took 480 kB
+        # edges: the query copies the rows and the base matching and makes
+        # one set of labels, about 80 bytes per vertex, and builds no Graph
         n = 20000
         rng = random.Random(7)
         edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 2)}
         view = normalize(couples_instance(n, sorted(edges))).union
-        assert view.augment(drop_players=(0,)) is None  # builds the pool
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a kernel query built a Graph")
+
+        monkeypatch.setattr(Graph, "__init__", no_graph)
+        monkeypatch.setattr(Graph, "_trusted", no_graph)
         tracemalloc.start()
         try:
             assert view.augment(drop_players=(0,)) is None
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n // 10, peak
-        assert_pool_clean(view)
+        assert peak < 100 * n, peak
 
 
 class TestStructureGolden:
