@@ -12,7 +12,6 @@ from ntumatch import (
     Graph,
     Instance,
     Matching,
-    delta_path_exists,
     normalize,
     strong_core_solve,
     strong_core_structure,
@@ -31,7 +30,8 @@ game = normalize(inst)
 print("== structure ==")
 s = strong_core_structure(game)
 print(f"players free of alternating cycles: {sorted(s.cycle_free)}")
-print(f"cycle+path structure joins A and B: {delta_path_exists(game, 0, 1, 2)}")
+print(f"delta-closed players: {sorted(s.delta_closed)}")
+print(f"cycle+path structure joins A and B: {(0, 1) in s.pair_edges}")
 print(f"pair cliques: {[sorted(q) for q in s.cliques]}")
 
 print()

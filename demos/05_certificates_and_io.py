@@ -5,7 +5,7 @@ revalidates independently; every value round-trips through canonical JSON
 byte-for-byte, which is also what the command line speaks.
 """
 
-from ntumatch import gen_random, normalize, utility, weak_membership
+from ntumatch import gen_random, utility, verify
 from ntumatch.games import BlockCertificate
 from ntumatch.graphs import Matching
 from ntumatch.serialize import (
@@ -17,7 +17,6 @@ from ntumatch.serialize import (
 )
 
 inst = gen_random(8, 2, 0.35, seed=42)
-game = normalize(inst)
 
 print("== instance JSON (canonical) ==")
 text = instance_to_json(inst)
@@ -26,20 +25,20 @@ assert instance_to_json(instance_from_json(text)) == text
 print("round-trip: byte-identical")
 
 m = Matching([])
-res = weak_membership(game, m)
-print(f"\nempty matching in weak core? {res.in_core}")
-cert_text = certificate_to_json("weak", res.certificate)
+verdict = verify(inst, m, "weak")
+print(f"\nempty matching in weak core? {verdict.certificate is None} ({verdict.engine} engine)")
+cert_text = certificate_to_json("weak", verdict.certificate)
 print("certificate JSON:")
 print(cert_text)
 
-if res.certificate is not None:
+if verdict.certificate is not None:
     payload = certificate_from_json(cert_text)
     rebuilt = BlockCertificate(
         payload["coalition"],
         payload["witness"],
         "strong" if payload["kind"] == "weak" else "weak",
     )
-    rebuilt.validate(game.inst, utility(inst, m))
+    rebuilt.validate(inst, utility(inst, m))
     print("parsed certificate revalidates against the instance")
     print("\nwitness matching JSON:")
-    print(matching_to_json(res.certificate.witness))
+    print(matching_to_json(verdict.certificate.witness))

@@ -5,17 +5,15 @@ solvers, hardness-gadget generators, and an exhaustive oracle."""
 from .couples import (
     CouplesGame,
     StrongCoreStructure,
-    delta_path_exists,
     normalize,
-    on_alternating_cycle,
-    ordered_triple_path_exists,
     strong_core_solve,
     strong_core_structure,
     strong_membership,
     weak_construct,
     weak_membership,
 )
-from .errors import InputError, InvariantError, ResourceLimitError
+from .engines import Verdict, solve, verify
+from .errors import InputError, InvariantError, MethodError, ResourceLimitError
 from .constant_players import (
     AchievableFrontier,
     achievable,
@@ -55,9 +53,11 @@ __all__ = [
     "InvariantError",
     "Matching",
     "MembershipResult",
+    "MethodError",
     "PartitionQuota",
     "ResourceLimitError",
     "StrongCoreStructure",
+    "Verdict",
     "X3CInstance",
     "achievable",
     "attach_special_edge",
@@ -66,7 +66,6 @@ __all__ = [
     "core_outcomes",
     "coverable",
     "coverage_rank",
-    "delta_path_exists",
     "find_block_for_coalition",
     "frontier",
     "gen_3sat_weak_emptiness",
@@ -77,12 +76,12 @@ __all__ = [
     "matching_with_lower_bounds",
     "max_matching",
     "normalize",
-    "on_alternating_cycle",
-    "ordered_triple_path_exists",
+    "solve",
     "strong_core_solve",
     "strong_core_structure",
     "strong_membership",
     "utility",
+    "verify",
     "weak_construct",
     "weak_membership",
 ]

@@ -22,17 +22,10 @@ import json
 import sys
 from typing import Optional
 
-from . import constant_players, couples, exhaustive, generators, serialize
-from .errors import InputError, InvariantError, ResourceLimitError
-from .games import (
-    BLOCK_KIND,
-    DEFAULT_BUDGET,
-    BlockCertificate,
-    Instance,
-    core_membership_by_enumeration,
-    utility,
-)
-from .graphs import Matching
+from . import exhaustive, generators, serialize
+from .engines import METHODS, solve, verify
+from .errors import InputError, InvariantError, MethodError, ResourceLimitError
+from .games import DEFAULT_BUDGET
 
 BUDGET_HELP = (
     "work cap, exit 3 past it: matchings the oracle enumerates; for const, lattice "
@@ -65,52 +58,17 @@ def _emit(text: str, out: Optional[str]) -> None:
     sys.stdout.write(text)
 
 
-def _choose_method(inst: Instance, requested: str) -> str:
-    if requested != "auto":
-        if requested == "couples" and any(len(p) > 2 for p in inst.players):
-            raise _MethodError("couples method needs all classes of size <= 2")
-        return requested
-    return "couples" if all(len(p) <= 2 for p in inst.players) else "const"
-
-
-class _MethodError(Exception):
-    pass
-
-
 def _verify(args) -> int:
     inst = serialize.instance_from_json(_read(args.instance))
     m = serialize.matching_from_json(_read(args.matching))
-    m.validate_for(inst.graph)
-    method = _choose_method(inst, args.method)
-    cert: Optional[BlockCertificate] = None  # None: in the core
-    if method == "couples":
-        member = couples.weak_membership if args.core == "weak" else couples.strong_membership
-        cert = member(couples.normalize(inst), m).certificate
-    elif method == "const":
-        cert = core_membership_by_enumeration(inst, m, args.core, args.budget).certificate
-    else:
-        result = exhaustive.oracle_core(inst, args.core, cap=args.budget)
-        u = utility(inst, m)
-        hit = result.blocking(u)
-        if hit is not None:
-            cert = BlockCertificate(hit[0], result.realize(hit[1]), BLOCK_KIND[args.core])
-            cert.validate(inst, u)
+    cert = verify(inst, m, args.core, args.method, args.budget).certificate
     _emit(serialize.certificate_to_json(args.core, cert), args.out)
     return 0 if cert is None else 1
 
 
 def _solve(args) -> int:
     inst = serialize.instance_from_json(_read(args.instance))
-    method = _choose_method(inst, args.method)
-    found: Optional[Matching]
-    if method == "couples":
-        construct = couples.weak_construct if args.core == "weak" else couples.strong_core_solve
-        found = construct(couples.normalize(inst))
-    elif method == "const":
-        found = constant_players.core_empty(inst, args.core, budget=args.budget)
-    else:
-        result = exhaustive.oracle_core(inst, args.core, cap=args.budget)
-        found = result.realize(result.in_core[-1]) if result.in_core else None
+    found = solve(inst, args.core, args.method, args.budget).matching
     if found is None:
         sys.stderr.write(f"error: {args.core} core is empty\n")
         return 1
@@ -170,9 +128,7 @@ def _add_common(p, with_matching: bool) -> None:
     p.add_argument("--instance", required=True)
     if with_matching:
         p.add_argument("--matching", required=True)
-    p.add_argument(
-        "--method", choices=("auto", "couples", "const", "oracle"), default="auto"
-    )
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--out", default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=BUDGET_HELP)
 
@@ -244,7 +200,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: input: {exc}\n")
         return 2
-    except _MethodError as exc:
+    except MethodError as exc:
         sys.stderr.write(f"error: method: {exc}\n")
         return 3
     except ResourceLimitError as exc:

@@ -426,18 +426,6 @@ def _verdict(
 
 
 # ---------------------------------------------------------------------------
-# alternating cycles
-
-
-def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
-    """Whether some alternating cycle passes through player ``p``'s edge:
-    after deleting that edge, the union graph keeps a perfect matching."""
-    if not (0 <= p < cg.num_players):
-        raise InputError(f"player {p} out of range")
-    return cg.union.augment(drop_players=(p,)) is not None
-
-
-# ---------------------------------------------------------------------------
 # membership
 
 
@@ -521,19 +509,6 @@ def weak_construct(cg: CouplesGame) -> Matching:
 
 # ---------------------------------------------------------------------------
 # strong-core existence machinery
-
-
-def _require_cycle_free(cg: CouplesGame, players) -> None:
-    if len(set(players)) != len(players):
-        raise InputError("players must be distinct")
-    kset = cg.cycle_free
-    if kset.issuperset(players):
-        return
-    for p in players:
-        if not (0 <= p < cg.num_players):
-            raise InputError(f"player {p} out of range")
-        if p not in kset:
-            raise InputError(f"player {p} lies on an alternating cycle")
 
 
 @dataclass(frozen=True)
@@ -651,25 +626,6 @@ def _context(cg: CouplesGame, a_pl: int, reach, cut, comps) -> _DeltaContext:
     )
 
 
-def _delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
-    """The context of the cycle-free ``a_pl``, built by :func:`_scan`."""
-    if a_pl not in cg.cycle_free:
-        raise InvariantError(f"player {a_pl} lies on an alternating cycle and has no context")
-    return cg.delta_contexts[a_pl]
-
-
-def _component(cg: CouplesGame, ctx: _DeltaContext, pl: int) -> Optional[int]:
-    """The odd component that holds player ``pl``'s edge or is entered by
-    it, or None.  It is not None exactly when an alternating path joins
-    ``pl`` to the context's player."""
-    u, v = cg.pairs[pl]
-    for s, t in ((u, v), (v, u)):
-        j = ctx.comp_of.get(t)
-        if j is not None and (ctx.comp_of.get(s) == j or ctx.entry.get(j) == (s, t)):
-            return j
-    return None
-
-
 def _tops(arcs, free: tuple[int, int]) -> tuple[int, ...]:
     """Per component, its ancestor just below a super source s in the
     dominator tree of the component digraph with s joined to both free
@@ -725,41 +681,14 @@ def _joined(ctx: _DeltaContext, i: Optional[int], j: Optional[int]) -> bool:
     return i is not None and j is not None and -1 != ctx.top[i] != ctx.top[j] != -1
 
 
-def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
-    """Whether an alternating path ends at players ``a`` and ``c`` and
-    traverses ``b``.
-
-    With ``b``'s edge deleted, such a path is two vertex-disjoint
-    alternating paths from ``b``'s freed vertices, one ending at ``a``'s
-    edge and one at ``c``'s: two disjoint paths of ``b``'s component
-    digraph into the distinct components that hold or are entered by
-    ``a``'s and ``c``'s edges.
-    """
-    _require_cycle_free(cg, (a, b, c))
-    ctx = _delta_context(cg, b)
-    return _joined(ctx, _component(cg, ctx, a), _component(cg, ctx, c))
-
-
-def delta_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
-    """Whether an odd alternating cycle through players ``a`` and ``b``
-    extends, from a shared vertex, by an alternating path ending at ``c``.
-
-    Implements the two-case decision: delete ``a``'s player edge, take the
-    decomposition of the rest, and test path pieces with ``a``'s component
-    digraph and one modified-graph perfect-matching query.  The roles of
-    ``a`` and ``b`` are exchangeable.
-    """
-    _require_cycle_free(cg, (a, b, c))
-    ctx = _delta_context(cg, a)
-    return _delta_path_decide(cg, ctx, a, b, _component(cg, ctx, b), _component(cg, ctx, c))
-
-
 def _delta_path_decide(
     cg: CouplesGame, ctx: _DeltaContext, a: int, b: int, i: Optional[int], j: Optional[int]
 ) -> bool:
-    """:func:`delta_path_exists` for cycle-free players, given ``a``'s
-    context and the components ``i`` and ``j`` of ``b`` and of any ``c``
-    whose edge holds or enters side component ``j``.
+    """Whether an odd alternating cycle through the cycle-free players
+    ``a`` and ``b`` extends, from a shared vertex, by an alternating path
+    ending at a player ``c``, given ``a``'s context and the components
+    ``i`` and ``j`` that ``b``'s and ``c``'s edges hold or enter (None
+    when there is none).  The roles of ``a`` and ``b`` are exchangeable.
 
     Only the entry edge enters a side component, so a reach set holds it
     whole or misses it, and the answer depends on ``c`` only through
@@ -836,12 +765,14 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
     """
     kset = cg.cycle_free
     korder = sorted(kset)
-    ctxs = {b: _delta_context(cg, b) for b in korder}
-    # where[b][p] == _component(cg, ctxs[b], p) for every cycle-free p != b
-    # whose component is not None, in ascending p.  Such a p has a vertex
-    # t in one of b's components, so one pass over those vertices finds
-    # them all: p's edge holds t's component or enters it at t.  b's own
-    # vertices lie in the two distinct free components, so b is never one.
+    ctxs = {b: cg.delta_contexts[b] for b in korder}
+    # where[b][p] is the component of b's context that p's edge holds or
+    # enters, for every cycle-free p != b with one, in ascending p; it
+    # exists exactly when an alternating path joins p to b.  Such a p has
+    # a vertex t in one of b's components, so one pass over those vertices
+    # finds them all: p's edge holds t's component or enters it at t.  b's
+    # own vertices lie in the two distinct free components, so b is never
+    # one.
     partner, player_of = cg.partner, cg.player_of
     where: dict[int, dict[int, int]] = {}
     for b, ctx in ctxs.items():

@@ -5,6 +5,10 @@ class InputError(ValueError):
     """A caller-supplied value violates a documented precondition."""
 
 
+class MethodError(ValueError):
+    """The requested engine does not apply to the instance."""
+
+
 class ResourceLimitError(RuntimeError):
     """An explicit enumeration cap or budget was exceeded.
 

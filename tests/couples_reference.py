@@ -1,5 +1,13 @@
 """Direct forms of couples-engine steps that tests compare the library against.
 
+``on_alternating_cycle``, ``ordered_triple_path_exists`` and
+``delta_path_exists`` ask the three structural questions of the couples
+characterisation one player, pair or triple at a time.  No engine asks
+them so: the library reads the cycle-free set off one scan and answers
+every pair and triple inside ``strong_core_structure``.
+``delta_context`` and ``component`` look up one player's context and one
+edge's component in it, as those predicates need them.
+
 ``ordered_triple_by_tips`` deletes the three player edges plus one tip
 vertex of each end player and asks the union kernel for a perfect matching,
 once per tip pair (up to four queries).  ``ordered_triple_one_query`` asks
@@ -44,26 +52,95 @@ with one deletion query and no added edge.
 from __future__ import annotations
 
 from itertools import chain, combinations
+from typing import Optional
 
-from ntumatch import Graph, Matching, max_matching, on_alternating_cycle, utility
+from ntumatch import Graph, Matching, max_matching, utility
 from ntumatch.couples import (
     CouplesGame,
-    _component,
-    _delta_context,
+    _delta_path_decide,
     _DeltaContext,
     _joined,
-    _require_cycle_free,
     _structure,
     _tops,
     _Union,
     _verdict,
     _without,
 )
-from ntumatch.errors import InvariantError
+from ntumatch.errors import InputError, InvariantError
 from ntumatch.games import BLOCK_KIND
 from ntumatch.graphs import _blossom_search, _Labels
 
 from exhaustive_reference import cut_and_components, gallai_edmonds
+
+
+def on_alternating_cycle(cg: CouplesGame, p: int) -> bool:
+    """Whether some alternating cycle passes through player ``p``'s edge:
+    after deleting that edge, the union graph keeps a perfect matching."""
+    if not (0 <= p < cg.num_players):
+        raise InputError(f"player {p} out of range")
+    return cg.union.augment(drop_players=(p,)) is not None
+
+
+def require_cycle_free(cg: CouplesGame, players) -> None:
+    """An input error unless ``players`` are distinct cycle-free players."""
+    if len(set(players)) != len(players):
+        raise InputError("players must be distinct")
+    kset = cg.cycle_free
+    if kset.issuperset(players):
+        return
+    for p in players:
+        if not (0 <= p < cg.num_players):
+            raise InputError(f"player {p} out of range")
+        if p not in kset:
+            raise InputError(f"player {p} lies on an alternating cycle")
+
+
+def delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
+    """The context of the cycle-free ``a_pl``, built by ``couples._scan``."""
+    if a_pl not in cg.cycle_free:
+        raise InvariantError(f"player {a_pl} lies on an alternating cycle and has no context")
+    return cg.delta_contexts[a_pl]
+
+
+def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
+    """Whether an alternating path ends at players ``a`` and ``c`` and
+    traverses ``b``.
+
+    With ``b``'s edge deleted, such a path is two vertex-disjoint
+    alternating paths from ``b``'s freed vertices, one ending at ``a``'s
+    edge and one at ``c``'s: two disjoint paths of ``b``'s component
+    digraph into the distinct components that hold or are entered by
+    ``a``'s and ``c``'s edges.
+    """
+    require_cycle_free(cg, (a, b, c))
+    ctx = delta_context(cg, b)
+    return _joined(ctx, component(cg, ctx, a), component(cg, ctx, c))
+
+
+def delta_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
+    """Whether an odd alternating cycle through players ``a`` and ``b``
+    extends, from a shared vertex, by an alternating path ending at ``c``.
+
+    Implements the two-case decision: delete ``a``'s player edge, take the
+    decomposition of the rest, and test path pieces with ``a``'s component
+    digraph and one modified-graph perfect-matching query.  The roles of
+    ``a`` and ``b`` are exchangeable.
+    """
+    require_cycle_free(cg, (a, b, c))
+    ctx = delta_context(cg, a)
+    return _delta_path_decide(cg, ctx, a, b, component(cg, ctx, b), component(cg, ctx, c))
+
+
+def component(cg: CouplesGame, ctx: _DeltaContext, pl: int) -> Optional[int]:
+    """The odd component that holds player ``pl``'s edge or is entered by
+    it, or None.  It is not None exactly when an alternating path joins
+    ``pl`` to the context's player."""
+    u, v = cg.pairs[pl]
+    for s, t in ((u, v), (v, u)):
+        j = ctx.comp_of.get(t)
+        if j is not None and (ctx.comp_of.get(s) == j or ctx.entry.get(j) == (s, t)):
+            return j
+    return None
 
 
 def reach(view: _Union, root: int, drop_players=()) -> frozenset[int]:
@@ -241,9 +318,9 @@ def delta_path_by_added_edges(cg: CouplesGame, a: int, b: int, c: int, tally=Non
     and "side" for the added-edge queries, "entered" for the reach query
     of the case where ``b``'s edge enters ``b``'s component.
     """
-    _require_cycle_free(cg, (a, b, c))
-    ctx = _delta_context(cg, a)
-    i, j = _component(cg, ctx, b), _component(cg, ctx, c)
+    require_cycle_free(cg, (a, b, c))
+    ctx = delta_context(cg, a)
+    i, j = component(cg, ctx, b), component(cg, ctx, c)
     if i is None or j is None or i == j or j in ctx.free:
         return False
     au, av = cg.pairs[a]
@@ -291,7 +368,7 @@ def ordered_triple_by_tips(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     """Whether an alternating path ends at players ``a`` and ``c`` and
     traverses ``b``: some choice of tips x of ``a`` and y of ``c`` leaves a
     perfect matching once x, y and the three player edges are deleted."""
-    _require_cycle_free(cg, (a, b, c))
+    require_cycle_free(cg, (a, b, c))
     for x in cg.pairs[a]:
         for y in cg.pairs[c]:
             if cg.union.augment(drop_players=(a, b, c), drop_vertices=(x, y)) is not None:
@@ -305,7 +382,7 @@ def ordered_triple_one_query(cg: CouplesGame, a: int, b: int, c: int) -> bool:
     ``a``'s vertices and a vertex t joined to both of ``c``'s.  s and t
     each take one tip, and because ``b`` is on no alternating cycle, the
     rest can only splice into one path through ``b``."""
-    _require_cycle_free(cg, (a, b, c))
+    require_cycle_free(cg, (a, b, c))
     n = cg.inst.graph.n
     s, t = n, n + 1
     kept = [pr for i, pr in enumerate(cg.pairs) if i not in (a, b, c)]

@@ -13,7 +13,6 @@ from ntumatch import (
     X3CInstance,
     attach_special_edge,
     core_membership_by_enumeration,
-    delta_path_exists,
     frontier,
     gen_example1,
     gen_random,
@@ -37,6 +36,7 @@ from ntumatch.matroids import PartitionQuota
 from ntumatch.serialize import matching_from_json
 import random
 
+from couples_reference import delta_path_exists
 from exhaustive_reference import coverable_sets_brute, delta_triples_brute
 
 

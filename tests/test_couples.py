@@ -19,12 +19,9 @@ from ntumatch import (
     Instance,
     InvariantError,
     Matching,
-    delta_path_exists,
     gen_random,
     max_matching,
     normalize,
-    on_alternating_cycle,
-    ordered_triple_path_exists,
     strong_core_solve,
     strong_core_structure,
     strong_membership,
@@ -34,8 +31,6 @@ from ntumatch import (
 )
 from ntumatch import couples as couples_module
 from ntumatch.couples import (
-    _component,
-    _delta_context,
     _joined,
     _Peel,
     _structure,
@@ -47,12 +42,17 @@ from ntumatch.serialize import certificate_to_json, matching_to_json
 
 from couples_reference import (
     augment_by_copies,
+    component,
     cycle_free_by_player,
+    delta_context,
     delta_context_by_graph,
     delta_context_by_reach,
     delta_path_by_added_edges,
+    delta_path_exists,
+    on_alternating_cycle,
     ordered_triple_by_tips,
     ordered_triple_one_query,
+    ordered_triple_path_exists,
     reach,
     reach_by_copies,
     second_reach_by_flow,
@@ -443,7 +443,7 @@ class TestComponentDigraph:
         pairs = hits = 0
         for seed, cg in self.sweep():
             for p, q in permutations(sorted(cg.cycle_free), 2):
-                got = _component(cg, _delta_context(cg, p), q) is not None
+                got = component(cg, delta_context(cg, p), q) is not None
                 want = cg.union.augment(drop_players=(p, q), missing=2) is not None
                 assert got == want, (seed, p, q)
                 pairs += 1
@@ -458,7 +458,7 @@ class TestComponentDigraph:
         checked = hits = 0
         for seed, cg in self.sweep():
             for a in sorted(cg.cycle_free):
-                ctx = _delta_context(cg, a)
+                ctx = delta_context(cg, a)
                 for i, j in permutations(sorted(ctx.entry), 2):
                     (si, si_in), (sj, sj_in) = ctx.entry[i], ctx.entry[j]
                     want = augment_by_copies(
@@ -480,7 +480,7 @@ class TestComponentDigraph:
         pairs = hits = free = 0
         for cg in cases:
             for a in sorted(cg.cycle_free):
-                ctx = _delta_context(cg, a)
+                ctx = delta_context(cg, a)
                 for i in range(len(ctx.comps)):
                     second = second_reach_by_flow(ctx, i)
                     for j in range(len(ctx.comps)):
@@ -620,7 +620,7 @@ class TestDeltaContext:
             n = 6 + seed % 25
             cg = normalize(gen_random(n, 2, (1.0, 1.5, 2.0)[seed % 3] / n, seed=seed))
             for a in sorted(cg.cycle_free):
-                ctx = _delta_context(cg, a)
+                ctx = delta_context(cg, a)
                 comps, cut = delta_context_by_graph(cg, a)
                 assert ctx.comps == comps, (seed, a)
                 assert {s for s, _ in ctx.entry.values()} == cut, (seed, a)
@@ -642,7 +642,7 @@ class TestDeltaContext:
             cg = normalize(gen_random(n, 2, scale / n, seed=seed))
             assert cg.cycle_free == cycle_free_by_player(cg), (n, seed)
             for a in sorted(cg.cycle_free):
-                assert _delta_context(cg, a) == delta_context_by_reach(cg, a), (n, seed, a)
+                assert delta_context(cg, a) == delta_context_by_reach(cg, a), (n, seed, a)
                 contexts += 1
         assert contexts == 3788 + 56
 
@@ -654,14 +654,14 @@ class TestDeltaContext:
         assert (cg.num_players, len(cg.cycle_free)) == (20, 13)
         assert queries["kernel"] == 16
         for a in cg.cycle_free:
-            _delta_context(cg, a)
+            delta_context(cg, a)
         assert queries["kernel"] == 16
 
     def test_player_on_a_cycle_has_no_context(self):
         cg = normalize(two_couples_square())
         for p in range(2):
             with pytest.raises(InvariantError):
-                _delta_context(cg, p)
+                delta_context(cg, p)
 
     def test_side_components_are_reached_from_their_entry(self):
         # an odd component is factor-critical, so alone it is even-reached
@@ -672,7 +672,7 @@ class TestDeltaContext:
             cg = normalize(gen_random(n, 2, (1.0, 1.5, 2.0)[seed % 3] / n, seed=seed))
             everything = range(cg.inst.graph.n)
             for a in sorted(cg.cycle_free):
-                ctx = _delta_context(cg, a)
+                ctx = delta_context(cg, a)
                 for j, (_, t) in ctx.entry.items():
                     comp = ctx.comps[j]
                     view = cg.union.without(v for v in everything if v not in comp)
