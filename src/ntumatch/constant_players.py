@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import InvariantError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .games import (
     DEFAULT_BUDGET,
     ENUMERATION_PLAYER_GUARD,
@@ -63,6 +63,8 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
     union.  Every prefix the walk visits counts against ``budget``; the
     player guard bounds the rank table.
     """
+    if budget < 1:
+        raise InputError(f"budget must be at least 1, got {budget}")
     m = inst.num_players
     if m > ENUMERATION_PLAYER_GUARD:
         raise ResourceLimitError(f"{m} players exceeds the guard ({ENUMERATION_PLAYER_GUARD})")

@@ -93,5 +93,5 @@ def solve(
         found = constant_players.core_empty(inst, core, budget=budget)
     else:
         result = exhaustive.oracle_core(inst, core, cap=budget)
-        found = result.realize(result.in_core[-1]) if result.in_core else None
+        found = None if result.best is None else result.realize(result.best)
     return Verdict(engine, core, matching=found)

@@ -9,7 +9,8 @@ Matchings are enumerated by iterative include/exclude walks; ``Matching``
 objects are built only where a caller asks for one.  The core oracle walks
 the whole graph's matchings once, ``cap`` counting each, and codes their
 utility vectors as integers; :class:`OracleCoreResult` scans those vectors
-over the groups that touch the same players, in coalition order.
+over the groups that touch the same players, in coalition order, and
+builds the whole in-core list only when it is read.
 """
 
 from __future__ import annotations
@@ -24,7 +25,12 @@ from .graphs import Graph, Matching
 
 def _disjoint(edges) -> list[int]:
     """Per edge, the bitmask of the edges that share no vertex with it."""
-    return [sum(1 << k for k, f in enumerate(edges) if {u, v}.isdisjoint(f)) for u, v in edges]
+    at: dict[int, int] = {}
+    for k, (u, v) in enumerate(edges):
+        at[u] = at.get(u, 0) | 1 << k
+        at[v] = at.get(v, 0) | 1 << k
+    full = (1 << len(edges)) - 1
+    return [full & ~(at[u] | at[v]) for u, v in edges]
 
 
 def _matching_cells(g: Graph, cap: int) -> Iterator[Optional[tuple]]:
@@ -168,12 +174,18 @@ class OracleCoreResult:
     maximal in the table, as a vector touching less of C is zero where it
     is not.  So the first blocking maximum, ascending, is kept per group and
     projection.
+    Fact 4: ``best == in_core[-1]`` is the first unblocked maximum,
+    descending.  Under strong blocks the unblocked vectors form an up-set
+    (a block ``(C, w)`` of ``v >= u`` has w_i > v_i >= u_i on C), so a
+    maximal ``v`` above the largest unblocked vector is unblocked, with a
+    code no smaller; under weak blocks fact 2 applies.  So :attr:`in_core`,
+    which scans every candidate, is built only when it is read.
     """
 
     def __init__(self, kind: str, graph: Optional[Graph], m: int, width: int, first: dict):
         self.kind = kind  # which core was tested: "weak" or "strong"
         self._graph, self._first, self._width = graph, first, width
-        self._strong = strong = BLOCK_KIND[kind] == "strong"
+        self._strong = BLOCK_KIND[kind] == "strong"
         self._shifts = shifts = [(m - 1 - i) * width for i in range(m)]
         ones = sum(1 << s for s in shifts)
         self._guards = guards = ones << width - 1
@@ -189,15 +201,23 @@ class OracleCoreResult:
             (members[t], t >> width - 1, (t >> width - 1) * ((1 << width) - 1), maxima[t], {})
             for t in sorted(members, key=lambda t: (len(members[t]), members[t]))
         ]
-        tried = first
-        if not strong:  # fact 2
-            tried = _maxima([w for ws in maxima.values() for w in ws], guards)
-        unblocked = sorted(u for u in tried if self._first_block(u) is None)
-        self.in_core = tuple(map(self._vector, unblocked))  # ascending
+        self._maximal = _maxima([w for ws in maxima.values() for w in ws], guards)
+
+    @cached_property
+    def in_core(self) -> tuple[tuple[int, ...], ...]:
+        """Every unblocked vector, ascending; built on first read."""
+        tried = sorted(self._first) if self._strong else self._maximal  # fact 2
+        return tuple(self._vector(u) for u in tried if self._first_block(u) is None)
+
+    @cached_property
+    def best(self) -> Optional[tuple[int, ...]]:
+        """The largest unblocked vector, or None when the core is empty."""
+        u = next((u for u in reversed(self._maximal) if self._first_block(u) is None), None)
+        return None if u is None else self._vector(u)
 
     @property
     def empty(self) -> bool:
-        return not self.in_core
+        return self.best is None
 
     def _vector(self, code: int) -> tuple[int, ...]:
         low = (1 << self._width) - 1
@@ -261,6 +281,8 @@ def oracle_core(inst, kind: str, cap: int = DEFAULT_BUDGET) -> OracleCoreResult:
     """
     if kind not in BLOCK_KIND:
         raise InputError("kind must be 'weak' or 'strong'")
+    if cap < 1:
+        raise InputError(f"budget must be at least 1, got {cap}")
     if len(inst.players) > ENUMERATION_PLAYER_GUARD:
         raise ResourceLimitError(f"oracle_core guard: more than {ENUMERATION_PLAYER_GUARD} players")
     width, first = _first_by_code(inst, cap)

@@ -200,6 +200,8 @@ class _BlockSearch:
     def __init__(self, inst: Instance, kind: str, budget: int = DEFAULT_BUDGET):
         if kind not in BLOCK_KIND:
             raise InputError("kind must be 'weak' or 'strong'")
+        if budget < 1:
+            raise InputError(f"budget must be at least 1, got {budget}")
         if inst.num_players > ENUMERATION_PLAYER_GUARD:
             # the couples solver takes no class of three or more vertices
             hint = "; use the couples solver" if all(len(p) <= 2 for p in inst.players) else ""

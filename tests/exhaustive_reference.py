@@ -13,12 +13,13 @@ the algorithms the tests compare them against.  Hard caps raise
 :class:`~ntumatch.errors.ResourceLimitError` instead of truncating.  The
 const frontier's reference is the lattice walk that preceded its exact
 lower bounds, which recurses once per player.  The core oracle's
-references are its phases before the subset recurrence and the
-per-vector scan: a deduplicating walk over covered-vertex masks (on the
-matching walk that scanned every later edge per frame and copied the
-chosen tuple per push), every coalition's table scanned from all
-achievable vectors, and the blocking pass that tries every coalition in
-order against the vectors no earlier one blocked.
+references are the pairwise test of its disjoint-edge masks and its
+phases before the subset recurrence and the per-vector scan: a
+deduplicating walk over covered-vertex masks (on the matching walk that
+scanned every later edge per frame and copied the chosen tuple per push),
+every coalition's table scanned from all achievable vectors, and the
+blocking pass that tries every coalition in order against the vectors no
+earlier one blocked.
 """
 
 from __future__ import annotations
@@ -393,6 +394,12 @@ def pareto_maximal_reference(vectors) -> list[tuple[int, ...]]:
             maxima.append(v)
     maxima.reverse()
     return maxima
+
+
+def disjoint_reference(edges) -> list[int]:
+    """Per edge, the bitmask of the edges that share no vertex with it, by
+    testing every pair of edges."""
+    return [sum(1 << k for k, f in enumerate(edges) if {u, v}.isdisjoint(f)) for u, v in edges]
 
 
 def matching_masks_reference(g: Graph, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:

@@ -149,6 +149,14 @@ class TestFrontier:
         assert fr.maximal_vectors
         assert all(sum(v) == 16 for v in fr.maximal_vectors)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_an_input_error(self, budget):
+        # checked before the player guard, so before any work
+        many = Instance(Graph(21), tuple(frozenset({v}) for v in range(21)))
+        for inst in (gen_example1().instance, many):
+            with pytest.raises(InputError, match=f"^budget must be at least 1, got {budget}$"):
+                frontier(inst, budget=budget)
+
     def test_budget_guard(self):
         # the budget counts the prefixes the walk visits, not the lattice:
         # with no dead end they are the prefixes of the maximal vectors
@@ -477,6 +485,21 @@ class TestCoreEmpty:
             core_empty(many, "weak")
         with pytest.raises(InputError):
             core_empty(gen_example1().instance, "x")
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_an_input_error(self, budget, monkeypatch):
+        def no_frontier(inst, budget):
+            raise AssertionError("frontier ran before the budget check")
+
+        monkeypatch.setattr(constant_players, "frontier", no_frontier)
+        many = Instance(Graph(21), tuple(frozenset({v}) for v in range(21)))
+        for inst in (gen_example1().instance, many):
+            for kind in ("weak", "strong"):
+                with pytest.raises(InputError, match=f"^budget must be at least 1, got {budget}$"):
+                    core_empty(inst, kind, budget=budget)
+                # checked at call time: the iterator is never advanced
+                with pytest.raises(InputError, match=f"^budget must be at least 1, got {budget}$"):
+                    core_outcomes(inst, kind, budget)
 
     def test_outcomes_check_input_at_call_time(self):
         # the calls below never iterate, so only eager checks can raise

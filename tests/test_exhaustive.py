@@ -6,15 +6,20 @@ from hypothesis import strategies as st
 
 from ntumatch import (
     Graph,
+    InputError,
     Instance,
     Matching,
     ResourceLimitError,
     gen_example1,
     gen_random,
+    solve,
     utility,
+    verify,
 )
+from ntumatch import exhaustive
 from ntumatch.exhaustive import (
     OracleCoreResult,
+    _disjoint,
     _matching_of,
     _maxima,
     all_matchings,
@@ -28,6 +33,7 @@ from conftest import cycle_graph, path_graph, random_graph
 from exhaustive_reference import (
     blocked_reference,
     coalition_maxima_reference,
+    disjoint_reference,
     even_reach_brute,
     first_by_vector_reference,
     induced_subgraph,
@@ -145,6 +151,25 @@ class TestAllMatchings:
             count_matchings(path_graph(1300), cap=1000)
 
 
+class TestDisjoint:
+    def test_equals_quadratic_definition(self, rng):
+        graphs = [
+            Graph(0),
+            Graph(5),  # edgeless
+            Graph(9, [(1, 2), (2, 5), (5, 7)]),  # 0, 3, 4, 6 and 8 isolated
+            *(random_graph(rng, rng.randint(2, 14), rng.choice((0.15, 0.3, 0.6))) for _ in range(80)),
+        ]
+        for g in graphs:
+            assert _disjoint(g.edges) == disjoint_reference(g.edges), g.edges
+
+    def test_star_has_no_disjoint_pair(self):
+        star = Graph(7, [(0, v) for v in range(1, 7)])
+        assert _disjoint(star.edges) == disjoint_reference(star.edges) == [0] * 6
+        # a star next to an edge: the edge is disjoint from every spoke
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+        assert _disjoint(g.edges) == disjoint_reference(g.edges) == [8, 8, 8, 7]
+
+
 class TestEvenReachBrute:
     def test_long_alternating_path(self):
         # 0 - 1 = 2 - 3 = 4 ... : every even vertex is reachable from 0
@@ -191,6 +216,15 @@ class TestOracleCore:
     def test_example1_weak_core_empty(self):
         gen = gen_example1()
         assert oracle_core(gen.instance, "weak").empty
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_an_input_error(self, cap):
+        # checked before the player guard, so before any work
+        guard = ENUMERATION_PLAYER_GUARD
+        many = Instance(Graph(guard + 1), tuple(frozenset({v}) for v in range(guard + 1)))
+        for inst in (gen_example1().instance, many):
+            with pytest.raises(InputError, match=f"^budget must be at least 1, got {cap}$"):
+                oracle_core(inst, "weak", cap=cap)
 
     def test_player_guard_is_the_enumeration_guard(self):
         guard = ENUMERATION_PLAYER_GUARD
@@ -357,6 +391,79 @@ class TestOracleAgainstReference:
             assert len(oracle_core(inst, kind, cap=total).in_core) >= 1
             with pytest.raises(ResourceLimitError):
                 oracle_core(inst, kind, cap=total - 1)
+
+
+# n = 6..12, two or three vertices a class, three densities: 336 instances
+SHORTCUT_FAMILY = [
+    gen_random(n, class_cap, p, 3300 + seed)
+    for n in range(6, 13)
+    for class_cap in (2, 3)
+    for p in (0.15, 0.3, 0.5)
+    for seed in range(8)
+]
+
+
+def assert_best_is_last_in_core(inst: Instance) -> None:
+    for kind in ("weak", "strong"):
+        res = oracle_core(inst, kind)
+        best, empty = res.best, res.empty
+        assert "in_core" not in vars(res), kind
+        assert best == (res.in_core[-1] if res.in_core else None), kind
+        assert empty == (not res.in_core), kind
+
+
+class TestOracleShortcut:
+    """``best`` and ``empty`` read the largest unblocked maximum (fact 4)
+    and never build ``in_core``, whose last entry they must equal."""
+
+    @pytest.mark.parametrize("case", range(len(EQUIVALENCE_CASES)))
+    def test_best_is_last_in_core_on_equivalence_cases(self, case):
+        assert_best_is_last_in_core(EQUIVALENCE_CASES[case])
+
+    def test_best_is_last_in_core_on_wide_and_synthetic_sets(self):
+        assert_best_is_last_in_core(WIDE)
+        # sets with no graph behind them, with and without the zero vector
+        for vectors in ({(0, 0)}, set(), {(1, 0), (0, 1)}, {(0, 0), (1, 2), (2, 1), (1, 1)}):
+            for kind in ("weak", "strong"):
+                res = OracleCoreResult(kind, None, 2, 3, {encode(v): None for v in vectors})
+                assert res.best == (res.in_core[-1] if res.in_core else None), (vectors, kind)
+
+    def test_best_is_last_in_core_on_seeded_family(self):
+        assert len(SHORTCUT_FAMILY) >= 300
+        for inst in SHORTCUT_FAMILY:
+            assert_best_is_last_in_core(inst)
+
+    def test_best_and_blocking_build_no_in_core(self):
+        inst = EQUIVALENCE_CASES[-1]
+        for kind in ("weak", "strong"):
+            res = oracle_core(inst, kind)
+            res.blocking((0,) * inst.num_players)
+            assert "in_core" not in vars(res), kind
+            assert res.empty == (res.best is None), kind
+            assert "in_core" not in vars(res), kind
+
+    @pytest.mark.parametrize("case", range(0, len(EQUIVALENCE_CASES), 3))
+    def test_solve_realizes_last_in_core(self, case):
+        inst = EQUIVALENCE_CASES[case]
+        for kind in ("weak", "strong"):
+            res = oracle_core(inst, kind)
+            expected = res.realize(res.in_core[-1]) if res.in_core else None
+            assert solve(inst, kind, method="oracle").matching == expected, kind
+
+    def test_engines_build_no_in_core(self, monkeypatch):
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(oracle_core(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(exhaustive, "oracle_core", recording)
+        inst = gen_random(10, 2, 0.3, 3)
+        for kind in ("weak", "strong"):
+            solve(inst, kind, method="oracle")
+            verify(inst, Matching(), kind, method="oracle")
+        assert len(results) == 4
+        assert not any("in_core" in vars(res) for res in results)
 
 
 class TestOracleDelta:

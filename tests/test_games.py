@@ -273,6 +273,17 @@ class TestMembership:
         with pytest.raises(ResourceLimitError, match=r"guard \(20\)$"):
             core_membership_by_enumeration(inst, Matching(), "weak")
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_an_input_error(self, budget):
+        # checked before the player guard, so before any work
+        many = Instance(Graph(21), tuple(frozenset({v}) for v in range(21)))
+        gen = gen_example1()
+        for inst, m in ((gen.instance, gen.matching), (many, Matching())):
+            with pytest.raises(InputError, match=f"^budget must be at least 1, got {budget}$"):
+                core_membership_by_enumeration(inst, m, "weak", budget)
+            with pytest.raises(InputError, match=f"^budget must be at least 1, got {budget}$"):
+                ntumatch.games._BlockSearch(inst, "strong", budget=budget)
+
     def test_budget_counts_visited_coalitions(self):
         gen = gen_example1()
         inst, m = gen.instance, gen.matching
