@@ -18,7 +18,6 @@ after a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
@@ -119,7 +118,7 @@ def _oracle(args) -> int:
         }
     else:
         payload = {"matchings": exhaustive.count_matchings(inst.graph, cap=args.budget)}
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(serialize.to_json(payload), args.out)
     return 0
 
 

@@ -61,7 +61,9 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
     from :func:`~ntumatch.matroids._union_ranks`, which reads them off one
     Gallai–Edmonds decomposition of the graph instead of searching per
     union.  Every prefix the walk visits counts against ``budget``; the
-    player guard bounds the rank table.
+    player guard bounds the rank table.  The walk keeps its open
+    coordinates on an explicit stack, so it never recurses and its 2^m
+    tables are freed as soon as it returns.
     """
     if budget < 1:
         raise InputError(f"budget must be at least 1, got {budget}")
@@ -76,30 +78,39 @@ def frontier(inst: Instance, budget: int = DEFAULT_BUDGET) -> AchievableFrontier
     load = [0] * (1 << m)
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
+    acc = 0  # the prefix's sum
+    # per open coordinate i: (2^i, load[:2^i] as the prefix left it, the
+    # values still to try); prefix holds one more entry while a child is out
+    stack: list[tuple[int, list[int], Iterator[int]]] = []
     visited = 0
-
-    def rec(acc: int):
-        nonlocal visited
+    while True:
         visited += 1
         if visited > budget:
             raise ResourceLimitError(f"frontier walk visited more than {budget} lattice nodes")
         i = len(prefix)
         if i == m - 1:
             out.append((*prefix, total - acc))
-            return
-        lo, hi = 1 << i, 2 << i
-        below = load[:lo]
-        # W = lo + k for k < lo; its complement N \ W is (full ^ lo) - k
-        rest = (full ^ lo) - lo + 1
-        cap = min(map(int.__sub__, ranks[lo:hi], below))
-        floor = total - min(map(int.__add__, ranks[rest:rest + lo], reversed(below)))
-        for xi in range(max(0, floor), cap + 1):
-            load[lo:hi] = [v + xi for v in below]
-            prefix.append(xi)
-            rec(acc + xi)
-            prefix.pop()
-
-    rec(0)
+        else:
+            lo, hi = 1 << i, 2 << i
+            below = load[:lo]
+            # W = lo + k for k < lo; its complement N \ W is (full ^ lo) - k
+            rest = (full ^ lo) - lo + 1
+            cap = min(map(int.__sub__, ranks[lo:hi], below))
+            floor = total - min(map(int.__add__, ranks[rest:rest + lo], reversed(below)))
+            stack.append((lo, below, iter(range(max(0, floor), cap + 1))))
+        while stack:
+            lo, below, values = stack[-1]
+            if len(prefix) == len(stack):  # back from a child
+                acc -= prefix.pop()
+            xi = next(values, None)
+            if xi is not None:
+                load[lo:2 * lo] = [v + xi for v in below]
+                prefix.append(xi)
+                acc += xi
+                break
+            stack.pop()
+        else:
+            break
     return AchievableFrontier(tuple(out))
 
 

@@ -157,12 +157,18 @@ class _Union:
     search so a search costs its tree; it stops at the first root that
     cannot be matched.  A kept view (:meth:`without`) is such a copy with
     its vertex deletions kept.
+
+    A view holds the game's ``pairs``, ``player_of`` table and set of real
+    edges, never the game, which caches its union: with no reference back,
+    a game and everything it holds are freed by reference counting.
     """
 
-    __slots__ = ("cg", "adj", "base", "gone", "exposed")
+    __slots__ = ("pairs", "player_of", "real", "adj", "base", "gone", "exposed")
 
-    def __init__(self, cg: "CouplesGame", adj, base, gone, exposed):
-        self.cg = cg
+    def __init__(self, pairs, player_of, real, adj, base, gone, exposed):
+        self.pairs = pairs
+        self.player_of = player_of
+        self.real = real
         self.adj = adj
         self.base = base
         self.gone = gone
@@ -178,14 +184,15 @@ class _Union:
             if (u, v) not in g.edge_set:  # only these rows gain an entry
                 adj[u] = tuple(sorted((*adj[u], v)))
                 adj[v] = tuple(sorted((*adj[v], u)))
-        return cls(cg, tuple(adj), tuple(base), frozenset(), ())
+        return cls(cg.pairs, cg.player_of, g.edge_set, tuple(adj), tuple(base), frozenset(), ())
 
     def without(self, verts) -> "_Union":
         """The same union with ``verts`` deleted too, as a query deletes
         them: their partners become exposed."""
         verts = frozenset(verts)
         adj, base, exposed = self._query((), verts)
-        return _Union(self.cg, tuple(adj), tuple(base), self.gone | verts, tuple(exposed))
+        parts = self.pairs, self.player_of, self.real
+        return _Union(*parts, tuple(adj), tuple(base), self.gone | verts, tuple(exposed))
 
     def has(self, v: int) -> bool:
         return v not in self.gone
@@ -198,9 +205,9 @@ class _Union:
         adj = list(self.adj)
         base = list(self.base)
         exposed = set(self.exposed)
-        real = self.cg.inst.graph.edge_set
+        real = self.real
         for p in drop_players:
-            u, v = self.cg.pairs[p]
+            u, v = self.pairs[p]
             if base[u] != v:
                 continue  # not inside the view
             base[u] = base[v] = -1
@@ -274,17 +281,16 @@ class _Peel:
     fresh peel of it would end.
 
     ``deg`` counts, per vertex, its neighbours that are neither deleted
-    nor peeled; it is 0 for deleted and peeled vertices.
+    nor peeled; it is 0 for deleted and peeled vertices.  A peel reads
+    the rows, pairs and real edges of the view it holds, never the game.
     """
 
-    __slots__ = ("cg", "adj", "base", "deg", "forced")
+    __slots__ = ("view", "deg", "forced")
 
     def __init__(self, view: _Union):
         if view.exposed:
             raise InvariantError("peeling needs a view whose base matching is perfect")
-        self.cg = view.cg
-        self.adj = view.adj
-        self.base = view.base
+        self.view = view
         self.deg = [len(row) for row in view.adj]
         self.forced: set[int] = set()
         for x in range(len(self.deg)):
@@ -301,19 +307,20 @@ class _Peel:
 
     def _leaf(self, x: int) -> int:
         """Peels the leaf ``x`` and its partner, which it returns."""
-        y = self.base[x]
+        view = self.view
+        y = view.base[x]
         self.deg[x] = self.deg[y] = 0
-        p = self.cg.player_of[x]
-        if self.cg.pairs[p] not in self.cg.inst.graph.edge_set:
+        p = view.player_of[x]
+        if view.pairs[p] not in view.real:
             self.forced.add(p)
         return y
 
     def _remove(self, gone: list[int]) -> None:
         """Takes the vertices in ``gone``, whose degrees are already 0,
         off their neighbours' degrees, peeling every leaf that leaves."""
-        deg = self.deg
+        adj, deg = self.view.adj, self.deg
         while gone:
-            for w in self.adj[gone.pop()]:
+            for w in adj[gone.pop()]:
                 if deg[w]:
                     deg[w] -= 1
                     if deg[w] == 1:

@@ -192,7 +192,7 @@ class OracleCoreResult:
         groups: dict[int, list] = {}
         for c in first:
             groups.setdefault(((c | guards) - ones) & guards, []).append(c)
-        maxima = {t: _maxima(group, guards) for t, group in groups.items()}
+        self._group_maxima = maxima = {t: _maxima(group, guards) for t, group in groups.items()}
         members = {
             t: tuple(i for i, s in enumerate(shifts) if t >> s + width - 1 & 1) for t in groups if t
         }
@@ -201,7 +201,15 @@ class OracleCoreResult:
             (members[t], t >> width - 1, (t >> width - 1) * ((1 << width) - 1), maxima[t], {})
             for t in sorted(members, key=lambda t: (len(members[t]), members[t]))
         ]
-        self._maximal = _maxima([w for ws in maxima.values() for w in ws], guards)
+
+    @cached_property
+    def _maximal(self) -> list[int]:
+        """The Pareto-maximal codes, ascending, from every group's maxima,
+        the empty touched set's included, which the scan leaves out: its
+        code 0 is an edgeless instance's only vector.  Only :attr:`best`
+        and the strong core's :attr:`in_core` read them, so a
+        :meth:`blocking` call does not pay for them."""
+        return _maxima([w for ws in self._group_maxima.values() for w in ws], self._guards)
 
     @cached_property
     def in_core(self) -> tuple[tuple[int, ...], ...]:

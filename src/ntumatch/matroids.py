@@ -116,9 +116,10 @@ def _union_ranks(g: Graph, groups: tuple[frozenset[int], ...]) -> list[int]:
     cut vertices.  A component lies inside a union when its players do
     (never when it has an ungrouped vertex), so ``|F| - ν_B(F)`` depends
     only on the players that components touch.  Their masks are walked
-    depth first: a child augments the bipartite matching from each
-    component inside it whose highest player joins it, and the owners of
-    the cut vertices are restored on the way back.
+    depth first on an explicit stack, with no recursion: a child augments
+    the bipartite matching from each component inside it whose highest
+    player joins it, and the owners of the cut vertices are restored
+    before each sibling.
     """
     n = g.n
     bad = [v for grp in groups for v in grp if not 0 <= v < n]
@@ -149,27 +150,30 @@ def _union_ranks(g: Graph, groups: tuple[frozenset[int], ...]) -> list[int]:
     owner = [-1] * len(slot)
     lack = [0] * (1 << len(groups))  # |F| - ν_B(F), on masks of touched players
 
-    def grow(mask: int, low: int) -> None:
-        saved = owner[:]
-        for i in range(low, len(players)):
-            j = players[i]
-            child = mask | 1 << j
-            fails = lack[mask]
-            for inner, c in tops[j]:
-                if inner | child == child:
-                    # most components find a free cut vertex with no search
-                    for a in cuts[c]:
-                        if owner[a] == -1:
-                            owner[a] = c
-                            break
-                    else:
-                        fails += not (cuts[c] and _claim(cuts, owner, c))
-            lack[child] = fails
-            if i + 1 < len(players):
-                grow(child, i + 1)
-            owner[:] = saved
-
-    grow(0, 0)
+    # (mask, i, owner as mask left it): extend mask by players[i], then by
+    # the later players; a child's own frame is popped before its sibling's
+    stack = [(0, 0, owner[:])]
+    while stack:
+        mask, i, saved = stack.pop()
+        if i == len(players):
+            continue
+        owner[:] = saved
+        j = players[i]
+        child = mask | 1 << j
+        fails = lack[mask]
+        for inner, c in tops[j]:
+            if inner | child == child:
+                # most components find a free cut vertex with no search
+                for a in cuts[c]:
+                    if owner[a] == -1:
+                        owner[a] = c
+                        break
+                else:
+                    fails += not (cuts[c] and _claim(cuts, owner, c))
+        lack[child] = fails
+        stack.append((mask, i + 1, saved))
+        if i + 1 < len(players):
+            stack.append((child, i + 1, owner[:]))
     ranks = [0]
     for size in map(len, groups):
         ranks += [r + size for r in ranks]

@@ -24,8 +24,27 @@ from .generators import X3CInstance
 from .graphs import Graph, Matching
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\n"`` for objects with string keys,
+    arrays and scalars.  The stdlib's indenting encoder is closures that
+    call each other, which only the cyclic collector frees, so the layout
+    is written here and the C encoder writes only the scalars."""
+    return _layout(obj, "") + "\n"
+
+
+def _layout(obj, indent: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` lays it out at ``indent``."""
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{json.dumps(k)}: {_layout(v, inner)}" for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [inner + _layout(v, inner) for v in obj], "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + indent + brackets[1]
 
 
 # The writers below lay out ``json.dumps(obj, indent=2) + "\n"`` directly
@@ -258,4 +277,4 @@ def clauses_from_json(text: str) -> list[tuple[int, ...]]:
 
 
 def name_map_to_json(names: dict) -> str:
-    return _dump({k: names[k] for k in sorted(names)})
+    return to_json({k: names[k] for k in sorted(names)})

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -27,6 +28,20 @@ def random_matching(rng: random.Random, g: Graph, keep: float = 0.6) -> Matching
             edges.append((u, v))
             used.update((u, v))
     return Matching(edges)
+
+
+def with_frames_to_spare(frames: int, call):
+    """``call()`` under a recursion limit ``frames`` above the current
+    stack depth, so that it fails if ``call`` nests that deep."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        return call()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def path_graph(n: int) -> Graph:

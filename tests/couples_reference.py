@@ -250,14 +250,13 @@ def masked(view: _Union, drop_players=(), drop_vertices=(), extra_edges=()):
     adj = list(view.adj)
     match = list(view.base)
     exposed = set(view.exposed)
-    real = view.cg.inst.graph.edge_set
     for p in drop_players:
-        u, v = view.cg.pairs[p]
+        u, v = view.pairs[p]
         if match[u] != v:
             continue  # not inside the view
         match[u] = match[v] = -1
         exposed.update((u, v))
-        if (u, v) not in real:
+        if (u, v) not in view.real:
             adj[u] = _without(adj[u], v)
             adj[v] = _without(adj[v], u)
     gone = {x for x in drop_vertices if view.has(x)}

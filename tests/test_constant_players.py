@@ -29,7 +29,7 @@ from ntumatch.exhaustive import all_matchings, oracle_core
 from ntumatch.matroids import _union_ranks
 from ntumatch.serialize import matching_to_json
 
-from conftest import random_matching
+from conftest import random_matching, with_frames_to_spare
 from exhaustive_reference import frontier_walk_reference, induced_subgraph
 from matroid_reference import quota_feasible
 
@@ -233,6 +233,16 @@ class TestFrontier:
             vectors = frontier(inst, budget=10**12).maximal_vectors
             assert len(vectors) == count
             assert vectors == frontier_walk_reference(inst)
+
+    def test_walk_runs_without_recursion(self):
+        # 20 players: a walk that recursed once per coordinate would need
+        # about 29 frames, this one about 15
+        inst = gen_random(60, 3, 0.04, 1)
+        assert inst.num_players == 20
+        assert with_frames_to_spare(22, lambda: frontier(inst).maximal_vectors) == (
+            (3, 3, 2, 3, 3, 2, 3, 3, 3, 2, 1, 3, 3, 3, 3, 3, 3, 2, 3, 3),
+            (3, 3, 2, 3, 3, 3, 3, 3, 3, 2, 1, 3, 3, 3, 2, 3, 3, 2, 3, 3),
+        )
 
     def test_maximal_prefixes_are_the_rank_bounded_points(self, rng):
         # the rule the walk relies on, checked apart from it: the prefixes

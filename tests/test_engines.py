@@ -1,6 +1,10 @@
 """The front door: ``ntumatch.verify`` and ``ntumatch.solve`` give the
 answers of the engine they route to, called directly, and reject bad
-arguments before any engine runs."""
+arguments before any engine runs; no call leaves cyclic garbage."""
+
+import contextlib
+import gc
+import io
 
 import pytest
 
@@ -23,8 +27,12 @@ from ntumatch import (
     weak_construct,
     weak_membership,
 )
+from ntumatch.cli import main
+from ntumatch.constant_players import frontier
 from ntumatch.exhaustive import oracle_core
 from ntumatch.games import BLOCK_KIND, ENUMERATION_PLAYER_GUARD
+from ntumatch.matroids import _union_ranks
+from ntumatch.serialize import matching_to_json
 
 from test_cli_golden import INSTANCES
 
@@ -142,3 +150,78 @@ def test_verify_rejects_a_matching_outside_the_graph():
     stray = next((u, v) for u in range(12) for v in range(u + 1, 12) if (u, v) not in edges)
     with pytest.raises(InputError):
         verify(inst, Matching([stray]), "weak")
+
+
+def cyclic_garbage(call) -> int:
+    """The objects that only the cyclic collector can free once ``call``
+    returns.  A first call warms every cache; the second runs with the
+    collector off, so nothing it leaves is freed before it is counted."""
+    call()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _cli(argv, rc):
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == rc, argv
+
+    return call
+
+
+class TestNoCyclicGarbage:
+    """Every query is freed by reference counting when it returns: no
+    engine object points back at what holds it, and no walk is a closure
+    that calls itself."""
+
+    @pytest.mark.parametrize("n, cap, p, seed", CASES)
+    def test_solve_and_verify(self, n, cap, p, seed):
+        inst = gen_random(n, cap, p, seed)
+        best = max_matching(inst.graph)
+        matchings = (best, Matching(best.edges[1:]))
+        for engine in _engines(inst):
+            for core in ("weak", "strong"):
+                assert cyclic_garbage(lambda: solve(inst, core, method=engine)) == 0, (engine, core)
+                for m in matchings:
+                    call = lambda: verify(inst, m, core, method=engine)  # noqa: E731
+                    assert cyclic_garbage(call) == 0, (engine, core, m)
+
+    def test_cli(self, tmp_path):
+        paths, best = {}, {}
+        for engine, n, cap, p, seed in INSTANCES[:2] + INSTANCES[4:6]:
+            path = paths[engine, n] = str(tmp_path / f"{engine}-{n}.json")
+            argv = ["gen", "random", "--n", str(n), "--class-cap", str(cap),
+                    "--edge-prob", str(p), "--seed", str(seed), "--out", path]
+            assert cyclic_garbage(_cli(argv, 0)) == 0
+            best[n] = tmp_path / f"{engine}-{n}-max.json"
+            best[n].write_text(matching_to_json(max_matching(gen_random(n, cap, p, seed).graph)))
+        cases = [
+            # (argv, exit code): both verdicts of each command, on the
+            # golden instances whose answers test_cli_golden pins
+            (["solve", "--core", "weak", "--instance", paths["couples", 23]], 0),
+            (["solve", "--core", "strong", "--instance", paths["couples", 23]], 1),
+            (["core-empty", "--core", "weak", "--instance", paths["const", 15]], 0),
+            (["core-empty", "--core", "strong", "--instance", paths["const", 15]], 1),
+            (["solve", "--core", "weak", "--method", "oracle", "--instance", paths["oracle", 10]], 0),
+            (["verify", "--core", "weak", "--instance", paths["couples", 23], "--matching", str(best[23])], 1),
+            (["verify", "--core", "weak", "--instance", paths["couples", 40], "--matching", str(best[40])], 0),
+            (["oracle", "core", "--core", "strong", "--instance", paths["oracle", 10]], 0),
+            (["oracle", "matchings", "--instance", paths["oracle", 10]], 0),
+            (["gen", "example1", "--map-out", str(tmp_path / "names.json")], 0),
+        ]
+        for argv, rc in cases:
+            assert cyclic_garbage(_cli(argv, rc)) == 0, argv
+
+    @pytest.mark.parametrize("n, cap, p, seed", [(30, 3, 0.15, 1), (36, 3, 0.1, 2), (24, 2, 0.2, 3)])
+    def test_const_walks(self, n, cap, p, seed):
+        inst = gen_random(n, cap, p, seed)
+        assert 10 <= inst.num_players <= 12
+        assert cyclic_garbage(lambda: frontier(inst)) == 0
+        assert cyclic_garbage(lambda: _union_ranks(inst.graph, inst.players)) == 0

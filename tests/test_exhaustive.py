@@ -333,6 +333,10 @@ class TestOracleAgainstReference:
         for kind in ("weak", "strong"):
             res = oracle_core(inst, kind)
             assert (res.in_core, res.blocked) == (((0, 0, 0),), {})
+            assert oracle_core(inst, kind).best == (0, 0, 0)
+        # no players: the empty matching's code 0 is the only maximum
+        for kind in ("weak", "strong"):
+            assert oracle_core(Instance(Graph(0), ()), kind).best == ()
 
     def test_empty_matching_vector(self):
         for inst in EQUIVALENCE_CASES[:6] + [WIDE]:
@@ -435,6 +439,7 @@ class TestOracleShortcut:
             res = oracle_core(inst, kind)
             res.blocking((0,) * inst.num_players)
             assert "in_core" not in vars(res), kind
+            assert "_maximal" not in vars(res), kind
             assert res.empty == (res.best is None), kind
             assert "in_core" not in vars(res), kind
 

@@ -1,4 +1,3 @@
-import sys
 from itertools import combinations
 
 import pytest
@@ -20,7 +19,7 @@ from ntumatch import (
 from ntumatch.exhaustive import all_matchings
 from ntumatch.matroids import _odd_components, _quota_matching, _union_ranks
 
-from conftest import path_graph, random_graph
+from conftest import path_graph, random_graph, with_frames_to_spare
 from exhaustive_reference import coverable_sets_brute, gallai_edmonds, induced_subgraph
 from matroid_reference import (
     MatchingMatroid,
@@ -360,13 +359,19 @@ class TestUnionRanksByDecomposition:
         assert len(_odd_components(g)) == t + 2
         want = union_ranks_by_search(g, groups)
         assert want == [0, t, 1, t + 1, 1, t + 1, 2, t + 1]
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 40)
-        try:
-            got = _union_ranks(Graph(g.n, g.edges), groups)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert got == want
+        assert with_frames_to_spare(40, lambda: _union_ranks(Graph(g.n, g.edges), groups)) == want
+
+    def test_mask_walk_runs_without_recursion(self):
+        # a star whose 17 leaves are odd components, each inside its own
+        # player: every player is touched, and a mask walk that recursed
+        # once per player would need about 27 frames, this one about 16.  A
+        # union covers the centre and a leaf when it holds the centre's
+        # player, else one leaf
+        star = Graph(18, [(0, v) for v in range(1, 18)])
+        groups = (frozenset({0, 1}), *(frozenset({v}) for v in range(2, 18)))
+        assert len(_odd_components(star)) == 17
+        want = [2 if w & 1 else int(w > 0) for w in range(1 << 17)]
+        assert with_frames_to_spare(22, lambda: _union_ranks(star, groups)) == want
+        for w in range(0, 1 << 17, 4051):
+            union = frozenset().union(*(g for i, g in enumerate(groups) if w >> i & 1))
+            assert want[w] == coverage_rank(star, union), w

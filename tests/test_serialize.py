@@ -16,6 +16,7 @@ from ntumatch.serialize import (
     instance_from_json,
     instance_to_json,
     matching_to_json,
+    to_json,
 )
 
 
@@ -86,6 +87,17 @@ class TestWriters:
         assert matching_to_json(Matching()) == '{\n  "edges": []\n}\n'
         inst = Instance(Graph(1), (frozenset({0}),))
         assert instance_to_json(inst) == _dumps({"n": 1, "edges": [], "players": [[0]]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+        )
+    )
+    def test_any_document(self, obj):
+        # the oracle's payloads and the generators' name maps
+        assert to_json(obj) == _dumps(obj)
 
 
 def _checked(n, edges, players) -> Instance:
