@@ -31,7 +31,7 @@ used in the real-edge role, so the simple-graph union is faithful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Optional
@@ -46,42 +46,33 @@ from .matroids import PartitionQuota, matching_with_lower_bounds
 class CouplesGame:
     """A partitioned matching game with all players of size exactly two.
 
-    ``inst`` is the (possibly padded) instance; ``original`` the input it
-    came from.  Padding adds one isolated vertex to each size-1 player, so
-    matchings and verdicts transfer back unchanged.  ``delta_contexts``
-    keeps every cycle-free player's context, which the scan behind
-    ``cycle_free`` fills.
+    ``inst`` is the (possibly padded) instance.  Padding adds one isolated
+    vertex to each size-1 player, so matchings and verdicts transfer back
+    unchanged.
     """
 
     inst: Instance
-    original: Instance
     pairs: tuple[tuple[int, int], ...]
-    padded_vertices: frozenset[int]
-    delta_contexts: dict[int, _DeltaContext] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     @cached_property
     def player_of(self) -> dict[int, int]:
         return self.inst.player_of
 
     @cached_property
-    def partner(self) -> dict[int, int]:
-        d: dict[int, int] = {}
-        for u, v in self.pairs:
-            d[u] = v
-            d[v] = u
-        return d
-
-    @cached_property
     def union(self) -> "_Union":
         return _Union.of_game(self)
 
     @cached_property
-    def cycle_free(self) -> frozenset[int]:
-        """Players whose edge lies on no alternating cycle, found by
-        :func:`_scan`, which also fills ``delta_contexts``."""
+    def contexts(self) -> dict[int, "_DeltaContext"]:
+        """Every cycle-free player's context, in ascending player order,
+        from one :func:`_scan`."""
         return _scan(self)
+
+    @cached_property
+    def cycle_free(self) -> frozenset[int]:
+        """Players whose edge lies on no alternating cycle: those that
+        have a context."""
+        return frozenset(self.contexts)
 
     @cached_property
     def forced(self) -> frozenset[int]:
@@ -107,33 +98,24 @@ def normalize(inst: Instance) -> CouplesGame:
     g = inst.graph
     n = g.n
     pairs: list[tuple[int, int]] = []
-    padded: list[int] = []
     for i, p in enumerate(inst.players):
         if len(p) == 2:
             u, v = p
             pairs.append((u, v) if u < v else (v, u))
         elif len(p) == 1:
             pairs.append((*p, n))  # the fresh vertex is the largest id
-            padded.append(n)
             n += 1
         else:
             raise InputError(
                 f"player {i} has {len(p)} vertices; the couples solver needs "
                 "sizes at most 2 (use the enumeration or oracle paths)"
             )
-    if padded:
+    if n > g.n:
         # the same edges on more vertices: the checked parts carry over
-        graph = Graph._trusted(n, g.edges, g.adj + ((),) * len(padded), g.edge_set)
+        graph = Graph._trusted(n, g.edges, g.adj + ((),) * (n - g.n), g.edge_set)
         players = tuple(p if len(p) == 2 else frozenset(e) for p, e in zip(inst.players, pairs))
-        padded_inst = Instance._trusted(graph, players)
-    else:
-        padded_inst = inst
-    return CouplesGame(
-        inst=padded_inst,
-        original=inst,
-        pairs=tuple(pairs),
-        padded_vertices=frozenset(padded),
-    )
+        inst = Instance._trusted(graph, players)
+    return CouplesGame(inst=inst, pairs=tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +128,7 @@ def _without(row: tuple[int, ...], x: int) -> tuple[int, ...]:
 
 class _Union:
     """The union of real and player edges on original vertex ids, with the
-    player edges as the base matching, minus the vertices of ``gone``.
+    player edges as the base matching, minus the vertices of whole players.
 
     Built once per game and never written after: a query (:meth:`_query`)
     copies the adjacency and base matching, applies its deletions to the
@@ -156,23 +138,23 @@ class _Union:
     one blossom search per exposed root, clearing its labels after each
     search so a search costs its tree; it stops at the first root that
     cannot be matched.  A kept view (:meth:`without`) is such a copy with
-    its vertex deletions kept.
+    its vertex deletions kept; it deletes whole players only, so its base
+    matching is perfect on the vertices it keeps, and a vertex is in the
+    view exactly when the base matches it.
 
     A view holds the game's ``pairs``, ``player_of`` table and set of real
     edges, never the game, which caches its union: with no reference back,
     a game and everything it holds are freed by reference counting.
     """
 
-    __slots__ = ("pairs", "player_of", "real", "adj", "base", "gone", "exposed")
+    __slots__ = ("pairs", "player_of", "real", "adj", "base")
 
-    def __init__(self, pairs, player_of, real, adj, base, gone, exposed):
+    def __init__(self, pairs, player_of, real, adj, base):
         self.pairs = pairs
         self.player_of = player_of
         self.real = real
         self.adj = adj
         self.base = base
-        self.gone = gone
-        self.exposed = exposed
 
     @classmethod
     def of_game(cls, cg: "CouplesGame") -> "_Union":
@@ -184,27 +166,30 @@ class _Union:
             if (u, v) not in g.edge_set:  # only these rows gain an entry
                 adj[u] = tuple(sorted((*adj[u], v)))
                 adj[v] = tuple(sorted((*adj[v], u)))
-        return cls(cg.pairs, cg.player_of, g.edge_set, tuple(adj), tuple(base), frozenset(), ())
+        return cls(cg.pairs, cg.player_of, g.edge_set, tuple(adj), tuple(base))
 
     def without(self, verts) -> "_Union":
-        """The same union with ``verts`` deleted too, as a query deletes
-        them: their partners become exposed."""
-        verts = frozenset(verts)
+        """The same union with the vertices ``verts`` of whole players
+        deleted too; deleting part of a player is a fault."""
         adj, base, exposed = self._query((), verts)
-        parts = self.pairs, self.player_of, self.real
-        return _Union(*parts, tuple(adj), tuple(base), self.gone | verts, tuple(exposed))
+        if exposed:
+            raise InvariantError(
+                f"a kept view deletes whole players; vertex {exposed[0]} lost its partner"
+            )
+        return _Union(self.pairs, self.player_of, self.real, tuple(adj), tuple(base))
 
     def has(self, v: int) -> bool:
-        return v not in self.gone
+        return self.base[v] != -1
 
     def _query(self, drop_players, drop_vertices):
         """``(adj, base, exposed)``: copies of the view's rows and base
         matching with the players' edges and the vertices deleted, and the
         vertices the masked base leaves exposed, ascending.  The caller
-        owns all three."""
+        owns all three.  ``drop_vertices`` is read once, so it may be any
+        iterable."""
         adj = list(self.adj)
         base = list(self.base)
-        exposed = set(self.exposed)
+        exposed = set()
         real = self.real
         for p in drop_players:
             u, v = self.pairs[p]
@@ -215,10 +200,12 @@ class _Union:
             if (u, v) not in real:
                 adj[u] = _without(adj[u], v)
                 adj[v] = _without(adj[v], u)
+        gone = set()
         for x in drop_vertices:
-            if not 0 <= x < len(adj):
+            if not 0 <= x < len(adj):  # a negative id would wrap round
                 raise InvariantError(f"deleted vertex {x} is outside the graph")
-        gone = {x for x in drop_vertices if self.has(x)}
+            if self.has(x):
+                gone.add(x)
         touched = set()
         for x in gone:
             y = base[x]
@@ -265,9 +252,9 @@ class _Union:
 
 
 class _Peel:
-    """The degree-one rule on a view whose base matching is perfect
-    (Karp & Sipser, "Maximum matchings in sparse random graphs", 1981;
-    Lovász & Plummer, *Matching Theory*, ch. 5).
+    """The degree-one rule on a view, whose base matching is perfect on
+    the vertices it keeps (Karp & Sipser, "Maximum matchings in sparse
+    random graphs", 1981; Lovász & Plummer, *Matching Theory*, ch. 5).
 
     A vertex whose only neighbour left is its partner is matched to it in
     every perfect matching, so the pair is peeled off and the rule applied
@@ -288,8 +275,6 @@ class _Peel:
     __slots__ = ("view", "deg", "forced")
 
     def __init__(self, view: _Union):
-        if view.exposed:
-            raise InvariantError("peeling needs a view whose base matching is perfect")
         self.view = view
         self.deg = [len(row) for row in view.adj]
         self.forced: set[int] = set()
@@ -369,10 +354,10 @@ def _structure(cg: CouplesGame, players: tuple[int, ...], view: _Union, missing:
     ('e' for real edges, 'p' for player edges), or None.
 
     Deletes the players' edges and augments until at most ``missing``
-    vertices of the view stay exposed.  The augmenting paths start at the
-    vertices the masked base matching leaves exposed (the view's own and
-    the deleted player edges' ends), so walking from each of them finds
-    every piece; cycles of the difference never touch such a vertex.
+    vertices of the view stay exposed.  The view's base matching is
+    perfect, so the augmenting paths start at the deleted player edges'
+    ends, and walking from each of them finds every piece; cycles of the
+    difference never touch such a vertex.
     With the deleted player edges added back, one player must give one
     alternating cycle and two or three players one alternating path;
     anything else is a fault.  For two or three players this holds only
@@ -385,7 +370,7 @@ def _structure(cg: CouplesGame, players: tuple[int, ...], view: _Union, missing:
     match, base = found
     labeled = [(*cg.pairs[p], "p") for p in players]
     walked: set[int] = set()
-    for start in sorted({*view.exposed, *(x for p in players for x in cg.pairs[p])}):
+    for start in sorted(x for p in players for x in cg.pairs[p]):
         if match[start] == -1 or start in walked:
             continue
         x = start
@@ -520,42 +505,41 @@ def weak_construct(cg: CouplesGame) -> Matching:
 
 @dataclass(frozen=True)
 class _DeltaContext:
-    """The union without one cycle-free player's edge, by its
-    Gallai–Edmonds structure as :func:`_trees` reads it off two search
-    trees: the odd components and the one each of
-    their vertices lies in, the two free components that hold the
-    player's freed vertices, the entry edge (cut vertex, its partner) of
-    every side component, and the reach sets of the freed vertices, whose
-    union is the deficient part.
+    """The union without one cycle-free player's edge, by what the
+    structure reads of its Gallai–Edmonds decomposition (:func:`_trees`):
+    the odd component each vertex of the deficient part lies in, the two
+    free components that hold the player's freed vertices, the entry edge
+    (cut vertex, its partner) of every side component, and per freed
+    vertex the side components whose entry vertex it reaches.
 
-    ``arcs`` is the component digraph: x → y when a vertex of x is
-    adjacent to y's entry cut vertex.  Every odd component is
-    factor-critical and is entered only by its entry edge, so alternating
-    paths from the freed vertices are paths of this digraph, and
-    vertex-disjoint ones use disjoint components.  ``top`` is the
-    digraph's :func:`_tops` table.
+    Every odd component is factor-critical and is entered only by its
+    entry edge, so alternating paths from the freed vertices are paths of
+    the component digraph, x → y when a vertex of x is adjacent to y's
+    entry cut vertex, and vertex-disjoint ones use disjoint components.
+    ``top`` is that digraph's :func:`_tops` table; the digraph itself and
+    the components' vertex sets are not kept.
     """
 
-    comps: tuple[frozenset[int], ...]
     comp_of: dict[int, int]
     free: tuple[int, int]
     entry: dict[int, tuple[int, int]]
-    reach: dict[int, frozenset[int]]
-    arcs: tuple[frozenset[int], ...]
+    entered: dict[int, frozenset[int]]
     top: tuple[int, ...]
 
 
-def _scan(cg: CouplesGame) -> frozenset[int]:
-    """The cycle-free players, each with its context put in
-    ``cg.delta_contexts``: one kernel query per player, in ascending order,
-    except those on a cycle an earlier query found.
+def _scan(cg: CouplesGame) -> dict[int, _DeltaContext]:
+    """Every cycle-free player's context, in ascending player order: one
+    kernel query per player, in ascending order, except those on a cycle
+    an earlier query found.
 
     With p's edge deleted only p's two vertices are exposed, so the
     augmenting search of :func:`_trees` finds an alternating cycle through
     p and every player with a vertex on its path, or fails and p is
-    cycle-free.
+    cycle-free.  A later cycle never passes a cycle-free player, so every
+    player that gets a context keeps it.
     """
     on_cycle = [False] * cg.num_players
+    contexts: dict[int, _DeltaContext] = {}
     for p, (au, av) in enumerate(cg.pairs):
         if on_cycle[p]:
             continue
@@ -565,8 +549,8 @@ def _scan(cg: CouplesGame) -> frozenset[int]:
             for x in found:
                 on_cycle[cg.player_of[x]] = True
         else:
-            cg.delta_contexts[p] = _context(cg, p, *found)
-    return frozenset(p for p, hit in enumerate(on_cycle) if not hit)
+            contexts[p] = _context(cg, p, *found)
+    return contexts
 
 
 def _trees(adj, match, au: int, av: int):
@@ -612,10 +596,11 @@ def _context(cg: CouplesGame, a_pl: int, reach, cut, comps) -> _DeltaContext:
     ca, cb = comp_of[au], comp_of[av]
     if ca == cb:
         raise InvariantError("freed vertices must land in distinct odd components")
+    base = cg.union.base
     entry: dict[int, tuple[int, int]] = {}
     arcs: list[set[int]] = [set() for _ in comps]
     for s in sorted(cut):
-        t = cg.partner[s]
+        t = base[s]
         j = comp_of.get(t)
         if j is None or j in (ca, cb) or j in entry:
             raise InvariantError("entry edges must pair cut vertices with distinct components")
@@ -628,9 +613,8 @@ def _context(cg: CouplesGame, a_pl: int, reach, cut, comps) -> _DeltaContext:
                 arcs[x].add(j)
     if set(entry) != set(range(len(comps))) - {ca, cb}:
         raise InvariantError("every side component must have exactly one entry edge")
-    return _DeltaContext(
-        comps, comp_of, (ca, cb), entry, reach, tuple(map(frozenset, arcs)), _tops(arcs, (ca, cb))
-    )
+    entered = {x: frozenset(j for j, (_, t) in entry.items() if t in reach[x]) for x in (au, av)}
+    return _DeltaContext(comp_of, (ca, cb), entry, entered, _tops(arcs, (ca, cb)))
 
 
 def _tops(arcs, free: tuple[int, int]) -> tuple[int, ...]:
@@ -698,12 +682,12 @@ def _delta_path_decide(
     when there is none).  The roles of ``a`` and ``b`` are exchangeable.
 
     Only the entry edge enters a side component, so a reach set holds it
-    whole or misses it, and the answer depends on ``c`` only through
-    ``j``.  Each piece is one perfect-matching query on deletions: joining
-    the two vertices left exposed besides ``b``'s by an edge would never
-    help, since deleting them instead leaves only ``b``'s two vertices
-    exposed, and matching those would close an alternating cycle through
-    the cycle-free ``b``.
+    whole or misses it, as its entry vertex decides, and the answer
+    depends on ``c`` only through ``j``.  Each piece is one
+    perfect-matching query on deletions: joining the two vertices left
+    exposed besides ``b``'s by an edge would never help, since deleting
+    them instead leaves only ``b``'s two vertices exposed, and matching
+    those would close an alternating cycle through the cycle-free ``b``.
     """
     if i is None or j is None or i == j or j in ctx.free:
         return False
@@ -712,8 +696,8 @@ def _delta_path_decide(
     if i in ctx.free:
         # the cycle closes inside the component freed by one of a's
         # vertices; the path to c leaves from the other vertex
-        a_far = av if ctx.comp_of[au] == i else au
-        if sj_in not in ctx.reach[a_far]:
+        a_far = av if ctx.free[0] == i else au
+        if j not in ctx.entered[a_far]:
             return False
         players, verts = (a, b, cg.player_of[sj]), (a_far, sj_in)
     else:
@@ -768,11 +752,12 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
     delta-closed test visits.  The kernel answers only the free-component
     and through-path pieces of :func:`_delta_path_decide`, which depend
     on the third player only through its component, so the pair-edge
-    test tries once each component that passes its reach-set or top check.
+    test tries once each component that passes its entered-set or top
+    check.
     """
     kset = cg.cycle_free
     korder = sorted(kset)
-    ctxs = {b: cg.delta_contexts[b] for b in korder}
+    ctxs = cg.contexts
     # where[b][p] is the component of b's context that p's edge holds or
     # enters, for every cycle-free p != b with one, in ascending p; it
     # exists exactly when an alternating path joins p to b.  Such a p has
@@ -780,13 +765,13 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
     # finds them all: p's edge holds t's component or enters it at t.  b's
     # own vertices lie in the two distinct free components, so b is never
     # one.
-    partner, player_of = cg.partner, cg.player_of
+    base, player_of = cg.union.base, cg.player_of
     where: dict[int, dict[int, int]] = {}
     for b, ctx in ctxs.items():
         comp_of, entry = ctx.comp_of, ctx.entry
         row = {}
         for t, j in comp_of.items():
-            s = partner[t]
+            s = base[t]
             if comp_of.get(s) == j or entry.get(j) == (s, t):
                 row[player_of[t]] = j
         where[b] = {p: row[p] for p in sorted(kset.intersection(row))}
@@ -815,7 +800,7 @@ def _build_structure(cg: CouplesGame) -> StrongCoreStructure:
         ctx = ctxs[x]
         sides = sorted(set(where[x].values()) - set(ctx.free))
         far = {  # the far vertex of the free component of x's u is x's v
-            i: [j for j in sides if ctx.entry[j][1] in ctx.reach[f]]
+            i: [j for j in sides if j in ctx.entered[f]]
             for i, f in zip(ctx.free, reversed(cg.pairs[x]))
         }
         groups: dict[int, list[int]] = {}

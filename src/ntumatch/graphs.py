@@ -110,7 +110,7 @@ class Graph:
 class Matching:
     """A set of pairwise vertex-disjoint edges plus its covered vertex set."""
 
-    __slots__ = ("edges", "edge_set", "covered", "_hash")
+    __slots__ = ("edges", "covered", "_hash")
 
     def __init__(self, edges: Iterable[tuple[int, int]] = ()):
         first = {(u, v) if u < v else (v, u): None for u, v in edges}
@@ -124,7 +124,6 @@ class Matching:
             seen.add(u)
             seen.add(v)
         self.edges = tuple(es)
-        self.edge_set = frozenset(es)
         self.covered = frozenset(seen)
         self._hash = hash(self.edges)
 

@@ -23,9 +23,12 @@ library reads it off the digraph's dominator tree instead.
 an explicit ``Graph`` and decomposes it with ``gallai_edmonds``.
 ``cycle_free_by_player`` asks the kernel one cycle query per player, and
 ``delta_context_by_reach`` builds a cycle-free player's context from two
-``reach`` queries and a component search over their union.  The library
-reads the cycle-free set and every context off one scan, one kernel query
-per player at most, whose failed cycle search is the first reach tree.
+``reach`` queries and a component search over their union;
+``component_digraph_by_reach`` returns the component digraph that the
+same construction builds and the library's context does not keep.  The
+library reads the cycle-free set and every context off one scan, one
+kernel query per player at most, whose failed cycle search is the first
+reach tree.
 
 ``reach`` is the kernel's alternating-reach query, one search on the
 arrays a view's ``_query`` returns; the library no longer asks it.
@@ -43,10 +46,10 @@ of every player the degree-one peel forces, and the path query of every
 group whose players lie in different components of the view.
 
 ``delta_path_by_added_edges`` decides a composite structure per player c:
-it tests c's pair against a reach set, joins two exposed vertices by an
-added edge, and answers the case where b's edge enters b's component by
-a reach query from c's entry.  The library decides per component of c,
-with one deletion query and no added edge.
+it tests c's pair against a reach set it asks for itself, joins two
+exposed vertices by an added edge, and answers the case where b's edge
+enters b's component by a reach query from c's entry.  The library
+decides per component of c, with one deletion query and no added edge.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def delta_context(cg: CouplesGame, a_pl: int) -> _DeltaContext:
     """The context of the cycle-free ``a_pl``, built by ``couples._scan``."""
     if a_pl not in cg.cycle_free:
         raise InvariantError(f"player {a_pl} lies on an alternating cycle and has no context")
-    return cg.delta_contexts[a_pl]
+    return cg.contexts[a_pl]
 
 
 def ordered_triple_path_exists(cg: CouplesGame, a: int, b: int, c: int) -> bool:
@@ -143,11 +146,11 @@ def component(cg: CouplesGame, ctx: _DeltaContext, pl: int) -> Optional[int]:
     return None
 
 
-def reach(view: _Union, root: int, drop_players=()) -> frozenset[int]:
+def reach(view: _Union, root: int, drop_players=(), drop_vertices=()) -> frozenset[int]:
     """Vertices even-reachable from the exposed ``root`` by alternating
-    paths over the view's base matching without the given players' edges,
-    searched on the arrays of one kernel query."""
-    adj, base, _ = view._query(drop_players, ())
+    paths over the view's base matching without the given players' edges
+    and vertices, searched on the arrays of one kernel query."""
+    adj, base, _ = view._query(drop_players, drop_vertices)
     if not (0 <= root < len(adj) and view.has(root)) or base[root] != -1:
         raise InvariantError(f"reach root {root} is not an exposed vertex of the view")
     return frozenset(_blossom_search(adj, base, root, _Labels(len(adj)), augment=False))
@@ -206,10 +209,10 @@ def strong_membership_by_query(cg: CouplesGame, m: Matching):
     return _verdict(cg, structures, BLOCK_KIND["strong"], u)
 
 
-def delta_context_by_reach(cg: CouplesGame, a_pl: int) -> _DeltaContext:
-    """The context of the cycle-free ``a_pl``: the reach sets of its two
-    vertices with its edge deleted, whose union is the deficient part, and
-    the cut set and odd components of that part."""
+def _decompose_by_reach(cg: CouplesGame, a_pl: int):
+    """The reach sets of ``a_pl``'s two vertices with its edge deleted,
+    the odd component of each deficient vertex, the entry edge of every
+    side component and the component digraph."""
     au, av = cg.pairs[a_pl]
     reached = {x: reach(cg.union, x, drop_players=(a_pl,)) for x in (au, av)}
     adj, _, _ = cg.union._query((a_pl,), ())
@@ -223,10 +226,11 @@ def delta_context_by_reach(cg: CouplesGame, a_pl: int) -> _DeltaContext:
     ca, cb = comp_of[au], comp_of[av]
     if ca == cb:
         raise InvariantError("freed vertices must land in distinct odd components")
+    partner = {x: y for pr in cg.pairs for x, y in (pr, pr[::-1])}
     entry: dict[int, tuple[int, int]] = {}
     arcs: list[set[int]] = [set() for _ in comps]
     for s in sorted(cut):
-        t = cg.partner[s]
+        t = partner[s]
         j = comp_of.get(t)
         if j is None or j in (ca, cb) or j in entry:
             raise InvariantError("entry edges must pair cut vertices with distinct components")
@@ -237,9 +241,26 @@ def delta_context_by_reach(cg: CouplesGame, a_pl: int) -> _DeltaContext:
                 arcs[x].add(j)
     if set(entry) != set(range(len(comps))) - {ca, cb}:
         raise InvariantError("every side component must have exactly one entry edge")
-    return _DeltaContext(
-        comps, comp_of, (ca, cb), entry, reached, tuple(map(frozenset, arcs)), _tops(arcs, (ca, cb))
-    )
+    return reached, comp_of, (ca, cb), entry, tuple(map(frozenset, arcs))
+
+
+def delta_context_by_reach(cg: CouplesGame, a_pl: int) -> _DeltaContext:
+    """The context of the cycle-free ``a_pl``: the reach sets of its two
+    vertices with its edge deleted, whose union is the deficient part, and
+    the cut set and odd components of that part, kept as the library
+    keeps them."""
+    reached, comp_of, free, entry, arcs = _decompose_by_reach(cg, a_pl)
+    entered = {
+        x: frozenset(j for j, (_, t) in entry.items() if t in r) for x, r in reached.items()
+    }
+    return _DeltaContext(comp_of, free, entry, entered, _tops(arcs, free))
+
+
+def component_digraph_by_reach(cg: CouplesGame, a_pl: int) -> tuple[frozenset[int], ...]:
+    """The component digraph of ``a_pl``'s context, built as
+    ``delta_context_by_reach`` builds it: x → y when a vertex of x is
+    adjacent to y's entry cut vertex."""
+    return _decompose_by_reach(cg, a_pl)[4]
 
 
 def masked(view: _Union, drop_players=(), drop_vertices=(), extra_edges=()):
@@ -249,7 +270,7 @@ def masked(view: _Union, drop_players=(), drop_vertices=(), extra_edges=()):
     n = len(view.adj)
     adj = list(view.adj)
     match = list(view.base)
-    exposed = set(view.exposed)
+    exposed = set()
     for p in drop_players:
         u, v = view.pairs[p]
         if match[u] != v:
@@ -330,7 +351,7 @@ def delta_path_by_added_edges(cg: CouplesGame, a: int, b: int, c: int, tally=Non
         # vertices; the path to c leaves from the other vertex
         a_near = au if ctx.comp_of[au] == i else av
         a_far = av if a_near == au else au
-        if ctx.reach[a_far].isdisjoint(cg.pairs[c]):
+        if reach(cg.union, a_far, drop_players=(a,)).isdisjoint(cg.pairs[c]):
             return False
         _count(tally, "free")
         return augment_by_copies(
@@ -408,9 +429,9 @@ def delta_context_by_graph(cg: CouplesGame, a: int):
     return ge.odd_components, ge.cut_set
 
 
-def second_reach_by_flow(ctx: _DeltaContext, target: int) -> frozenset[int]:
-    """The components y for which the component digraph has two
-    vertex-disjoint paths from the two free components, one ending in
+def second_reach_by_flow(free: tuple[int, int], arcs, target: int) -> frozenset[int]:
+    """The components y for which the component digraph ``arcs`` has two
+    vertex-disjoint paths from the two ``free`` components, one ending in
     ``target`` and one in y (Menger: a unit-capacity flow of 2).
 
     Routes one unit from the free components to ``target`` with node
@@ -418,12 +439,12 @@ def second_reach_by_flow(ctx: _DeltaContext, target: int) -> frozenset[int]:
     searches the residual network once: y qualifies exactly when its
     out-node is reachable.  Empty when no path reaches ``target``.
     """
-    prev = {f: None for f in ctx.free}
-    queue = list(ctx.free)
+    prev = {f: None for f in free}
+    queue = list(free)
     for x in queue:
         if x == target:
             break
-        for y in ctx.arcs[x]:
+        for y in arcs[x]:
             if y not in prev:
                 prev[y] = x
                 queue.append(y)
@@ -438,12 +459,12 @@ def second_reach_by_flow(ctx: _DeltaContext, target: int) -> frozenset[int]:
         start = y
         after = {x: y for y, x in before.items()}
         on_path = {start, *before}
-        seen_in = {f for f in ctx.free if f != start}
+        seen_in = {f for f in free if f != start}
         stack = [(f, False) for f in seen_in]
         while stack:
             v, out = stack.pop()
             if out:
-                steps = [(y, False) for y in ctx.arcs[v] if after.get(v) != y]
+                steps = [(y, False) for y in arcs[v] if after.get(v) != y]
                 if v in on_path:
                     steps.append((v, False))  # back through v's saturated node
             elif v in before:

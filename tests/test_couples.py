@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import fields
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -31,10 +32,12 @@ from ntumatch import (
 )
 from ntumatch import couples as couples_module
 from ntumatch.couples import (
+    _DeltaContext,
     _joined,
     _Peel,
     _structure,
     _tops,
+    _trees,
     strong_core_quotas,
 )
 from ntumatch.exhaustive import all_matchings, oracle_core
@@ -43,6 +46,7 @@ from ntumatch.serialize import certificate_to_json, matching_to_json
 from couples_reference import (
     augment_by_copies,
     component,
+    component_digraph_by_reach,
     cycle_free_by_player,
     delta_context,
     delta_context_by_graph,
@@ -113,15 +117,18 @@ def delta_instance():
 
 class TestNormalize:
     def test_identity_when_all_pairs(self):
-        cg = normalize(two_couples_square())
-        assert cg.inst is cg.original
-        assert cg.padded_vertices == frozenset()
+        inst = two_couples_square()
+        cg = normalize(inst)
+        assert cg.inst is inst
+        assert cg.pairs == ((0, 1), (2, 3))
 
     def test_pads_singletons(self):
         inst = Instance(Graph(3, [(0, 1)]), (frozenset({0, 1}), frozenset({2})))
         cg = normalize(inst)
         assert cg.inst.graph.n == 4
-        assert cg.padded_vertices == frozenset({3})
+        assert cg.inst.graph.edges == inst.graph.edges
+        assert cg.inst.graph.adj[3] == ()  # the padding vertex is isolated
+        assert cg.inst.players == (frozenset({0, 1}), frozenset({2, 3}))
         assert cg.pairs[1] == (2, 3)
 
     def test_rejects_triples(self):
@@ -234,13 +241,14 @@ class TestStrongMembership:
 
     def test_half_covered_chain_blocked(self):
         # oracle-checked on this 6-vertex instance: the A-B-C path blocks
-        cg = normalize(three_couples_chain())
+        inst = three_couples_chain()
+        cg = normalize(inst)
         m = Matching([(1, 2)])
         res = strong_membership(cg, m)
         assert not res.in_core
         assert set(res.certificate.witness.edges) == {(1, 2), (3, 4)}
-        orc = oracle_core(cg.original, "strong")
-        assert utility(cg.original, m) not in orc.in_core
+        orc = oracle_core(inst, "strong")
+        assert utility(inst, m) not in orc.in_core
 
     def test_random_against_oracle(self, rng):
         for _ in range(40):
@@ -310,11 +318,6 @@ class TestPeel:
                 assert (peel.deg, peel.forced) == (fresh.deg, fresh.forced), (seed, p)
                 kept += 1
         assert kept > 300
-
-    def test_view_with_an_exposed_vertex_raises(self):
-        cg = normalize(three_couples_chain())
-        with pytest.raises(InvariantError):
-            _Peel(cg.union.without([2]))
 
     def test_skips_match_the_per_query_reference(self):
         # matchings and certificates equal those of one kernel query per
@@ -481,9 +484,10 @@ class TestComponentDigraph:
         for cg in cases:
             for a in sorted(cg.cycle_free):
                 ctx = delta_context(cg, a)
-                for i in range(len(ctx.comps)):
-                    second = second_reach_by_flow(ctx, i)
-                    for j in range(len(ctx.comps)):
+                arcs = component_digraph_by_reach(cg, a)
+                for i in range(len(arcs)):
+                    second = second_reach_by_flow(ctx.free, arcs, i)
+                    for j in range(len(arcs)):
                         want = i != j and j in second
                         assert _joined(ctx, i, j) == want, (a, i, j)
                         pairs += 1
@@ -505,9 +509,9 @@ class TestComponentDigraph:
                 frozenset(y for y in range(2, k) if y != x and rng.random() < p)
                 for x in range(k)
             )
-            ctx = SimpleNamespace(free=free, arcs=arcs, top=_tops(arcs, free))
+            ctx = SimpleNamespace(top=_tops(arcs, free))
             for i in range(k):
-                second = second_reach_by_flow(ctx, i)
+                second = second_reach_by_flow(free, arcs, i)
                 for j in range(k):
                     assert _joined(ctx, i, j) == (i != j and j in second), (arcs, i, j)
                     pairs += 1
@@ -613,21 +617,26 @@ class TestDeltaPath:
 class TestDeltaContext:
     def test_kernel_context_matches_explicit_decomposition(self):
         # every cycle-free player of 600 seeded sparse instances, n 6-30:
-        # the context read off the scan's two search trees has the odd
-        # components and cut set of the explicitly built graph
+        # the scan's two search trees give the odd components, cut set and
+        # reach sets of the explicitly built graph, and the context keeps
+        # the components' labels and the cut set as its entry edges
         contexts = 0
         for seed in range(600):
             n = 6 + seed % 25
             cg = normalize(gen_random(n, 2, (1.0, 1.5, 2.0)[seed % 3] / n, seed=seed))
             for a in sorted(cg.cycle_free):
-                ctx = delta_context(cg, a)
-                comps, cut = delta_context_by_graph(cg, a)
-                assert ctx.comps == comps, (seed, a)
-                assert {s for s, _ in ctx.entry.values()} == cut, (seed, a)
                 au, av = cg.pairs[a]
-                assert ctx.reach[au] | ctx.reach[av] == frozenset().union(*comps), (seed, a)
+                adj, base, _ = cg.union._query((a,), ())
+                reached, cut, comps = _trees(adj, base, au, av)
+                want_comps, want_cut = delta_context_by_graph(cg, a)
+                assert comps == want_comps, (seed, a)
+                assert cut == want_cut, (seed, a)
+                assert reached[au] | reached[av] == frozenset().union(*comps), (seed, a)
                 for x in (au, av):
-                    assert ctx.reach[x] == reach(cg.union, x, drop_players=(a,)), (seed, a)
+                    assert reached[x] == reach(cg.union, x, drop_players=(a,)), (seed, a)
+                ctx = delta_context(cg, a)
+                assert ctx.comp_of == {v: j for j, comp in enumerate(comps) for v in comp}
+                assert {s for s, _ in ctx.entry.values()} == cut, (seed, a)
                 contexts += 1
         assert contexts > 2500
 
@@ -641,8 +650,12 @@ class TestDeltaContext:
         for n, scale, seed in families:
             cg = normalize(gen_random(n, 2, scale / n, seed=seed))
             assert cg.cycle_free == cycle_free_by_player(cg), (n, seed)
+            assert cg.cycle_free == frozenset(cg.contexts), (n, seed)
+            assert list(cg.contexts) == sorted(cg.contexts), (n, seed)
             for a in sorted(cg.cycle_free):
-                assert delta_context(cg, a) == delta_context_by_reach(cg, a), (n, seed, a)
+                got, want = delta_context(cg, a), delta_context_by_reach(cg, a)
+                for f in fields(_DeltaContext):
+                    assert getattr(got, f.name) == getattr(want, f.name), (n, seed, a, f.name)
                 contexts += 1
         assert contexts == 3788 + 56
 
@@ -674,9 +687,9 @@ class TestDeltaContext:
             for a in sorted(cg.cycle_free):
                 ctx = delta_context(cg, a)
                 for j, (_, t) in ctx.entry.items():
-                    comp = ctx.comps[j]
-                    view = cg.union.without(v for v in everything if v not in comp)
-                    assert reach(view, t) == comp, (seed, a, j)
+                    comp = {v for v, k in ctx.comp_of.items() if k == j}
+                    outside = [v for v in everything if v not in comp]
+                    assert reach(cg.union, t, drop_vertices=outside) == comp, (seed, a, j)
                     sides += 1
         assert sides > 10000
 
@@ -846,7 +859,8 @@ class TestUnionKernel:
         return g, Matching((to_new[u], to_new[v]) for u, v in base), to_old
 
     def test_random_queries_against_explicit_subgraph(self, rng):
-        # 300 random queries with drops and restrictions
+        # 300 random queries with drops, on the union and on views that
+        # keep random whole players
         checked = 0
         for _ in range(300):
             n = rng.choice([4, 5, 6, 8, 9, 10, 12, 13, 14])  # odd n pads a player
@@ -855,7 +869,7 @@ class TestUnionKernel:
             nv = cg.inst.graph.n
             restrict = None
             if rng.random() < 0.4:
-                restrict = {v for v in range(nv) if rng.random() < 0.75}
+                restrict = {x for pr in cg.pairs if rng.random() < 0.75 for x in pr}
             view = cg.union if restrict is None else cg.union.without(set(range(nv)) - restrict)
             drop_players = set(rng.sample(range(cg.num_players), rng.randint(0, min(3, cg.num_players))))
             drop_vertices = set(rng.sample(range(nv), rng.randint(0, 2)))
@@ -901,22 +915,54 @@ class TestUnionKernel:
         assert restricted.augment(drop_players=(0,), drop_vertices=(4,), missing=2)
 
     def test_kept_deletions_compose(self, rng):
+        # views that delete two random sets of whole players, overlapping
+        # or not, one after the other and at once; has(v) holds exactly
+        # for the vertices left
         for _ in range(200):
             n = rng.choice([4, 5, 8, 9, 12, 20])
             cg = normalize(gen_random(n, 2, rng.choice([0.15, 0.3, 0.6]), seed=rng.randint(0, 10**6)))
             nv = cg.inst.graph.n
-            a = set(rng.sample(range(nv), rng.randint(0, nv)))
-            b = set(rng.sample(range(nv), rng.randint(0, nv)))
+
+            def players():
+                k = cg.num_players
+                return {x for p in rng.sample(range(k), rng.randint(0, k)) for x in cg.pairs[p]}
+
+            a, b = players(), players()
             twice = cg.union.without(v for v in sorted(a)).without(b)
             once = cg.union.without(a | b)
-            assert twice.gone == once.gone == a | b
-            assert (twice.adj, twice.base, twice.exposed) == (once.adj, once.base, once.exposed)
+            for view in (twice, once):
+                assert {v for v in range(nv) if not view.has(v)} == a | b
+            assert (twice.adj, twice.base) == (once.adj, once.base)
+            assert all(once.base[v] not in a | b for v in range(nv) if once.has(v))
+
+    def test_without_part_of_a_player_raises(self):
+        # a kept view deletes whole players, so its base matching stays
+        # perfect on what it keeps; one vertex of a player alone is a fault
+        cg = normalize(three_couples_chain())
+        for verts in ([2], [0, 1, 3], (x for x in (4,))):
+            with pytest.raises(InvariantError):
+                cg.union.without(verts)
+        kept = cg.union.without([0, 1])
+        with pytest.raises(InvariantError):
+            kept.without([0, 1, 2])
+        assert kept.without([0, 1, 2, 3]).base == (-1,) * 4 + (5, 4)
+
+    def test_generator_deletions_are_read_once(self):
+        # a query reads its deleted vertices once, so a generator deletes
+        # what the same tuple deletes (kept views: test_kept_deletions_compose)
+        for seed in range(100):
+            n = 6 + seed % 15
+            cg = normalize(gen_random(n, 2, 2.0 / n, seed=seed))
+            verts = tuple(range(0, cg.inst.graph.n, 3))
+            for p in range(cg.num_players):
+                got = cg.union.augment((p,), (v for v in verts), missing=2)
+                assert got == cg.union.augment((p,), verts, missing=2), (seed, p)
 
     def test_threads_share_one_kernel(self):
         # views are never written after they are built: threads that
         # query them at once must each get the answers of a lone thread
         cg = normalize(gen_random(80, 2, 2.0 / 80, 11))
-        views = [cg.union, cg.union.without(range(0, 80, 7))]
+        views = [cg.union, cg.union.without(x for pr in cg.pairs[::7] for x in pr)]
 
         def answers():
             out = []
@@ -962,7 +1008,8 @@ class TestUnionKernel:
         vertex = st.integers(0, nv - 1)
         view = cg.union
         if data.draw(st.booleans(), label="restrict"):
-            view = view.without(data.draw(st.sets(vertex, max_size=nv), label="gone"))
+            gone = data.draw(st.sets(st.integers(0, cg.num_players - 1)), label="gone")
+            view = view.without(x for p in gone for x in cg.pairs[p])
         for _ in range(data.draw(st.integers(1, 4), label="queries")):
             drop_players = data.draw(
                 st.lists(st.integers(0, cg.num_players - 1), max_size=3, unique=True)
@@ -1034,7 +1081,8 @@ class TestStructureGolden:
     n=64 recorded with the engine that rebuilt a graph per query, n=120
     with the engine that tried each ordered triple's four tip pairs, n=240
     and n=320 with the engine that asked one kernel query per ordered
-    triple."""
+    triple, and n=160 and n=480 with the engine whose contexts kept every
+    odd component, the component digraph and both reach sets."""
 
     CASES = {
         (40, 1): dict(
@@ -1072,6 +1120,73 @@ class TestStructureGolden:
                 {0}, {7}, {8}, {9}, {11}, {17}, {18}, {19}, {21}, {24}, {26},
                 {27}, {28}, {30}, {34}, {36}, {39}, {40}, {42}, {43}, {44},
                 {47}, {55}, {56},
+            ],
+        ),
+        (160, 3): dict(
+            cycle_free={
+                0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 18, 19, 20,
+                21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37,
+                38, 39, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55,
+                56, 57, 58, 60, 61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73,
+                74, 76, 77, 78, 79,
+            },
+            path_isolated={21, 28, 36, 46, 48, 79},
+            delta_closed={
+                7, 11, 12, 19, 20, 21, 23, 24, 26, 28, 31, 33, 34, 35, 36, 42, 46,
+                48, 49, 50, 51, 55, 56, 57, 58, 62, 63, 68, 72, 73, 74, 77, 79,
+            },
+            pair_transitive={
+                7, 11, 12, 19, 20, 21, 23, 24, 26, 28, 31, 33, 34, 35, 36, 42, 46,
+                48, 49, 50, 51, 55, 56, 57, 58, 62, 63, 68, 72, 73, 74, 77, 79,
+            },
+            pair_edges=set(),
+            cliques=[
+                {7}, {11}, {12}, {19}, {20}, {21}, {23}, {24}, {26}, {28}, {31},
+                {33}, {34}, {35}, {36}, {42}, {46}, {48}, {49}, {50}, {51}, {55},
+                {56}, {57}, {58}, {62}, {63}, {68}, {72}, {73}, {74}, {77}, {79},
+            ],
+        ),
+        (480, 3): dict(
+            cycle_free={
+                0, 1, 2, 3, 4, 5, 11, 12, 13, 15, 17, 18, 19, 23, 24, 25, 26, 27,
+                28, 29, 30, 34, 35, 36, 37, 38, 39, 40, 48, 50, 51, 54, 57, 59, 60,
+                62, 65, 69, 72, 73, 74, 75, 78, 79, 80, 83, 84, 85, 86, 90, 92, 96,
+                97, 98, 99, 100, 102, 103, 104, 107, 108, 110, 111, 113, 115, 118,
+                119, 120, 123, 124, 126, 127, 128, 129, 130, 131, 134, 135, 136,
+                137, 138, 139, 142, 143, 144, 145, 146, 147, 149, 150, 151, 153,
+                154, 156, 157, 158, 159, 160, 161, 163, 164, 167, 168, 169, 172,
+                175, 176, 180, 181, 182, 184, 186, 187, 188, 189, 191, 193, 195,
+                197, 199, 200, 204, 207, 209, 211, 212, 214, 216, 217, 220, 223,
+                224, 225, 226, 230, 232, 237, 238,
+            },
+            path_isolated={26, 54, 86, 99},
+            delta_closed={
+                0, 4, 5, 12, 13, 15, 17, 25, 26, 27, 28, 29, 30, 34, 35, 36, 37, 39,
+                40, 48, 50, 51, 54, 57, 59, 60, 65, 72, 73, 74, 78, 79, 84, 86, 92,
+                97, 98, 99, 102, 103, 104, 107, 108, 111, 115, 119, 123, 124, 127,
+                128, 130, 135, 137, 139, 142, 144, 146, 150, 151, 156, 160, 163,
+                168, 169, 172, 176, 184, 191, 195, 197, 199, 200, 204, 207, 212,
+                216, 217, 220, 226, 230, 237, 238,
+            },
+            pair_transitive={
+                0, 4, 5, 12, 13, 15, 17, 25, 26, 27, 28, 29, 30, 34, 35, 36, 37, 39,
+                40, 48, 50, 51, 54, 57, 59, 60, 65, 72, 73, 74, 78, 79, 84, 86, 92,
+                97, 98, 99, 102, 103, 104, 107, 108, 111, 115, 119, 123, 124, 127,
+                128, 130, 135, 137, 139, 142, 144, 146, 150, 151, 156, 160, 163,
+                168, 169, 172, 176, 184, 191, 195, 197, 199, 200, 204, 207, 212,
+                216, 217, 220, 226, 230, 237, 238,
+            },
+            pair_edges=set(),
+            cliques=[
+                {0}, {4}, {5}, {12}, {13}, {15}, {17}, {25}, {26}, {27}, {28}, {29},
+                {30}, {34}, {35}, {36}, {37}, {39}, {40}, {48}, {50}, {51}, {54},
+                {57}, {59}, {60}, {65}, {72}, {73}, {74}, {78}, {79}, {84}, {86},
+                {92}, {97}, {98}, {99}, {102}, {103}, {104}, {107}, {108}, {111},
+                {115}, {119}, {123}, {124}, {127}, {128}, {130}, {135}, {137},
+                {139}, {142}, {144}, {146}, {150}, {151}, {156}, {160}, {163},
+                {168}, {169}, {172}, {176}, {184}, {191}, {195}, {197}, {199},
+                {200}, {204}, {207}, {212}, {216}, {217}, {220}, {226}, {230},
+                {237}, {238},
             ],
         ),
         (240, 3): dict(
